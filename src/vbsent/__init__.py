@@ -7,9 +7,8 @@ cross-checks every closed form against a brute-force partial-trace oracle.
 """
 
 from .closed_form import (
+    BlockSpectrum,
     BranchPoint,
-    OpenSpectrum,
-    PeriodicSpectrum,
     branch_points,
     branch_residual,
     decay_factor,

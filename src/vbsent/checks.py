@@ -42,8 +42,8 @@ class CheckResult:
     detail: str = ""
 
 
-def _spectrum_deviation(state: states.PureState, block: Sequence[int],
-                        expected: List, matrix_budget: int) -> float:
+def spectrum_deviation(state: states.PureState, block: Sequence[int],
+                       expected: List, matrix_budget: int) -> float:
     """Worst absolute gap between the oracle block spectrum and exact weights."""
     report = oracle.block_spectrum(state, block, matrix_budget=matrix_budget)
     found = [float(v) for v in report.eigenvalues if v > 1e-12]
@@ -70,7 +70,7 @@ def check_open_spectrum(ns: Sequence[int], amp_budget: int, matrix_budget: int) 
                     continue
                 expected = closed_form.open_spectrum(n, L).nonzero()
                 for start in range(N - L + 1):
-                    dev = _spectrum_deviation(psi, range(start, start + L), expected, matrix_budget)
+                    dev = spectrum_deviation(psi, range(start, start + L), expected, matrix_budget)
                     if dev > worst:
                         worst, worst_at = dev, f"n={n} N={N} L={L} start={start + 1}"
     return CheckResult("open-spectrum", worst < 1e-10, worst, 1e-10, f"worst at {worst_at}")
@@ -85,7 +85,7 @@ def check_periodic_spectrum(ns: Sequence[int], amp_budget: int, matrix_budget: i
             psi = states.periodic_vbs_state(states.ChainSpec(n, N, states.PERIODIC, amp_budget))
             for L in range(1, N):
                 expected = closed_form.periodic_spectrum(n, N, L).nonzero()
-                dev = _spectrum_deviation(psi, range(L), expected, matrix_budget)
+                dev = spectrum_deviation(psi, range(L), expected, matrix_budget)
                 if dev > worst:
                     worst, worst_at = dev, f"n={n} N={N} L={L}"
     return CheckResult("periodic-spectrum", worst < 1e-10, worst, 1e-10, f"worst at {worst_at}")

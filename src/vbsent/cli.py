@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 from . import closed_form, oracle, states
-from .checks import CHECKS, run_checks
+from .checks import CHECKS, run_checks, spectrum_deviation
 from .errors import BranchPointCondition, BudgetError
 
 CSV_HEADER = ["n", "N", "L", "boundary", "lambda_singlet", "lambda_adjoint",
@@ -78,6 +79,17 @@ def parse_span(text: str) -> List[int]:
     return [int(text)]
 
 
+def _cell(key: str, value) -> str:
+    """CSV text of one JSON value: empty for null, 17 digits for floats."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt(value)
+    return f"{value:+d}" if key == "sign" else str(value)
+
+
 @dataclass
 class ResultRow:
     n: int
@@ -92,26 +104,15 @@ class ResultRow:
     verified: Optional[bool] = None
     max_dev: Optional[float] = None
 
-    def csv_fields(self) -> List[str]:
-        s_re = s_im = None
-        if self.S_alpha is not None:
-            s_re = complex(self.S_alpha).real
-            s_im = complex(self.S_alpha).imag
-        verified = "" if self.verified is None else ("true" if self.verified else "false")
-        return [str(self.n), str(self.N), str(self.L), self.boundary,
-                fmt(self.lambda_singlet), fmt(self.lambda_adjoint), fmt(self.S),
-                alpha_literal(self.alpha), fmt(s_re), fmt(s_im), verified, fmt(self.max_dev)]
-
     def json_obj(self) -> dict:
-        s_re = s_im = None
-        if self.S_alpha is not None:
-            s_re = complex(self.S_alpha).real
-            s_im = complex(self.S_alpha).imag
+        """The row keyed by CSV_HEADER; the CSV fields are derived from it."""
+        s_alpha = None if self.S_alpha is None else complex(self.S_alpha)
         return {
             "n": self.n, "N": self.N, "L": self.L, "boundary": self.boundary,
             "lambda_singlet": self.lambda_singlet, "lambda_adjoint": self.lambda_adjoint,
             "S": self.S, "alpha": alpha_literal(self.alpha) or None,
-            "S_alpha_re": s_re, "S_alpha_im": s_im,
+            "S_alpha_re": None if s_alpha is None else s_alpha.real,
+            "S_alpha_im": None if s_alpha is None else s_alpha.imag,
             "verified": self.verified, "max_dev": self.max_dev,
         }
 
@@ -128,15 +129,15 @@ class ResultRow:
                    alpha, s_alpha, obj.get("verified"), obj.get("max_dev"))
 
 
-def _emit(rows: List[List[str]], objs: List[dict], header: List[str], args) -> None:
+def _emit(objs: List[dict], header: List[str], args) -> None:
+    """Write JSON objects (keys in `header` order) in the requested format only."""
     if args.format == "json":
         text = json.dumps(objs, indent=2) + "\n"
     else:
-        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_cell(k, v) for k, v in obj.items()] for obj in objs)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as handle:
@@ -145,57 +146,42 @@ def _emit(rows: List[List[str]], objs: List[dict], header: List[str], args) -> N
         sys.stdout.write(text)
 
 
-def _oracle_deviation(n: int, L: int, boundary: str, chain: int,
-                      amp_budget: int, matrix_budget: int) -> float:
-    """Worst gap between the closed-form weights and a brute-force spectrum."""
-    if boundary == states.OPEN:
-        spec = states.ChainSpec(n, L, states.OPEN, amp_budget)
-        psi = states.open_vbs_state(spec)
-        expected = closed_form.open_spectrum(n, L).nonzero()
-    else:
-        spec = states.ChainSpec(n, chain, states.PERIODIC, amp_budget)
-        psi = states.periodic_vbs_state(spec)
-        expected = closed_form.periodic_spectrum(n, chain, L).nonzero()
-    report = oracle.block_spectrum(psi, range(L), matrix_budget=matrix_budget)
-    found = [float(v) for v in report.eigenvalues if v > 1e-12]
-    want = sorted((float(v) for v in expected), reverse=True)
-    if len(found) != len(want):
-        return float("inf")
-    return max(abs(a - b) for a, b in zip(found, want))
-
-
-def _weights_for(args, L: int):
+def _spectrum_for(args, L: int) -> closed_form.BlockSpectrum:
     if args.boundary == states.OPEN:
         if args.chain is not None:
             raise ValueError("--chain only applies to periodic boundaries")
-        return closed_form.open_spectrum(args.n, L), -1
+        return closed_form.open_spectrum(args.n, L)
     if args.chain is None:
         raise ValueError("--chain is required for periodic boundaries")
-    return closed_form.periodic_spectrum(args.n, args.chain, L), args.chain
+    return closed_form.periodic_spectrum(args.n, args.chain, L)
+
+
+def _base_row(args, spec: closed_form.BlockSpectrum) -> ResultRow:
+    """The weights row for one block, cross-checked against the oracle on --verify."""
+    singlet, adjoint = spec.floats()
+    row = ResultRow(spec.n, -1 if spec.N is None else spec.N, spec.L, args.boundary,
+                    singlet, adjoint)
+    if args.verify:
+        if spec.N is None:
+            psi = states.open_vbs_state(
+                states.ChainSpec(spec.n, spec.L, states.OPEN, args.budget_amps))
+        else:
+            psi = states.periodic_vbs_state(
+                states.ChainSpec(spec.n, spec.N, states.PERIODIC, args.budget_amps))
+        dev = spectrum_deviation(psi, range(spec.L), spec.nonzero(), args.budget_matrix)
+        row.verified, row.max_dev = dev <= args.tol, dev
+    return row
 
 
 def cmd_spectrum(args) -> int:
-    rows = []
-    for L in sorted(parse_span(args.block)):
-        spec, N = _weights_for(args, L)
-        singlet, adjoint = spec.floats()
-        row = ResultRow(args.n, N, L, args.boundary, singlet, adjoint)
-        if args.verify:
-            dev = _oracle_deviation(args.n, L, args.boundary, args.chain,
-                                    args.budget_amps, args.budget_matrix)
-            row.verified = dev <= args.tol
-            row.max_dev = dev
-        rows.append(row)
-    _emit([r.csv_fields() for r in rows], [r.json_obj() for r in rows], CSV_HEADER, args)
+    rows = [_base_row(args, _spectrum_for(args, L)) for L in sorted(parse_span(args.block))]
+    _emit([r.json_obj() for r in rows], CSV_HEADER, args)
     return 0
 
 
 def cmd_entropy(args) -> int:
-    alphas = []
-    for chunk in args.alpha or []:
-        for piece in chunk.split(","):
-            if piece:
-                alphas.append(parse_alpha(piece))
+    alphas = [parse_alpha(piece)
+              for chunk in args.alpha or [] for piece in chunk.split(",") if piece]
     base_scale = 1.0
     if args.log_base == "2":
         base_scale = 1.0 / math.log(2.0)
@@ -203,21 +189,9 @@ def cmd_entropy(args) -> int:
         base_scale = 1.0 / math.log(args.n)
     rows = []
     for L in sorted(parse_span(args.block)):
-        spec, N = _weights_for(args, L)
-        singlet, adjoint = spec.floats()
-        if args.boundary == states.OPEN:
-            entropy = closed_form.open_entropy(args.n, L)
-            renyi_of = lambda a, L=L: closed_form.open_renyi(args.n, L, a)
-        else:
-            entropy = closed_form.periodic_entropy(args.n, args.chain, L)
-            renyi_of = lambda a, L=L: closed_form.periodic_renyi(args.n, args.chain, L, a)
-        verified = max_dev = None
-        if args.verify:
-            dev = _oracle_deviation(args.n, L, args.boundary, args.chain,
-                                    args.budget_amps, args.budget_matrix)
-            verified, max_dev = dev <= args.tol, dev
-        base = ResultRow(args.n, N, L, args.boundary, singlet, adjoint,
-                         entropy * base_scale, verified=verified, max_dev=max_dev)
+        spec = _spectrum_for(args, L)  # one spectrum per block serves every order
+        base = _base_row(args, spec)
+        base.S = spec.entropy() * base_scale
         if not alphas:
             rows.append(base)
             continue
@@ -225,30 +199,26 @@ def cmd_entropy(args) -> int:
             row = ResultRow(**vars(base))
             row.alpha = alpha
             try:
-                row.S_alpha = renyi_of(alpha) * base_scale
+                row.S_alpha = spec.renyi(alpha) * base_scale
             except BranchPointCondition:
                 row.S_alpha = None  # flagged: order sits on a branch point
                 print(f"note: order {alpha_literal(alpha)} is a branch point at L={L}",
                       file=sys.stderr)
             rows.append(row)
-    _emit([r.csv_fields() for r in rows], [r.json_obj() for r in rows], CSV_HEADER, args)
+    _emit([r.json_obj() for r in rows], CSV_HEADER, args)
     return 0
 
 
 def cmd_branch_points(args) -> int:
     ms = sorted(parse_span(args.m))
-    rows = []
     objs = []
     for L in sorted(parse_span(args.block)):
         for point in closed_form.branch_points(args.n, L, ms):
-            parity = "even" if point.even_block else "odd"
-            rows.append([str(args.n), str(L), str(point.m), f"{point.sign:+d}",
-                         fmt(point.alpha.real), fmt(point.alpha.imag),
-                         fmt(point.residual), parity])
             objs.append({"n": args.n, "L": L, "m": point.m, "sign": point.sign,
                          "alpha_re": point.alpha.real, "alpha_im": point.alpha.imag,
-                         "residual": point.residual, "parity": parity})
-    _emit(rows, objs, BRANCH_HEADER, args)
+                         "residual": point.residual,
+                         "parity": "even" if point.even_block else "odd"})
+    _emit(objs, BRANCH_HEADER, args)
     return 0
 
 

@@ -2,17 +2,20 @@
 
 A block of L bulk sites has exactly two distinct eigenvalue branches: a
 non-degenerate singlet weight and an (n^2-1)-fold degenerate adjoint weight.
-With d = n^2 - 1 and the signed decay factor r(L) = (-1/d)**L:
+With d = n^2 - 1, f(k) = d**k + d*(-1)**k and g(k) = d**k - (-1)**k:
 
-    open chain:   singlet = (1 + d*r(L)) / n^2,   adjoint = (1 - r(L)) / n^2
-    ring (N, L):  the same pair of products over both arcs,
-                  singlet = (1 + d*r(N-L))(1 + d*r(L)) / (n^2 (1 + d*r(N)))
-                  adjoint = (1 - r(N-L))(1 - r(L))     / (n^2 (1 + d*r(N)))
+    open chain:   singlet = f(L) / (n^2 d**L),   adjoint = g(L) / (n^2 d**L)
+    ring (N, L):  with C = N - L the complementary arc,
+                  singlet = f(C) f(L) / (n^2 f(N)),   adjoint = g(C) g(L) / (n^2 f(N))
 
-Weights are kept as exact rationals (fractions.Fraction) and converted to
-floating point only when an entropy is evaluated, so trace identities and
-spectrum comparisons carry no rounding slack.  Both entropies saturate at
-2 log n as the block grows; all logarithms here are natural.
+(equivalently 1 + d*r(k) = f(k)/d**k and 1 - r(k) = g(k)/d**k for the signed
+decay factor r(k) = (-1/d)**k).  Weights are exact integer ratios.  Their
+floats are the correctly rounded values of those ratios (Python's int / int
+true division, the same rounding `float(Fraction)` performs), so no gcd runs
+on the way to an entropy.  Exact `fractions.Fraction` weights are built on
+demand only, for trace identities and spectrum comparisons that must carry
+no rounding slack.  Both entropies saturate at 2 log n as the block grows;
+all logarithms here are natural.
 
 The same weights arise from an L-fold application of the n^2 x n^2
 "all ones minus identity" transfer matrix to the singlet slot
@@ -24,9 +27,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,77 +62,113 @@ def _check_length(L: int) -> None:
         raise ValueError(f"block length must be an integer >= 1, got {L!r}")
 
 
-@dataclass(frozen=True)
-class OpenSpectrum:
-    """Block weights for the open chain: singlet plus (n^2-1)-fold adjoint."""
+@dataclass(frozen=True, eq=False)
+class BlockSpectrum:
+    """Block weights: a singlet plus an (n^2-1)-fold adjoint weight.
+
+    N is the ring length, or None for the open chain, whose weights do not
+    depend on the chain length.  The weights are integer numerators over
+    one common integer denominator; `singlet` and `adjoint` build the exact
+    Fractions on demand, `floats()` rounds each ratio once, and equality
+    compares exact values.  Ring weights are symmetric under L <-> N - L.
+    """
 
     n: int
+    N: Optional[int]
     L: int
-    singlet: Fraction
-    adjoint: Fraction
+    _singlet: int = field(repr=False)
+    _adjoint: int = field(repr=False)
+    _denom: int = field(repr=False)
 
     @property
     def multiplicity(self) -> int:
         return self.n * self.n - 1
+
+    @property
+    def singlet(self) -> Fraction:
+        return Fraction(self._singlet, self._denom)
+
+    @property
+    def adjoint(self) -> Fraction:
+        return Fraction(self._adjoint, self._denom)
+
+    def _key(self) -> tuple:
+        return (self.n, self.N, self.L, self.singlet, self.adjoint)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockSpectrum):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"BlockSpectrum(n={self.n}, N={self.N}, L={self.L}, "
+                f"singlet={self.singlet}, adjoint={self.adjoint})")
 
     def nonzero(self) -> List[Fraction]:
         """Nonzero weights with multiplicity, descending."""
-        vals = [self.adjoint] * self.multiplicity
-        if self.singlet != 0:
+        vals = [self.adjoint] * self.multiplicity if self._adjoint != 0 else []
+        if self._singlet != 0:
             vals.append(self.singlet)
         return sorted(vals, reverse=True)
 
-    def floats(self) -> Tuple[float, float]:
-        return float(self.singlet), float(self.adjoint)
-
-
-@dataclass(frozen=True)
-class PeriodicSpectrum:
-    """Block weights for the ring; symmetric under L <-> N - L."""
-
-    n: int
-    N: int
-    L: int
-    singlet: Fraction
-    adjoint: Fraction
-
-    @property
-    def multiplicity(self) -> int:
-        return self.n * self.n - 1
-
-    def nonzero(self) -> List[Fraction]:
-        vals = [self.adjoint] * self.multiplicity if self.adjoint != 0 else []
-        if self.singlet != 0:
-            vals.append(self.singlet)
-        return sorted(vals, reverse=True)
+    @cached_property
+    def _floats(self) -> Tuple[float, float]:
+        return self._singlet / self._denom, self._adjoint / self._denom
 
     def floats(self) -> Tuple[float, float]:
-        return float(self.singlet), float(self.adjoint)
+        """(singlet, adjoint), each the correctly rounded value of its exact ratio."""
+        return self._floats
+
+    def entropy(self) -> float:
+        """Von Neumann block entropy, in nats.
+
+        Open chains use the saturation-centred form
+            2 log n - singlet*log(1 + d*r) - d*adjoint*log(1 - r)
+        with r = singlet - adjoint = (-1/d)**L (log1p keeps the exponentially
+        small tail exact to working precision), which agrees with
+        -sum(w log w) over the weights to 1e-13; rings use -sum(w log w).
+        """
+        singlet, adjoint = self.floats()
+        d = self.multiplicity
+        if self.N is not None:
+            return -_xlogx(singlet) - d * _xlogx(adjoint)
+        r = (self._singlet - self._adjoint) / self._denom
+        head = -singlet * math.log1p(d * r) if singlet > 0.0 else 0.0
+        return 2.0 * math.log(self.n) + head - d * adjoint * math.log1p(-r)
+
+    def renyi(self, alpha: Order) -> Order:
+        """Renyi block entropy at real or complex order."""
+        singlet, adjoint = self.floats()
+        return _renyi_from_weights(singlet, adjoint, self.multiplicity, alpha)
 
 
-def open_spectrum(n: int, L: int) -> OpenSpectrum:
+def open_spectrum(n: int, L: int) -> BlockSpectrum:
     """Exact open-chain block weights for a block of L bulk sites."""
     _check_dimension(n)
     _check_length(L)
     d = n * n - 1
-    r = decay_factor(n, L)
-    return OpenSpectrum(n, L, (1 + d * r) / (n * n), (1 - r) / (n * n))
+    dL, sign = d ** L, (-1) ** L
+    return BlockSpectrum(n, None, L, dL + d * sign, dL - sign, n * n * dL)
 
 
-def periodic_spectrum(n: int, N: int, L: int) -> PeriodicSpectrum:
+def periodic_spectrum(n: int, N: int, L: int) -> BlockSpectrum:
     """Exact ring block weights for a block of L out of N bulk sites."""
     _check_dimension(n)
     _check_length(L)
     if not isinstance(N, int) or N < L:
         raise ValueError(f"need 1 <= L <= N, got L={L!r}, N={N!r}")
+    if N < 2:
+        raise ValueError(f"periodic chain needs N >= 2, got {N!r}")
     d = n * n - 1
-    rL, rC, rN = decay_factor(n, L), decay_factor(n, N - L), decay_factor(n, N)
-    denom = (n * n) * (1 + d * rN)
-    return PeriodicSpectrum(
-        n, N, L,
-        (1 + d * rC) * (1 + d * rL) / denom,
-        (1 - rC) * (1 - rL) / denom,
-    )
+    dC, dL = d ** (N - L), d ** L
+    sC, sL = (-1) ** (N - L), (-1) ** L
+    # f(C) f(L) and g(C) g(L) expanded around the one big product d**N
+    dN, cross, sN = dC * dL, sC * dL + sL * dC, sC * sL
+    return BlockSpectrum(n, N, L, dN + d * cross + d * d * sN, dN - cross + sN,
+                         n * n * (dN + d * sN))
 
 
 def _xlogx(x: float) -> float:
@@ -136,25 +176,13 @@ def _xlogx(x: float) -> float:
 
 
 def open_entropy(n: int, L: int) -> float:
-    """Block entropy of the open chain, in nats.
-
-    Evaluated in the saturation-centred form
-        2 log n - singlet*log(1 + d*r) - d*adjoint*log(1 - r)
-    (log1p keeps the exponentially small tail exact to working precision),
-    which agrees with -sum(w log w) over the weights to 1e-13.
-    """
-    spec = open_spectrum(n, L)
-    d = n * n - 1
-    r = float(decay_factor(n, L))
-    singlet, adjoint = spec.floats()
-    head = -singlet * math.log1p(d * r) if singlet > 0.0 else 0.0
-    return 2.0 * math.log(n) + head - d * adjoint * math.log1p(-r)
+    """Block entropy of the open chain, in nats (see `BlockSpectrum.entropy`)."""
+    return open_spectrum(n, L).entropy()
 
 
 def periodic_entropy(n: int, N: int, L: int) -> float:
-    """Block entropy of the ring, -sum(w log w) over the exact weights."""
-    singlet, adjoint = periodic_spectrum(n, N, L).floats()
-    return -_xlogx(singlet) - (n * n - 1) * _xlogx(adjoint)
+    """Block entropy of the ring, -sum(w log w) over the weights."""
+    return periodic_spectrum(n, N, L).entropy()
 
 
 def _validate_order(alpha: Order) -> Order:
@@ -198,14 +226,12 @@ def renyi_power_sum(n: int, L: int, alpha: Order) -> complex:
 
 def open_renyi(n: int, L: int, alpha: Order) -> Order:
     """Renyi block entropy of the open chain at real or complex order."""
-    singlet, adjoint = open_spectrum(n, L).floats()
-    return _renyi_from_weights(singlet, adjoint, n * n - 1, alpha)
+    return open_spectrum(n, L).renyi(alpha)
 
 
 def periodic_renyi(n: int, N: int, L: int, alpha: Order) -> Order:
     """Renyi block entropy of the ring at real or complex order."""
-    singlet, adjoint = periodic_spectrum(n, N, L).floats()
-    return _renyi_from_weights(singlet, adjoint, n * n - 1, alpha)
+    return periodic_spectrum(n, N, L).renyi(alpha)
 
 
 @dataclass(frozen=True)
@@ -294,7 +320,7 @@ def transfer_diagonalizer(n: int) -> np.ndarray:
     return zeta ** (j * k) / n
 
 
-def transfer_spectrum(n: int, L: int) -> OpenSpectrum:
+def transfer_spectrum(n: int, L: int) -> BlockSpectrum:
     """Open-chain block weights via L exact integer transfer-matrix steps.
 
     Starts from the unit vector on the singlet label, applies the hopping
@@ -311,5 +337,4 @@ def transfer_spectrum(n: int, L: int) -> OpenSpectrum:
     rest = set(vec[1:])
     if len(rest) != 1:
         raise ArithmeticError(f"transfer iteration broke label symmetry: {vec}")
-    denom = (nn - 1) ** L
-    return OpenSpectrum(n, L, Fraction(vec[0], denom), Fraction(vec[1], denom))
+    return BlockSpectrum(n, None, L, vec[0], vec[1], (nn - 1) ** L)

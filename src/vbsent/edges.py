@@ -37,8 +37,8 @@ from .weyl import BellIndex, IndexLike, as_index, omega_powers
 
 
 def _weight(n: int, L: int, label: BellIndex) -> float:
-    spec = open_spectrum(n, L)
-    return float(spec.singlet if (-label).is_singlet else spec.adjoint)
+    singlet, adjoint = open_spectrum(n, L).floats()
+    return singlet if (-label).is_singlet else adjoint
 
 
 def _check_edge_size(n: int, L: int, amp_budget: int) -> None:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +180,25 @@ def test_json_round_trip_lossless(capsys):
     objs = json.loads(out)
     rows = [ResultRow.from_json(obj) for obj in objs]
     assert [row.json_obj() for row in rows] == objs
+
+
+# Written by the earlier implementation, which kept the weights as Fractions;
+# the integer-ratio weights must reproduce them byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("entropy_open_n2.csv", ("entropy", "--n", "2", "--boundary", "open", "--block", "1..60",
+                             "--alpha", "2,0.25,1.5-0.5i")),
+    ("entropy_ring_n3_N40.csv", ("entropy", "--n", "3", "--boundary", "periodic", "--chain", "40",
+                                 "--block", "1..40", "--alpha", "3", "--log-base", "n")),
+    ("entropy_open_n2.json", ("entropy", "--n", "2", "--boundary", "open", "--block", "1..60",
+                              "--alpha", "0.5+1i", "--log-base", "2", "--format", "json")),
+])
+def test_sweep_matches_golden(capsys, name, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_byte_identical_reruns(capsys):

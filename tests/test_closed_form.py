@@ -151,6 +151,41 @@ def test_periodic_validation():
         periodic_spectrum(2, 3, 0)
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_floats_are_the_rounded_exact_weights(n):
+    """floats() is float() of the exact weights, built here from decay_factor."""
+    d = n * n - 1
+    for L in range(1, 301):
+        r = decay_factor(n, L)
+        singlet, adjoint = (1 + d * r) / (n * n), (1 - r) / (n * n)
+        spec = open_spectrum(n, L)
+        assert (spec.N, spec.singlet, spec.adjoint) == (None, singlet, adjoint)
+        assert spec.floats() == (float(singlet), float(adjoint))
+        fs, fa = float(singlet), float(adjoint)
+        head = -fs * math.log1p(d * float(r)) if fs > 0.0 else 0.0
+        assert open_entropy(n, L) == 2.0 * math.log(n) + head - d * fa * math.log1p(-float(r))
+    for N in range(2, 61):
+        denom = n * n * (1 + d * decay_factor(n, N))
+        for L in range(1, N + 1):
+            rL, rC = decay_factor(n, L), decay_factor(n, N - L)
+            singlet = (1 + d * rC) * (1 + d * rL) / denom
+            adjoint = (1 - rC) * (1 - rL) / denom
+            spec = periodic_spectrum(n, N, L)
+            assert (spec.N, spec.singlet, spec.adjoint) == (N, singlet, adjoint)
+            assert spec.floats() == (float(singlet), float(adjoint))
+
+
+def test_entropy_at_a_million_sites():
+    target = 2 * math.log(2)
+    assert abs(open_entropy(2, 10 ** 6) - target) < 1e-15
+    assert abs(periodic_entropy(2, 10 ** 6, 5 * 10 ** 5) - target) < 1e-15
+
+
+def test_single_site_ring_rejected():
+    with pytest.raises(ValueError, match="N >= 2"):
+        periodic_spectrum(2, 1, 1)
+
+
 # -------------------------------------------------------------- branch points
 
 def test_branch_point_frozen_value():
