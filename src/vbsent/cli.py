@@ -12,8 +12,11 @@ points use their own schema:
     n,L,m,sign,alpha_re,alpha_im,residual,parity
 
 Numbers are emitted with 17 significant digits so doubles round-trip.
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 resource-budget error.
+`verify` reports each check as PASS, FAIL or SKIP; SKIP marks a check that
+evaluated no grid point for the requested n (`"evaluated": 0` in JSON) and,
+like FAIL, makes `all_passed` false.
+Exit codes: 0 success, 1 verification failure (a FAIL or SKIP check),
+2 usage/config error, 3 resource-budget error.
 """
 
 from __future__ import annotations
@@ -228,13 +231,14 @@ def cmd_verify(args) -> int:
     results = run_checks(only=only, ns=ns,
                          amp_budget=args.budget_amps, matrix_budget=args.budget_matrix)
     lines = [
-        f"{r.name}: {'PASS' if r.passed else 'FAIL'}  max_dev={r.max_dev:.3e}  "
+        f"{r.name}: {r.status}  max_dev={r.max_dev:.3e}  "
         f"tol={r.tolerance:g}  ({r.detail})"
         for r in results
     ]
     summary = {
-        "checks": [{"name": r.name, "passed": r.passed, "max_dev": r.max_dev,
-                    "tolerance": r.tolerance, "detail": r.detail} for r in results],
+        "checks": [{"name": r.name, "passed": r.passed, "evaluated": r.evaluated,
+                    "max_dev": r.max_dev, "tolerance": r.tolerance, "detail": r.detail}
+                   for r in results],
         "all_passed": all(r.passed for r in results),
     }
     if args.format == "json" and not args.out:

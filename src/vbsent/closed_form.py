@@ -218,12 +218,6 @@ def _renyi_from_weights(singlet: float, adjoint: float, mult: int, alpha: Order)
     return math.log(total.real) / (1.0 - alpha)
 
 
-def renyi_power_sum(n: int, L: int, alpha: Order) -> complex:
-    """singlet**alpha + (n^2-1) * adjoint**alpha for the open-chain weights."""
-    singlet, adjoint = open_spectrum(n, L).floats()
-    return _power_sum(singlet, adjoint, n * n - 1, alpha)
-
-
 def open_renyi(n: int, L: int, alpha: Order) -> Order:
     """Renyi block entropy of the open chain at real or complex order."""
     return open_spectrum(n, L).renyi(alpha)

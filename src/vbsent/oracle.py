@@ -9,15 +9,20 @@ closed forms.
 Spectra of a block are computed, by default, on whichever side of the
 bipartition is smaller: for a unit vector reshaped to a (block, environment)
 matrix M, the nonzero eigenvalues of M M^dagger and M^dagger M coincide.
-All reductions use fixed numpy contraction order, so repeated runs are
-bit-identical.
+When that smaller side exceeds SPLIT_MIN_SIDE, M is first split into the
+connected components of its nonzero pattern (rows and columns linked by a
+nonzero entry).  The components share no row or column, so the Gram is
+their direct sum up to a permutation: each is diagonalized on its own
+smaller side, and the remaining eigenvalues are exact zeros.  The split
+reads only the pattern of M, never the closed forms.  All reductions use
+fixed numpy contraction order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,6 +33,12 @@ from .states import PureState, SiteBasis
 
 #: Default cap on the dimension of any materialized density/Gram matrix.
 DEFAULT_MATRIX_BUDGET = 4096
+
+#: Smaller (block, environment) side above which `block_spectrum` splits the
+#: matrix into independent blocks.  Finding them reads all of the matrix: at
+#: side 81 that costs twice the whole Gram and Jacobi, at 243 it breaks even,
+#: and from 512 up the split at least halves the time (geometric mean: 360).
+SPLIT_MIN_SIDE = 360
 
 #: Eigenvalues in [-NEGATIVE_CLAMP, 0) are rounded to 0; anything below is an error.
 NEGATIVE_CLAMP = 1e-12
@@ -77,7 +88,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     multiplicities: List[Tuple[float, int]]
     entropy: float
-    renyi_entries: List[Tuple[complex, complex]] = field(default_factory=list)
 
 
 def jacobi_eigvalsh(
@@ -213,21 +223,67 @@ def reduced_density(
     return DensityMatrix(sites, m @ m.conj().T)
 
 
+def _independent_blocks(m: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Row and column index sets of the connected components of m's nonzero pattern.
+
+    Row i and column j are linked when m[i, j] != 0, so the blocks share no
+    row or column and the Gram of m is their direct sum up to a permutation.
+    All-zero rows and columns belong to no block.  Each row is labelled by
+    the least row index it reaches: labels spread row -> column -> row by
+    vectorized min-propagation with pointer jumping until they settle.
+    Blocks come out ordered by their least row index.
+    """
+    rows, cols = np.nonzero(m)
+    d_rows, d_cols = m.shape
+    label = np.arange(d_rows)
+    while True:
+        col_label = np.full(d_cols, d_rows)
+        np.minimum.at(col_label, cols, label[rows])
+        settled = label.copy()
+        np.minimum.at(settled, rows, col_label[cols])
+        settled = settled[settled]
+        if np.array_equal(settled, label):
+            break
+        label = settled
+
+    def groups(labels: np.ndarray, members: np.ndarray) -> List[np.ndarray]:
+        members = members[np.argsort(labels[members], kind="stable")]
+        return np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
+
+    row_members = np.flatnonzero(np.bincount(rows, minlength=d_rows))
+    col_members = np.flatnonzero(col_label < d_rows)
+    return list(zip(groups(label, row_members), groups(col_label, col_members)))
+
+
 def block_spectrum(
     state: PureState,
     block: Sequence[int],
     matrix_budget: int = DEFAULT_MATRIX_BUDGET,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> SpectrumReport:
-    """Spectrum of the block reduction, diagonalizing the smaller Gram side."""
+    """Spectrum of the block reduction, diagonalizing the smaller Gram side.
+
+    When the smaller side of the (block, environment) matrix exceeds
+    SPLIT_MIN_SIDE, each independent block of its nonzero pattern is
+    diagonalized on its own smaller side; the eigenvalues are padded with
+    exact zeros to the smaller side of the whole matrix.
+    """
     m, _ = _block_environment(state, block)
     d_block, d_env = m.shape
-    if min(d_block, d_env) > matrix_budget:
+    side = min(d_block, d_env)
+    if side > matrix_budget:
         raise BudgetError(
             f"both sides ({d_block}, {d_env}) exceed matrix budget {matrix_budget}"
         )
-    gram = m @ m.conj().T if d_block <= d_env else m.conj().T @ m
-    return spectrum_report(jacobi_eigvalsh(gram, max_sweeps=max_sweeps))
+    whole = (slice(None), slice(None))
+    parts = _independent_blocks(m) if side > SPLIT_MIN_SIDE else [whole]
+    eigs = []
+    for rows, cols in parts:
+        sub = m[rows][:, cols]
+        gram = sub @ sub.conj().T if sub.shape[0] <= sub.shape[1] else sub.conj().T @ sub
+        eigs.append(jacobi_eigvalsh(gram, max_sweeps=max_sweeps))
+    found = np.concatenate(eigs)
+    return spectrum_report(np.concatenate([found, np.zeros(side - found.size)]))
 
 
 def schmidt_spectrum(

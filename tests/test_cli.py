@@ -230,6 +230,33 @@ def test_verify_json_summary(capsys):
     assert summary["all_passed"] is True
     assert summary["checks"][0]["name"] == "transfer-matrix"
     assert summary["checks"][0]["max_dev"] < 1e-12
+    assert summary["checks"][0]["evaluated"] > 0
+
+
+def test_verify_skips_checks_without_grid_points(capsys):
+    # only bell-invariance has n=5 points; the other checks evaluate nothing
+    code, out, _ = run_cli(capsys, "verify", "--n", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines] == ["SKIP"] * 7 + ["PASS"] + ["SKIP"] * 3
+    assert lines[7].startswith("bell-invariance: PASS")
+    code, out, _ = run_cli(capsys, "verify", "--n", "5", "--format", "json")
+    summary = json.loads(out)
+    assert code == 1 and summary["all_passed"] is False
+    for check in summary["checks"]:
+        assert (check["evaluated"] > 0) == check["passed"] == (check["name"] == "bell-invariance")
+
+
+def test_verify_single_check_without_points_fails(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n", "7", "--only", "saturation")
+    assert code == 1
+    assert out.startswith("saturation: SKIP")
+    code, out, _ = run_cli(capsys, "verify", "--n", "7", "--only", "saturation", "--format", "json")
+    summary = json.loads(out)
+    assert code == 1 and summary["all_passed"] is False
+    assert summary["checks"] == [{"name": "saturation", "passed": False, "evaluated": 0,
+                                  "max_dev": 0.0, "tolerance": 1e-12,
+                                  "detail": "gap at L=30, envelope over L=2..40"}]
 
 
 def test_verify_budget_preflight(capsys):

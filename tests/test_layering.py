@@ -1,0 +1,43 @@
+"""The brute-force route imports nothing that knows the closed forms.
+
+`states`, `oracle` and `weyl` must not import `closed_form`, nor `checks`,
+`edges` or `cli`, which are built on it; otherwise the oracle could not serve
+as an independent check of the closed forms.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vbsent"
+FORBIDDEN = {"closed_form", "checks", "edges", "cli"}
+
+
+def package_imports(source):
+    """Every vbsent module or name that `source` imports from the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "vbsent":
+                    found.update(parts[1:])
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "vbsent":
+                continue
+            found.update(p for p in parts if p and p != "vbsent")
+            found.update(alias.name for alias in node.names)  # `from . import x`
+    return found
+
+
+@pytest.mark.parametrize("module", ["states", "oracle", "weyl"])
+def test_brute_force_modules_stay_independent(module):
+    assert not package_imports((PACKAGE / f"{module}.py").read_text()) & FORBIDDEN
+
+
+def test_import_scan_sees_every_form():
+    source = ("import vbsent.cli\nfrom vbsent import checks\nfrom . import edges\n"
+              "from .closed_form import open_spectrum\nimport numpy\nfrom math import log\n")
+    assert package_imports(source) == FORBIDDEN | {"open_spectrum"}

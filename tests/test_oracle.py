@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vbsent import oracle
+from vbsent.checks import OPEN_GRID, PERIODIC_GRID
 from vbsent.errors import BranchPointCondition, BudgetError, ConvergenceError
 from vbsent.oracle import (
     block_spectrum,
@@ -16,7 +18,15 @@ from vbsent.oracle import (
     spectrum_report,
     von_neumann,
 )
-from vbsent.states import OPEN, PERIODIC, ChainSpec, open_vbs_state, periodic_vbs_state
+from vbsent.states import (
+    OPEN,
+    PERIODIC,
+    ChainSpec,
+    PureState,
+    SiteBasis,
+    open_vbs_state,
+    periodic_vbs_state,
+)
 
 
 def rng(seed=0):
@@ -163,6 +173,89 @@ def test_block_start_and_length_independence():
             if reference is None:
                 reference = nonzero
             assert np.abs(nonzero - reference).max() < 1e-11
+
+
+# ------------------------------------------------------- independent blocks
+
+NO_SPLIT = 10 ** 9
+
+
+def verify_grid_blocks():
+    """(state, block) for every block of the open and periodic verify grids."""
+    for n, grid in OPEN_GRID.items():
+        for N in grid["chains"]:
+            psi = open_vbs_state(ChainSpec(n, N, OPEN))
+            for L in grid["lengths"]:
+                for start in range(N - L + 1):
+                    yield psi, range(start, start + L)
+    for n, chains in PERIODIC_GRID.items():
+        for N in chains:
+            psi = periodic_vbs_state(ChainSpec(n, N, PERIODIC))
+            for L in range(1, N):
+                yield psi, range(L)
+    yield periodic_vbs_state(ChainSpec(3, 6, PERIODIC)), range(3)
+    yield periodic_vbs_state(ChainSpec(2, 13, PERIODIC)), range(6)
+
+
+def test_split_agrees_with_whole_gram(monkeypatch):
+    count = 0
+    for psi, block in verify_grid_blocks():
+        monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", NO_SPLIT)
+        whole = block_spectrum(psi, block).eigenvalues
+        monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+        split = block_spectrum(psi, block).eigenvalues
+        assert split.shape == whole.shape
+        assert np.abs(split - whole).max() < 1e-13
+        count += 1
+    assert count > 100
+
+
+def permuted_block_state(seed=0):
+    """Unit vector whose (72, 36) block/environment matrix is a permuted
+    direct sum of dense random blocks, a chained staircase block, and
+    all-zero rows and columns."""
+    r = rng(seed)
+    blocks = [r.normal(size=shape) + 1j * r.normal(size=shape)
+              for shape in [(10, 5), (20, 12), (7, 7), (1, 3)]]
+    blocks.append(np.eye(6, 7) + np.eye(6, 7, 1))  # rows linked only through a chain
+    m = np.zeros((72, 36), dtype=complex)
+    i = j = 0
+    for b in blocks:
+        m[i:i + b.shape[0], j:j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    m = m[r.permutation(72)][:, r.permutation(36)]
+    m /= np.linalg.norm(m)
+    sites = (SiteBasis(3, "pair"), SiteBasis(3, "adjoint"), SiteBasis(3, "pair"), SiteBasis(2, "pair"))
+    return PureState(sites, m.reshape(-1)), m
+
+
+def test_split_of_permuted_block_matrix(monkeypatch):
+    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    psi, m = permuted_block_state()
+    parts = oracle._independent_blocks(m)
+    assert sorted((len(rows), len(cols)) for rows, cols in parts) == [
+        (1, 3), (6, 7), (7, 7), (10, 5), (20, 12)]
+    report = block_spectrum(psi, range(2))
+    reference = np.sort(np.linalg.eigvalsh(m.conj().T @ m))[::-1]
+    assert report.eigenvalues.shape == (36,)  # min(d_block, d_env)
+    assert np.abs(report.eigenvalues - reference).max() < 1e-13
+    # one eigenvalue per row or column of each block's smaller side, then exact zeros
+    assert np.count_nonzero(report.eigenvalues) == 1 + 6 + 7 + 5 + 12
+
+
+def test_split_is_bit_identical_across_calls(monkeypatch):
+    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    psi, _ = permuted_block_state(seed=3)
+    first, second = block_spectrum(psi, range(2)), block_spectrum(psi, range(2))
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.entropy == second.entropy
+
+
+def test_split_surfaces_convergence_error(monkeypatch):
+    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    psi, _ = permuted_block_state(seed=5)
+    with pytest.raises(ConvergenceError):
+        block_spectrum(psi, range(2), max_sweeps=0)
 
 
 # ----------------------------------------------------------------- entropies
