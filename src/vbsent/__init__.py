@@ -23,7 +23,13 @@ from .closed_form import (
     transfer_spectrum,
 )
 from .edges import edge_basis, edge_gram, edge_state, projector_limit_residual, reconstruct_rho
-from .errors import BranchPointCondition, BudgetError, ConvergenceError, DegenerateSpectrumError
+from .errors import (
+    BranchPointCondition,
+    BudgetError,
+    ConvergenceError,
+    DegenerateSpectrumError,
+    InvariantError,
+)
 from .oracle import (
     DensityMatrix,
     SpectrumReport,

@@ -16,7 +16,9 @@ Numbers are emitted with 17 significant digits so doubles round-trip.
 evaluated no grid point for the requested n (`"evaluated": 0` in JSON) and,
 like FAIL, makes `all_passed` false.
 Exit codes: 0 success, 1 verification failure (a FAIL or SKIP check),
-2 usage/config error, 3 resource-budget error.
+2 usage/config error, 3 resource-budget error, 4 broken internal invariant
+(a computed state or matrix failed its norm, Hermiticity, trace or spectrum
+check: a fault in the computation, not in the request).
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from . import closed_form, oracle, states
 from .checks import CHECKS, run_checks, spectrum_deviation
-from .errors import BranchPointCondition, BudgetError
+from .errors import BranchPointCondition, BudgetError, InvariantError
 
 CSV_HEADER = ["n", "N", "L", "boundary", "lambda_singlet", "lambda_adjoint",
               "S", "alpha", "S_alpha_re", "S_alpha_im", "verified", "max_dev"]
@@ -159,25 +161,42 @@ def _spectrum_for(args, L: int) -> closed_form.BlockSpectrum:
     return closed_form.periodic_spectrum(args.n, args.chain, L)
 
 
-def _base_row(args, spec: closed_form.BlockSpectrum) -> ResultRow:
+StateSource = Callable[[closed_form.BlockSpectrum], states.PureState]
+
+
+def _oracle_states(args) -> StateSource:
+    """State source for one command's --verify rows: an open chain per block
+    length, and one ring, built on first use and reused for every block."""
+    ring = []
+
+    def state_for(spec: closed_form.BlockSpectrum) -> states.PureState:
+        if spec.N is None:
+            return states.open_vbs_state(
+                states.ChainSpec(spec.n, spec.L, states.OPEN, args.budget_amps))
+        if not ring:
+            ring.append(states.periodic_vbs_state(
+                states.ChainSpec(spec.n, spec.N, states.PERIODIC, args.budget_amps)))
+        return ring[0]
+
+    return state_for
+
+
+def _base_row(args, spec: closed_form.BlockSpectrum, state_for: StateSource) -> ResultRow:
     """The weights row for one block, cross-checked against the oracle on --verify."""
     singlet, adjoint = spec.floats()
     row = ResultRow(spec.n, -1 if spec.N is None else spec.N, spec.L, args.boundary,
                     singlet, adjoint)
     if args.verify:
-        if spec.N is None:
-            psi = states.open_vbs_state(
-                states.ChainSpec(spec.n, spec.L, states.OPEN, args.budget_amps))
-        else:
-            psi = states.periodic_vbs_state(
-                states.ChainSpec(spec.n, spec.N, states.PERIODIC, args.budget_amps))
-        dev = spectrum_deviation(psi, range(spec.L), spec.nonzero(), args.budget_matrix)
+        dev = spectrum_deviation(state_for(spec), range(spec.L), spec.nonzero(),
+                                 args.budget_matrix)
         row.verified, row.max_dev = dev <= args.tol, dev
     return row
 
 
 def cmd_spectrum(args) -> int:
-    rows = [_base_row(args, _spectrum_for(args, L)) for L in sorted(parse_span(args.block))]
+    state_for = _oracle_states(args)
+    rows = [_base_row(args, _spectrum_for(args, L), state_for)
+            for L in sorted(parse_span(args.block))]
     _emit([r.json_obj() for r in rows], CSV_HEADER, args)
     return 0
 
@@ -190,10 +209,11 @@ def cmd_entropy(args) -> int:
         base_scale = 1.0 / math.log(2.0)
     elif args.log_base == "n":
         base_scale = 1.0 / math.log(args.n)
+    state_for = _oracle_states(args)
     rows = []
     for L in sorted(parse_span(args.block)):
         spec = _spectrum_for(args, L)  # one spectrum per block serves every order
-        base = _base_row(args, spec)
+        base = _base_row(args, spec, state_for)
         base.S = spec.entropy() * base_scale
         if not alphas:
             rows.append(base)
@@ -316,6 +336,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:  # before ValueError, its base class
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,12 +60,12 @@ def edge_vector_unnormalized(n: int, L: int, label: IndexLike,
     label = as_index(n, label)
     _check_edge_size(n, L, amp_budget)
     d = n * n - 1
-    suml, summ, phase = fold_tables(n, L - 1)
-    total_l = (label.l + suml.astype(np.int64)) % n
-    total_m = (label.m + summ.astype(np.int64)) % n
+    suml, summ, phase = (t.astype(np.int64) for t in fold_tables(n, L - 1))
+    total_l = (label.l + suml) % n
+    total_m = (label.m + summ) % n
     # initial m-sum q contributes q * (sum of config l's) to the fold phase,
     # and transposing the closure pair adds -total_l * total_m
-    exp = (phase.astype(np.int64) + label.m * suml - total_l * total_m) % n
+    exp = (phase + label.m * suml - total_l * total_m) % n
     closure = ((-total_l) % n) * n + ((-total_m) % n)
     keep = np.nonzero((total_l != 0) | (total_m != 0))[0]
     amps = np.zeros(d ** L, dtype=complex)

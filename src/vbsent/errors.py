@@ -18,3 +18,11 @@ class DegenerateSpectrumError(ValueError):
 class ConvergenceError(RuntimeError):
     """The iterative eigensolver failed to reach its target within the
     configured sweep limit."""
+
+
+class InvariantError(ValueError):
+    """An internal invariant failed on a computed object (a state's norm, a
+    density matrix's Hermiticity or trace, the sign or sum of its spectrum):
+    the computation is broken, not the request.  Subclasses ValueError so
+    library callers that catch ValueError keep working; the CLI maps it to
+    its own exit code."""

@@ -14,8 +14,15 @@ connected components of its nonzero pattern (rows and columns linked by a
 nonzero entry).  The components share no row or column, so the Gram is
 their direct sum up to a permutation: each is diagonalized on its own
 smaller side, and the remaining eigenvalues are exact zeros.  The split
-reads only the pattern of M, never the closed forms.  All reductions use
-fixed numpy contraction order, so repeated runs are bit-identical.
+reads only the pattern of M, never the closed forms.  The Gram of a tall M
+(more rows than columns) is formed from M's float64 view as one real
+symmetric product, with no conjugated copy of M beside it (`_gram`).  All
+reductions use fixed numpy contraction order, so repeated runs are
+bit-identical.
+
+The invariant checks (Hermiticity and unit trace of a density matrix; no
+eigenvalue below -1e-12 and a sum within 1e-10 of one) raise
+`errors.InvariantError`: a failure means the computation is broken.
 """
 
 from __future__ import annotations
@@ -27,8 +34,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import BranchPointCondition, ConvergenceError
-from .errors import BudgetError
+from .errors import BranchPointCondition, BudgetError, ConvergenceError, InvariantError
 from .states import PureState, SiteBasis
 
 #: Default cap on the dimension of any materialized density/Gram matrix.
@@ -65,10 +71,10 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {self.matrix.shape} does not match block dimension {dim}")
         herm = float(np.linalg.norm(self.matrix - self.matrix.conj().T))
         if herm > 1e-12:
-            raise ValueError(f"matrix is not Hermitian: deviation {herm:.3e}")
+            raise InvariantError(f"matrix is not Hermitian: deviation {herm:.3e}")
         tr = complex(np.trace(self.matrix))
         if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"matrix trace {tr!r} deviates from 1 beyond 1e-12")
+            raise InvariantError(f"matrix trace {tr!r} deviates from 1 beyond 1e-12")
         self.matrix.flags.writeable = False
 
     @property
@@ -172,11 +178,11 @@ def spectrum_report(eigenvalues: Union[np.ndarray, Sequence[float]]) -> Spectrum
     """
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))[::-1].copy()
     if eigs.size and eigs[-1] < -NEGATIVE_CLAMP:
-        raise ValueError(f"eigenvalue {eigs[-1]!r} below -{NEGATIVE_CLAMP:g}; reduction is broken")
+        raise InvariantError(f"eigenvalue {eigs[-1]!r} below -{NEGATIVE_CLAMP:g}; reduction is broken")
     eigs[eigs < 0.0] = 0.0
     total = float(eigs.sum())
     if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"eigenvalues sum to {total!r}, expected 1 within 1e-10")
+        raise InvariantError(f"eigenvalues sum to {total!r}, expected 1 within 1e-10")
     groups: List[List[float]] = []
     for v in eigs:
         if groups and abs(v - groups[-1][0]) <= MULTIPLICITY_RTOL * max(abs(groups[-1][0]), NEGATIVE_CLAMP):
@@ -255,6 +261,26 @@ def _independent_blocks(m: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
     return list(zip(groups(label, row_members), groups(col_label, col_members)))
 
 
+def _gram(m: np.ndarray) -> np.ndarray:
+    """Gram matrix of m on its smaller side: m m^dagger if wide, m^dagger m if tall.
+
+    A tall m is read through its float64 view R, whose columns hold the real
+    and imaginary parts of m's columns in turn.  The real Gram S = R^T R is
+    one symmetric rank-k product with no conjugated copy of m, and
+    m^dagger m = (S_rr + S_ii) + i (S_ri - S_ir) in its even/odd blocks.  The
+    view needs m in C order; any other m is copied to C order first.  S is
+    exactly symmetric, so the result is exactly Hermitian.
+    """
+    if m.shape[0] <= m.shape[1]:
+        return m @ m.conj().T
+    r = np.ascontiguousarray(m, dtype=complex).view(np.float64)
+    s = r.T @ r
+    gram = np.empty((m.shape[1], m.shape[1]), dtype=complex)
+    gram.real = s[0::2, 0::2] + s[1::2, 1::2]
+    gram.imag = s[0::2, 1::2] - s[1::2, 0::2]
+    return gram
+
+
 def block_spectrum(
     state: PureState,
     block: Sequence[int],
@@ -279,9 +305,7 @@ def block_spectrum(
     parts = _independent_blocks(m) if side > SPLIT_MIN_SIDE else [whole]
     eigs = []
     for rows, cols in parts:
-        sub = m[rows][:, cols]
-        gram = sub @ sub.conj().T if sub.shape[0] <= sub.shape[1] else sub.conj().T @ sub
-        eigs.append(jacobi_eigvalsh(gram, max_sweeps=max_sweeps))
+        eigs.append(jacobi_eigvalsh(_gram(m[rows][:, cols]), max_sweeps=max_sweeps))
     found = np.concatenate(eigs)
     return spectrum_report(np.concatenate([found, np.zeros(side - found.size)]))
 

@@ -22,8 +22,22 @@ constituent qudits (barred on the left, plain on the right), labelled by
   constant `ring_norm_squared`.  Any other marked site gives the same
   spectra (checked in the test suite via translation covariance).
 
-States are immutable after construction and safe to share across threads;
-construction itself is a single vectorized pass over label strings.
+Construction.  Labels and phases of the running products come from one
+fold (`fold_tables`) in the smallest unsigned dtype that holds n^2 - 1.  The
+amplitude vector is zero-allocated and filled in chunks of label strings:
+the tables of the last few sites are folded once and joined to a few
+leading strings at a time.  Beside the vector, a build holds chunk-sized
+temporaries and the leading strings' tables, which have thousands of times
+fewer entries than the vector at any size near the budget; no lookup table
+is larger than one site's n^2 - 1 labels.  Each nonzero amplitude is one
+entry of an n-entry table of scaled powers of omega.
+
+Norm.  `PureState` checks that the norm is 1 within 1e-12.  It measures the
+norm with `squared_norm`: chunked pairwise sums of squares combined by
+`math.fsum`, accurate to a few ulp at any length.  A plain BLAS dot product
+loses about 1e-11 near the amplitude budget, enough to reject correct states.
+
+States are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -35,11 +49,20 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, InvariantError
 from .weyl import BellIndex, _check_dimension, omega_powers
 
 #: Default cap on the number of stored amplitudes per state.
 DEFAULT_AMP_BUDGET = 2 ** 26
+
+#: Label strings per chunk of the state fill, and float64 values per chunk of
+#: the norm sum: large enough to amortize numpy's per-call cost, small next
+#: to any state near the budget.
+FILL_CHUNK = 2 ** 14
+NORM_CHUNK = 2 ** 15
+
+#: (sum_l, sum_m, phase) per bulk label string; see `fold_tables`.
+Tables = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 OPEN = "open"
 PERIODIC = "periodic"
@@ -95,6 +118,23 @@ class ChainSpec:
         return d ** self.N * (self.n * self.n if self.boundary == OPEN else 1)
 
 
+def squared_norm(amps: np.ndarray) -> float:
+    """Sum of |a|^2 over an amplitude vector, accurate to a few ulp at any length.
+
+    The squares of the real and imaginary parts are summed pairwise by
+    `np.sum` in chunks of NORM_CHUNK, and the chunk sums by `math.fsum`, so
+    the rounding error does not grow with the vector length the way a BLAS
+    dot product's does.  The chunking is fixed, so the result is reproducible.
+    """
+    flat = np.ascontiguousarray(amps, dtype=complex).reshape(-1).view(np.float64)
+    buf = np.empty(min(NORM_CHUNK, flat.size))
+    sums = []
+    for lo in range(0, flat.size, NORM_CHUNK):
+        part = flat[lo:lo + NORM_CHUNK]
+        sums.append(float(np.square(part, out=buf[:part.size]).sum()))
+    return math.fsum(sums)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm amplitude vector over a labelled product basis."""
@@ -106,9 +146,9 @@ class PureState:
         expected = math.prod(s.dim for s in self.sites)
         if self.amps.shape != (expected,):
             raise ValueError(f"amplitude vector has shape {self.amps.shape}, expected ({expected},)")
-        norm = float(np.linalg.norm(self.amps))
+        norm = math.sqrt(squared_norm(self.amps))
         if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
+            raise InvariantError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
         self.amps.flags.writeable = False
 
     @property
@@ -124,24 +164,66 @@ class PureState:
         return self.amps.reshape(self.dims)
 
 
-def fold_tables(n: int, sites: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _join(head: Tables, tail: Tables, n: int) -> Tables:
+    """Fold tables of every head string followed by every tail string, C order.
+
+    The tail's phase picks up the head's m-sum times the tail's l-sum.  Each
+    sum before the reduction is at most n^2 - 1, so it fits the tables' dtype.
+    """
+    hl, hm, hp = (t[:, None] for t in head)
+    tl, tm, tp = tail
+    return (((hl + tl) % n).reshape(-1), ((hm + tm) % n).reshape(-1),
+            ((hp + tp + hm * tl) % n).reshape(-1))
+
+
+def fold_tables(n: int, sites: int) -> Tables:
     """Running product label and phase over all (n^2-1)**sites bulk label strings.
 
     Returns (sum_l, sum_m, phase) arrays indexed by the label string in
-    C order (site 1 is the slowest axis), each entry reduced mod n.  This is
-    the vectorized form of `weyl.phase_fold` over every string at once.
+    C order (site 1 is the slowest axis), each entry reduced mod n and stored
+    in the smallest unsigned dtype that holds n^2 - 1.  This is the
+    vectorized form of `weyl.phase_fold` over every string at once.
     """
-    ls = np.arange(1, n * n, dtype=np.int16) // n
-    ms = np.arange(1, n * n, dtype=np.int16) % n
-    suml = np.zeros(1, dtype=np.int16)
-    summ = np.zeros(1, dtype=np.int16)
-    phase = np.zeros(1, dtype=np.int16)
-    for _ in range(sites):
-        # phase picks up (current m-sum) * (next l) before the sums advance
-        phase = ((phase[:, None] + summ[:, None] * ls[None, :]) % n).reshape(-1)
-        suml = ((suml[:, None] + ls[None, :]) % n).reshape(-1)
-        summ = ((summ[:, None] + ms[None, :]) % n).reshape(-1)
-    return suml, summ, phase
+    dtype = np.min_scalar_type(n * n - 1)
+    if sites == 0:  # the empty string: identity label, no phase
+        return tuple(np.zeros(1, dtype=dtype) for _ in range(3))
+    codes = np.arange(1, n * n, dtype=dtype)
+    tables = site = (codes // n, codes % n, np.zeros_like(codes))
+    for _ in range(sites - 1):
+        tables = _join(tables, site, n)
+    return tables
+
+
+def _fill(n: int, sites: int, width: int, first: int, values: np.ndarray) -> np.ndarray:
+    """Amplitude vector with one entry per bulk label string s of `sites` sites.
+
+    String s puts values[phase(s)] at s * width + lin(s) - first, where
+    lin = l*n + m is the label of its running product; strings with
+    lin < first are projected out and leave their row zero.  The strings
+    are visited in chunks of about FILL_CHUNK: the tables of the last few
+    sites (at most FILL_CHUNK strings, and never the first site) are folded
+    once and joined to a few head strings per chunk, so every temporary is
+    chunk-sized.
+    """
+    d = n * n - 1
+    tail_sites = 0
+    while tail_sites < sites - 1 and d ** (tail_sites + 1) <= FILL_CHUNK:
+        tail_sites += 1
+    head = fold_tables(n, sites - tail_sites)
+    tail = fold_tables(n, tail_sites)
+    size = tail[0].size
+    step = max(1, min(head[0].size, FILL_CHUNK // size))
+    offsets = np.arange(step * size) * width - first  # row starts within one chunk
+    amps = np.zeros(d ** sites * width, dtype=complex)
+    for lo in range(0, head[0].size, step):
+        suml, summ, phase = _join(tuple(t[lo:lo + step] for t in head), tail, n)
+        lin = suml * n + summ  # at most n^2 - 1: stays in the tables' dtype
+        slots = offsets[:lin.size] + lin + lo * size * width
+        if first:
+            keep = lin >= first
+            slots, phase = slots[keep], phase[keep]
+        amps[slots] = values[phase]
+    return amps
 
 
 def ring_norm_squared(n: int, N: int) -> Fraction:
@@ -160,12 +242,7 @@ def open_vbs_state(spec: ChainSpec) -> PureState:
     if spec.boundary != OPEN:
         raise ValueError(f"spec has boundary {spec.boundary!r}, expected {OPEN!r}")
     n, N = spec.n, spec.N
-    nn = n * n
-    d = nn - 1
-    suml, summ, phase = fold_tables(n, N)
-    slots = np.arange(d ** N, dtype=np.int64) * nn + suml.astype(np.int64) * n + summ
-    amps = np.zeros(d ** N * nn, dtype=complex)
-    amps[slots] = omega_powers(n)[phase.astype(np.intp)] * d ** (-N / 2)
+    amps = _fill(n, N, n * n, 0, omega_powers(n) * (n * n - 1) ** (-N / 2))
     sites = (SiteBasis(n, "adjoint"),) * N + (SiteBasis(n, "pair"),)
     return PureState(sites, amps)
 
@@ -175,12 +252,8 @@ def periodic_vbs_state(spec: ChainSpec) -> PureState:
     if spec.boundary != PERIODIC:
         raise ValueError(f"spec has boundary {spec.boundary!r}, expected {PERIODIC!r}")
     n, N = spec.n, spec.N
-    d = n * n - 1
-    suml, summ, phase = fold_tables(n, N - 1)
-    lin = suml.astype(np.int64) * n + summ
-    keep = np.nonzero(lin)[0]  # strings folding to the singlet are projected out
     scale = 1.0 / math.sqrt(float(ring_norm_squared(n, N)))
-    amps = np.zeros(d ** (N - 1) * d, dtype=complex)
-    amps[keep * d + (lin[keep] - 1)] = omega_powers(n)[phase[keep].astype(np.intp)] * scale
+    # the closing site stores labels 1..n^2-1: strings folding to the singlet drop out
+    amps = _fill(n, N - 1, n * n - 1, 1, omega_powers(n) * scale)
     sites = (SiteBasis(n, "adjoint"),) * N
     return PureState(sites, amps)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from vbsent import states
 from vbsent.cli import ResultRow, main, parse_alpha, parse_span
 
 
@@ -275,6 +276,39 @@ def test_budget_env_override(capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "moebius", "--block", "2")
     assert code == 2
+
+
+def test_broken_invariant_exit_code(capsys, monkeypatch):
+    # a wrong ring constant yields a state whose norm is off: the computation
+    # is broken, not the request, so the exit code is not the usage code 2
+    exact = states.ring_norm_squared
+    monkeypatch.setattr(states, "ring_norm_squared", lambda n, N: exact(n, N) * 1.01)
+    code, out, err = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "periodic",
+                             "--chain", "4", "--block", "2", "--verify")
+    assert code == 4 and out == ""
+    assert "invariant" in err and "norm" in err
+
+
+def test_verify_open_chains_past_the_blas_norm_limit(capsys):
+    # np.linalg.norm rejected the N=12 state, so the whole span used to fail
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "open",
+                           "--block", "11..12", "--verify")
+    assert code == 0
+    rows = read_csv(out)
+    assert [row["L"] for row in rows] == ["11", "12"]
+    assert all(row["verified"] == "true" and float(row["max_dev"]) < 1e-13 for row in rows)
+
+
+def test_ring_state_built_once_per_command(capsys, monkeypatch):
+    built = []
+    original = states.periodic_vbs_state
+    monkeypatch.setattr(states, "periodic_vbs_state", lambda spec: built.append(spec) or original(spec))
+    for command in ("spectrum", "entropy"):
+        built.clear()
+        code, out, _ = run_cli(capsys, command, "--n", "2", "--boundary", "periodic",
+                               "--chain", "6", "--block", "1..5", "--verify")
+        assert code == 0 and len(read_csv(out)) == 5
+        assert built == [states.ChainSpec(2, 6, states.PERIODIC)]
 
 
 def test_module_entry_point():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from vbsent import oracle
 from vbsent.checks import OPEN_GRID, PERIODIC_GRID
-from vbsent.errors import BranchPointCondition, BudgetError, ConvergenceError
+from vbsent.errors import BranchPointCondition, BudgetError, ConvergenceError, InvariantError
 from vbsent.oracle import (
+    DensityMatrix,
     block_spectrum,
     hermitian_spectrum,
     jacobi_eigvalsh,
@@ -256,6 +257,78 @@ def test_split_surfaces_convergence_error(monkeypatch):
     psi, _ = permuted_block_state(seed=5)
     with pytest.raises(ConvergenceError):
         block_spectrum(psi, range(2), max_sweeps=0)
+
+
+# ------------------------------------------------------------ real-view Gram
+
+
+def tall_open_blocks():
+    """(n, N, L, start, M) for every open-grid block whose M has more rows than columns."""
+    for n, grid in OPEN_GRID.items():
+        for N in grid["chains"]:
+            psi = open_vbs_state(ChainSpec(n, N, OPEN))
+            for L in grid["lengths"]:
+                for start in range(N - L + 1):
+                    m, _ = oracle._block_environment(psi, range(start, start + L))
+                    if m.shape[0] > m.shape[1]:
+                        yield n, N, L, start, m
+
+
+def test_real_view_gram_matches_conjugate_product():
+    count = 0
+    for n, N, L, start, m in tall_open_blocks():
+        assert np.abs(oracle._gram(m) - m.conj().T @ m).max() < 1e-13, (n, N, L, start)
+        count += 1
+    assert count == 17
+    psi = open_vbs_state(ChainSpec(4, 5, OPEN))
+    m, _ = oracle._block_environment(psi, range(5))  # 759375 x 16
+    assert np.abs(oracle._gram(m) - m.conj().T @ m).max() < 1e-13
+
+
+def test_real_view_gram_on_random_and_strided_input():
+    r = rng(7)
+    a = r.normal(size=(500, 24)) + 1j * r.normal(size=(500, 24))
+    a /= np.linalg.norm(a)  # unit norm, as a state's block matrix
+    # C order, then strided columns, Fortran order and strided rows, which are copied first
+    for m in (a, a[:, ::3], np.asfortranarray(a), a[::2]):
+        gram = oracle._gram(m)
+        assert np.abs(gram - m.conj().T @ m).max() < 1e-13
+        assert np.array_equal(gram, gram.conj().T)  # exactly Hermitian
+    wide = a.T
+    assert np.array_equal(oracle._gram(wide), wide @ wide.conj().T)
+
+
+def test_real_view_gram_is_bit_identical_across_calls():
+    psi = open_vbs_state(ChainSpec(3, 4, OPEN))
+    m, _ = oracle._block_environment(psi, range(4))
+    assert oracle._gram(m).tobytes() == oracle._gram(m).tobytes()
+
+
+# ------------------------------------------------------------ invariant checks
+
+
+def test_invariant_checks_raise_their_own_error():
+    with pytest.raises(InvariantError):
+        DensityMatrix((SiteBasis(2, "pair"),), np.diag([0.5, 0.5, 0.0, 1e-9]).astype(complex))
+    skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    skew[0, 1] = 1e-9
+    with pytest.raises(InvariantError):
+        DensityMatrix((SiteBasis(2, "pair"),), skew)
+    with pytest.raises(InvariantError):
+        spectrum_report([1.0, -1e-9])
+    with pytest.raises(InvariantError):
+        spectrum_report([0.5, 0.5 + 1e-9])
+
+
+def test_invariant_checks_measure_accurately_at_dim_4096():
+    # the largest reduction the matrix budget admits: n=3, four bulk sites.
+    # DensityMatrix measures its Hermiticity (within 1e-12) on construction.
+    psi = open_vbs_state(ChainSpec(3, 4, OPEN))
+    dm = reduced_density(psi, range(4))
+    assert dm.dim == 4096
+    assert abs(np.trace(dm.matrix) - 1.0) < 1e-15
+    report = block_spectrum(psi, range(4))
+    assert abs(report.eigenvalues.sum() - 1.0) < 1e-15
 
 
 # ----------------------------------------------------------------- entropies

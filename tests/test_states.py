@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vbsent.errors import BudgetError
+from vbsent.errors import BudgetError, InvariantError
 from vbsent.oracle import block_spectrum
 from vbsent.states import (
     OPEN,
@@ -17,8 +19,9 @@ from vbsent.states import (
     open_vbs_state,
     periodic_vbs_state,
     ring_norm_squared,
+    squared_norm,
 )
-from vbsent.weyl import phase_fold
+from vbsent.weyl import omega_powers, phase_fold
 
 
 def nonzero_labels(n):
@@ -58,6 +61,9 @@ def test_pure_state_norm_guard():
     site = SiteBasis(2, "pair")
     with pytest.raises(ValueError):
         PureState((site,), np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
+    with pytest.raises(InvariantError):  # a norm 5e-11 above one
+        PureState((site,), np.array([1.0, 1e-5, 0.0, 0.0], dtype=complex))
+    PureState((site,), np.array([1.0, 1e-7, 0.0, 0.0], dtype=complex))  # 5e-15 above
 
 
 def test_open_single_site():
@@ -169,3 +175,85 @@ def test_fold_tables_against_scalar_fold():
         assert flat == sum(
             (labels.index(c)) * d ** (sites - 1 - k) for k, c in enumerate(config)
         )
+
+
+# ------------------------------------------- build and norm at budget scale
+
+
+def reference_open_amps(n, N):
+    """The original one-pass scatter: int64 slots over the full fold tables."""
+    nn, d = n * n, n * n - 1
+    suml, summ, phase = fold_tables(n, N)
+    slots = np.arange(d ** N, dtype=np.int64) * nn + suml.astype(np.int64) * n + summ
+    amps = np.zeros(d ** N * nn, dtype=complex)
+    amps[slots] = omega_powers(n)[phase.astype(np.intp)] * d ** (-N / 2)
+    return amps
+
+
+def reference_ring_amps(n, N):
+    d = n * n - 1
+    suml, summ, phase = fold_tables(n, N - 1)
+    lin = suml.astype(np.int64) * n + summ
+    keep = np.nonzero(lin)[0]
+    scale = 1.0 / math.sqrt(float(ring_norm_squared(n, N)))
+    amps = np.zeros(d ** (N - 1) * d, dtype=complex)
+    amps[keep * d + (lin[keep] - 1)] = omega_powers(n)[phase[keep].astype(np.intp)] * scale
+    return amps
+
+
+def admitted_specs(limit):
+    """Every (n, N, boundary) whose state has at most `limit` amplitudes."""
+    specs = []
+    for boundary, first in ((OPEN, 1), (PERIODIC, 2)):
+        for n in itertools.count(2):
+            if ChainSpec(n, first, boundary, amp_budget=10 ** 12).amplitudes > limit:
+                break
+            for N in itertools.count(first):
+                spec = ChainSpec(n, N, boundary, amp_budget=10 ** 12)
+                if spec.amplitudes > limit:
+                    break
+                specs.append(spec)
+    return specs
+
+
+def test_smallest_states_the_blas_norm_rejected():
+    # np.linalg.norm gave 0.9999999999988199 at open N=12 and failed the ring at N=14
+    for psi in (open_vbs_state(ChainSpec(2, 12, OPEN)),
+                periodic_vbs_state(ChainSpec(2, 14, PERIODIC))):
+        assert abs(squared_norm(psi.amps) - 1.0) < 1e-15
+
+
+def test_build_and_norm_on_random_admitted_specs():
+    specs = admitted_specs(2 ** 22)
+    picks = random.Random(20070).sample(specs, 10)
+    picks.append(max(specs, key=lambda spec: spec.amplitudes))
+    for spec in picks:
+        if spec.boundary == OPEN:
+            psi, ref = open_vbs_state(spec), reference_open_amps(spec.n, spec.N)
+        else:
+            psi, ref = periodic_vbs_state(spec), reference_ring_amps(spec.n, spec.N)
+        assert np.array_equal(psi.amps, ref), spec
+        exact = math.fsum(np.square(ref.view(np.float64)).tolist())
+        assert abs(squared_norm(psi.amps) - exact) <= 1e-15, spec
+
+
+def test_squared_norm_any_layout():
+    r = np.random.default_rng(1)
+    a = r.normal(size=(300, 7)) + 1j * r.normal(size=(300, 7))
+    for view in (a, a.T, a[:, ::2], a.real):
+        parts = np.concatenate([view.real.ravel(), view.imag.ravel()])
+        want = math.fsum((parts * parts).tolist())
+        assert abs(squared_norm(view) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("n,N", [(2, 10), (41, 1)])
+def test_build_peak_memory_near_state_size(n, N):
+    # n=41 is the largest n whose N=1 open state fits the default budget:
+    # per-(label, phase) lookup tables there would dwarf the state
+    tracemalloc.start()
+    try:
+        psi = open_vbs_state(ChainSpec(n, N, OPEN))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * psi.amps.nbytes
