@@ -12,9 +12,11 @@ points use their own schema:
     n,L,m,sign,alpha_re,alpha_im,residual,parity
 
 Numbers are emitted with 17 significant digits so doubles round-trip.
-`verify` reports each check as PASS, FAIL or SKIP; SKIP marks a check that
-evaluated no grid point for the requested n (`"evaluated": 0` in JSON) and,
-like FAIL, makes `all_passed` false.
+`verify` reports each check as PASS, FAIL or SKIP with the point of largest
+deviation/tolerance ratio (`max_dev`, `tolerance`, the `worst_at` fields and
+a `detail` text formed from them); SKIP marks a check that evaluated no grid
+point for the requested n (`"evaluated": 0`, `"worst_at": null`, empty
+detail) and, like FAIL, makes `all_passed` false.
 Exit codes: 0 success, 1 verification failure (a FAIL or SKIP check),
 2 usage/config error, 3 resource-budget error, 4 broken internal invariant
 (a computed state or matrix failed its norm, Hermiticity, trace or spectrum
@@ -30,7 +32,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 from . import closed_form, oracle, states
@@ -49,9 +50,7 @@ def fmt(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-def alpha_literal(alpha: Union[float, complex, None]) -> str:
-    if alpha is None:
-        return ""
+def alpha_literal(alpha: Union[float, complex]) -> str:
     if isinstance(alpha, complex):
         return f"{alpha.real:.17g}{alpha.imag:+.17g}i"
     return f"{alpha:.17g}"
@@ -93,45 +92,6 @@ def _cell(key: str, value) -> str:
     if isinstance(value, float):
         return fmt(value)
     return f"{value:+d}" if key == "sign" else str(value)
-
-
-@dataclass
-class ResultRow:
-    n: int
-    N: int
-    L: int
-    boundary: str
-    lambda_singlet: float
-    lambda_adjoint: float
-    S: Optional[float] = None
-    alpha: Union[float, complex, None] = None
-    S_alpha: Union[float, complex, None] = None
-    verified: Optional[bool] = None
-    max_dev: Optional[float] = None
-
-    def json_obj(self) -> dict:
-        """The row keyed by CSV_HEADER; the CSV fields are derived from it."""
-        s_alpha = None if self.S_alpha is None else complex(self.S_alpha)
-        return {
-            "n": self.n, "N": self.N, "L": self.L, "boundary": self.boundary,
-            "lambda_singlet": self.lambda_singlet, "lambda_adjoint": self.lambda_adjoint,
-            "S": self.S, "alpha": alpha_literal(self.alpha) or None,
-            "S_alpha_re": None if s_alpha is None else s_alpha.real,
-            "S_alpha_im": None if s_alpha is None else s_alpha.imag,
-            "verified": self.verified, "max_dev": self.max_dev,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ResultRow":
-        alpha = parse_alpha(obj["alpha"]) if obj.get("alpha") else None
-        s_alpha = None
-        if obj.get("S_alpha_re") is not None:
-            s_alpha = complex(obj["S_alpha_re"], obj.get("S_alpha_im") or 0.0)
-            if s_alpha.imag == 0.0 and not isinstance(alpha, complex):
-                s_alpha = s_alpha.real
-        return cls(obj["n"], obj["N"], obj["L"], obj["boundary"],
-                   obj["lambda_singlet"], obj["lambda_adjoint"], obj.get("S"),
-                   alpha, s_alpha, obj.get("verified"), obj.get("max_dev"))
 
 
 def _emit(objs: List[dict], header: List[str], args) -> None:
@@ -181,23 +141,24 @@ def _oracle_states(args) -> StateSource:
     return state_for
 
 
-def _base_row(args, spec: closed_form.BlockSpectrum, state_for: StateSource) -> ResultRow:
-    """The weights row for one block, cross-checked against the oracle on --verify."""
+def _row(args, spec: closed_form.BlockSpectrum, state_for: StateSource) -> dict:
+    """The JSON row (keys in CSV_HEADER order) of one block's weights,
+    cross-checked against the oracle on --verify."""
     singlet, adjoint = spec.floats()
-    row = ResultRow(spec.n, -1 if spec.N is None else spec.N, spec.L, args.boundary,
-                    singlet, adjoint)
+    row = dict.fromkeys(CSV_HEADER)
+    row.update(n=spec.n, N=-1 if spec.N is None else spec.N, L=spec.L, boundary=args.boundary,
+               lambda_singlet=singlet, lambda_adjoint=adjoint)
     if args.verify:
         dev = spectrum_deviation(state_for(spec), range(spec.L), spec.nonzero(),
                                  args.budget_matrix)
-        row.verified, row.max_dev = dev <= args.tol, dev
+        row.update(verified=dev <= args.tol, max_dev=dev)
     return row
 
 
 def cmd_spectrum(args) -> int:
     state_for = _oracle_states(args)
-    rows = [_base_row(args, _spectrum_for(args, L), state_for)
-            for L in sorted(parse_span(args.block))]
-    _emit([r.json_obj() for r in rows], CSV_HEADER, args)
+    _emit([_row(args, _spectrum_for(args, L), state_for) for L in sorted(parse_span(args.block))],
+          CSV_HEADER, args)
     return 0
 
 
@@ -213,22 +174,21 @@ def cmd_entropy(args) -> int:
     rows = []
     for L in sorted(parse_span(args.block)):
         spec = _spectrum_for(args, L)  # one spectrum per block serves every order
-        base = _base_row(args, spec, state_for)
-        base.S = spec.entropy() * base_scale
+        base = _row(args, spec, state_for)
+        base["S"] = spec.entropy() * base_scale
         if not alphas:
             rows.append(base)
-            continue
         for alpha in alphas:
-            row = ResultRow(**vars(base))
-            row.alpha = alpha
             try:
-                row.S_alpha = spec.renyi(alpha) * base_scale
+                s_alpha = complex(spec.renyi(alpha) * base_scale)
+                s_re, s_im = s_alpha.real, s_alpha.imag
             except BranchPointCondition:
-                row.S_alpha = None  # flagged: order sits on a branch point
+                s_re = s_im = None  # flagged: order sits on a branch point
                 print(f"note: order {alpha_literal(alpha)} is a branch point at L={L}",
                       file=sys.stderr)
-            rows.append(row)
-    _emit([r.json_obj() for r in rows], CSV_HEADER, args)
+            rows.append({**base, "alpha": alpha_literal(alpha),
+                         "S_alpha_re": s_re, "S_alpha_im": s_im})
+    _emit(rows, CSV_HEADER, args)
     return 0
 
 
@@ -250,14 +210,12 @@ def cmd_verify(args) -> int:
     ns = tuple(args.n) if args.n else None
     results = run_checks(only=only, ns=ns,
                          amp_budget=args.budget_amps, matrix_budget=args.budget_matrix)
-    lines = [
-        f"{r.name}: {r.status}  max_dev={r.max_dev:.3e}  "
-        f"tol={r.tolerance:g}  ({r.detail})"
-        for r in results
-    ]
+    lines = [f"{r.name}: {r.status}  max_dev={r.max_dev:.3e}  tol={r.tolerance:g}"
+             + (f"  ({r.detail})" if r.detail else "") for r in results]
     summary = {
         "checks": [{"name": r.name, "passed": r.passed, "evaluated": r.evaluated,
-                    "max_dev": r.max_dev, "tolerance": r.tolerance, "detail": r.detail}
+                    "max_dev": r.max_dev, "tolerance": r.tolerance, "detail": r.detail,
+                    "worst_at": r.worst_at}
                    for r in results],
         "all_passed": all(r.passed for r in results),
     }

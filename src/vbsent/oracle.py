@@ -22,7 +22,8 @@ bit-identical.
 
 The invariant checks (Hermiticity and unit trace of a density matrix; no
 eigenvalue below -1e-12 and a sum within 1e-10 of one) raise
-`errors.InvariantError`: a failure means the computation is broken.
+`errors.InvariantError`: a failure means the computation is broken.  Each is
+written `not deviation <= bound`, so a NaN deviation fails it.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ class DensityMatrix:
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match block dimension {dim}")
         herm = float(np.linalg.norm(self.matrix - self.matrix.conj().T))
-        if herm > 1e-12:
+        if not herm <= 1e-12:  # NaN fails too
             raise InvariantError(f"matrix is not Hermitian: deviation {herm:.3e}")
         tr = complex(np.trace(self.matrix))
-        if abs(tr - 1.0) > 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             raise InvariantError(f"matrix trace {tr!r} deviates from 1 beyond 1e-12")
         self.matrix.flags.writeable = False
 
@@ -114,7 +115,7 @@ def jacobi_eigvalsh(
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     herm = float(np.linalg.norm(a - a.conj().T))
-    if herm > hermitian_tol:
+    if not herm <= hermitian_tol:  # NaN fails too
         raise ValueError(f"matrix is not Hermitian within {hermitian_tol:g}: deviation {herm:.3e}")
     dim = a.shape[0]
     if dim == 1:
@@ -181,7 +182,7 @@ def spectrum_report(eigenvalues: Union[np.ndarray, Sequence[float]]) -> Spectrum
         raise InvariantError(f"eigenvalue {eigs[-1]!r} below -{NEGATIVE_CLAMP:g}; reduction is broken")
     eigs[eigs < 0.0] = 0.0
     total = float(eigs.sum())
-    if abs(total - 1.0) > 1e-10:
+    if not abs(total - 1.0) <= 1e-10:  # NaN fails too
         raise InvariantError(f"eigenvalues sum to {total!r}, expected 1 within 1e-10")
     groups: List[List[float]] = []
     for v in eigs:
@@ -332,8 +333,8 @@ def hermitian_spectrum(
 def von_neumann(report: SpectrumReport) -> float:
     """-sum(lambda log lambda) in nats, with 0 log 0 taken as 0."""
     total = float(report.eigenvalues.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"eigenvalues sum to {total!r}, expected 1 within 1e-10")
+    if not abs(total - 1.0) <= 1e-10:
+        raise InvariantError(f"eigenvalues sum to {total!r}, expected 1 within 1e-10")
     return _entropy_from_eigenvalues(report.eigenvalues)
 
 

@@ -32,10 +32,11 @@ fewer entries than the vector at any size near the budget; no lookup table
 is larger than one site's n^2 - 1 labels.  Each nonzero amplitude is one
 entry of an n-entry table of scaled powers of omega.
 
-Norm.  `PureState` checks that the norm is 1 within 1e-12.  It measures the
-norm with `squared_norm`: chunked pairwise sums of squares combined by
-`math.fsum`, accurate to a few ulp at any length.  A plain BLAS dot product
-loses about 1e-11 near the amplitude budget, enough to reject correct states.
+Norm.  `PureState` checks that the norm is 1 within 1e-12 (a NaN norm
+fails).  It measures the norm with `squared_norm`: chunked pairwise sums of
+squares combined by `math.fsum`, accurate to a few ulp at any length.  A
+plain BLAS dot product loses about 1e-11 near the amplitude budget, enough
+to reject correct states.
 
 States are immutable after construction and safe to share across threads.
 """
@@ -147,7 +148,7 @@ class PureState:
         if self.amps.shape != (expected,):
             raise ValueError(f"amplitude vector has shape {self.amps.shape}, expected ({expected},)")
         norm = math.sqrt(squared_norm(self.amps))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise InvariantError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
         self.amps.flags.writeable = False
 

@@ -5,25 +5,16 @@ The same grids back the CLI's `verify` command; a full run stays comfortably
 inside two minutes on a laptop-class machine.
 """
 
-from vbsent.checks import (
-    check_bell_invariance,
-    check_branch_points,
-    check_edge_states,
-    check_independence,
-    check_limit_consistency,
-    check_open_spectrum,
-    check_periodic_spectrum,
-    check_renyi_flatness,
-    check_saturation,
-    check_swap_identity,
-    check_transfer_matrix,
-)
+from vbsent.checks import run_checks
 from vbsent.closed_form import periodic_spectrum
-from vbsent.oracle import DEFAULT_MATRIX_BUDGET, block_spectrum
-from vbsent.states import DEFAULT_AMP_BUDGET, PERIODIC, ChainSpec, periodic_vbs_state
+from vbsent.oracle import block_spectrum
+from vbsent.states import PERIODIC, ChainSpec, periodic_vbs_state
 
 NS = (2, 3, 4, 5)
-BUDGETS = dict(amp_budget=DEFAULT_AMP_BUDGET, matrix_budget=DEFAULT_MATRIX_BUDGET)
+
+
+def check(name):
+    return run_checks(only=[name], ns=NS)[0]
 
 
 def report(criterion, result):
@@ -34,11 +25,11 @@ def report(criterion, result):
 
 
 def test_criterion_1_open_spectrum_equivalence():
-    report(1, check_open_spectrum(NS, **BUDGETS))
+    report(1, check("open-spectrum"))
 
 
 def test_criterion_2_periodic_spectrum_equivalence():
-    result = check_periodic_spectrum(NS, **BUDGETS)
+    result = check("periodic-spectrum")
     # spot value: the ring of four qubit pairs, half-chain block
     psi = periodic_vbs_state(ChainSpec(2, 4, PERIODIC))
     eigs = [v for v in block_spectrum(psi, range(2)).eigenvalues if v > 1e-12]
@@ -50,30 +41,30 @@ def test_criterion_2_periodic_spectrum_equivalence():
 
 
 def test_criterion_3_saturation():
-    report(3, check_saturation(NS, **BUDGETS))
+    report(3, check("saturation"))
 
 
 def test_criterion_4_renyi_flatness():
-    report(4, check_renyi_flatness(NS, **BUDGETS))
+    report(4, check("renyi-flatness"))
 
 
 def test_criterion_5_branch_points():
-    report(5, check_branch_points(NS, **BUDGETS))
+    report(5, check("branch-points"))
 
 
 def test_criterion_6_edge_state_suite():
-    report(6, check_edge_states(NS, **BUDGETS))
+    report(6, check("edge-states"))
 
 
 def test_criterion_7_identity_suite():
-    report(7, check_swap_identity(NS, **BUDGETS))
-    report(7, check_bell_invariance(NS, **BUDGETS))
-    report(7, check_transfer_matrix(NS, **BUDGETS))
+    report(7, check("swap-identity"))
+    report(7, check("bell-invariance"))
+    report(7, check("transfer-matrix"))
 
 
 def test_criterion_8_independence():
-    report(8, check_independence(NS, **BUDGETS))
+    report(8, check("independence"))
 
 
 def test_criterion_9_limit_consistency():
-    report(9, check_limit_consistency(NS, **BUDGETS))
+    report(9, check("limit-consistency"))

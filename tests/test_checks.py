@@ -1,0 +1,81 @@
+import math
+
+import numpy as np
+import pytest
+
+from vbsent import closed_form
+from vbsent.checks import CHECKS, reduce_points, run_checks
+
+
+def test_reducer_passes_when_every_point_is_below_tolerance():
+    result = reduce_points("x", 1.0, [(0.1, 1.0, {"n": 2}), (0.5, 1.0, {"n": 3})])
+    assert (result.status, result.evaluated, result.max_dev) == ("PASS", 2, 0.5)
+    assert result.worst_at == {"n": 3} and result.detail == "worst at n=3"
+    # numpy deviations still give a plain bool, which the JSON summary needs
+    assert reduce_points("x", 1.0, [(np.float64(0.1), 1.0, {})]).passed is True
+
+
+def test_reducer_fails_on_one_point_above_tolerance():
+    result = reduce_points("x", 1.0, [(0.1, 1.0, {"n": 2}), (1.5, 1.0, {"n": 3}),
+                                      (0.2, 1.0, {"n": 4})])
+    assert (result.status, result.max_dev, result.worst_at) == ("FAIL", 1.5, {"n": 3})
+    # a deviation equal to its tolerance is not below it
+    assert reduce_points("x", 1.0, [(1.0, 1.0, {})]).status == "FAIL"
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_reducer_fails_on_infinite_or_nan_points(bad):
+    result = reduce_points("x", 1.0, [(0.1, 1.0, {"L": 1}), (bad, 1.0, {"L": 2}),
+                                      (0.2, 1.0, {"L": 3})])
+    assert result.status == "FAIL" and not result.passed
+    assert result.worst_at == {"L": 2}
+    assert math.isnan(result.max_dev) if math.isnan(bad) else result.max_dev == bad
+
+
+def test_reducer_ranks_nan_above_infinity():
+    result = reduce_points("x", 1.0, [(math.inf, 1.0, {"L": 1}), (math.nan, 1.0, {"L": 2})])
+    assert result.worst_at == {"L": 2}
+
+
+def test_reducer_skips_without_points():
+    result = reduce_points("x", 1e-7, iter(()))
+    assert (result.status, result.passed, result.evaluated) == ("SKIP", False, 0)
+    assert (result.max_dev, result.tolerance, result.detail, result.worst_at) == (0.0, 1e-7, "", None)
+
+
+def test_reducer_picks_worst_by_ratio_across_tolerances():
+    points = [(1e-9, 1e-8, {"part": "loose"}),   # ratio 0.1
+              (5e-13, 1e-12, {"part": "tight"}),  # ratio 0.5
+              (2e-9, 1e-8, {"part": "loose"})]    # ratio 0.2
+    result = reduce_points("x", 1e-8, points)
+    assert result.status == "PASS"
+    assert (result.max_dev, result.tolerance, result.worst_at) == (5e-13, 1e-12, {"part": "tight"})
+
+
+def test_checks_yield_located_points_on_their_grids():
+    for name, (grid, check, _) in CHECKS.items():
+        n = min(grid)
+        points = list(check(n, 10 ** 6, 4096))
+        assert points, name
+        for dev, tol, where in points:
+            assert where["n"] == n and set(where) <= {"n", "N", "L", "start", "part", "label",
+                                                       "m", "sign", "alpha"}, (name, where)
+            assert dev < tol, (name, where)
+
+
+def test_saturation_and_limit_consistency_name_a_location():
+    for name in ("saturation", "limit-consistency"):
+        result = run_checks(only=[name], ns=(2,))[0]
+        assert result.worst_at["n"] == 2 and "L" in result.worst_at and "part" in result.worst_at
+        assert result.detail.startswith("worst at n=2 ")
+
+
+def test_nan_entropies_fail_their_checks(monkeypatch):
+    # a NaN compares false against every bound, so it must not read as a pass
+    monkeypatch.setattr(closed_form, "open_entropy", lambda n, L: math.nan)
+    monkeypatch.setattr(closed_form, "open_renyi", lambda n, L, alpha: math.nan)
+    names = ["saturation", "renyi-flatness", "limit-consistency"]
+    results = run_checks(only=names, ns=(2, 3))
+    assert [r.status for r in results] == ["FAIL"] * 3
+    assert all(math.isnan(r.max_dev) for r in results)
+

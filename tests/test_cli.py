@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from vbsent import states
-from vbsent.cli import ResultRow, main, parse_alpha, parse_span
+from vbsent import closed_form, states
+from vbsent.cli import main, parse_alpha, parse_span
 
 
 def run_cli(capsys, *argv):
@@ -179,8 +179,13 @@ def test_json_round_trip_lossless(capsys):
             "--block", "1..4", "--alpha", "2", "--verify", "--format", "json")
     _, out, _ = run_cli(capsys, *args)
     objs = json.loads(out)
-    rows = [ResultRow.from_json(obj) for obj in objs]
-    assert [row.json_obj() for row in rows] == objs
+    assert [obj["L"] for obj in objs] == [1, 2, 3, 4]
+    for obj in objs:
+        spec = closed_form.periodic_spectrum(2, 5, obj["L"])
+        assert (obj["lambda_singlet"], obj["lambda_adjoint"]) == spec.floats()
+        assert obj["S"] == spec.entropy()
+        assert (obj["S_alpha_re"], obj["S_alpha_im"]) == (spec.renyi(2.0), 0.0)
+        assert obj["alpha"] == "2" and obj["verified"] is True
 
 
 # Written by the earlier implementation, which kept the weights as Fractions;
@@ -257,14 +262,14 @@ def test_verify_single_check_without_points_fails(capsys):
     assert code == 1 and summary["all_passed"] is False
     assert summary["checks"] == [{"name": "saturation", "passed": False, "evaluated": 0,
                                   "max_dev": 0.0, "tolerance": 1e-12,
-                                  "detail": "gap at L=30, envelope over L=2..40"}]
+                                  "detail": "", "worst_at": None}]
 
 
 def test_verify_budget_preflight(capsys):
     code, out, err = run_cli(capsys, "verify", "--budget-amps", "1000")
     assert code == 3
     assert out == ""  # no partial output
-    assert "budget" in err
+    assert "state would need" in err and "budget is 1000" in err
 
 
 def test_budget_env_override(capsys, monkeypatch):
@@ -281,12 +286,14 @@ def test_usage_error_exit_code(capsys):
 def test_broken_invariant_exit_code(capsys, monkeypatch):
     # a wrong ring constant yields a state whose norm is off: the computation
     # is broken, not the request, so the exit code is not the usage code 2
+    # a NaN constant yields a NaN norm, which must fail the check just the same
     exact = states.ring_norm_squared
-    monkeypatch.setattr(states, "ring_norm_squared", lambda n, N: exact(n, N) * 1.01)
-    code, out, err = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "periodic",
-                             "--chain", "4", "--block", "2", "--verify")
-    assert code == 4 and out == ""
-    assert "invariant" in err and "norm" in err
+    for factor in (1.01, math.nan):
+        monkeypatch.setattr(states, "ring_norm_squared", lambda n, N: exact(n, N) * factor)
+        code, out, err = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "periodic",
+                                 "--chain", "4", "--block", "2", "--verify")
+        assert code == 4 and out == ""
+        assert "invariant" in err and "norm" in err
 
 
 def test_verify_open_chains_past_the_blas_norm_limit(capsys):

@@ -2,10 +2,14 @@
 
 `states`, `oracle` and `weyl` must not import `closed_form`, nor `checks`,
 `edges` or `cli`, which are built on it; otherwise the oracle could not serve
-as an independent check of the closed forms.
+as an independent check of the closed forms.  Also: every function the
+benchmark's traced run wraps (`perfbench/tracing.LAYERS`) still exists.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,15 @@ def test_import_scan_sees_every_form():
     source = ("import vbsent.cli\nfrom vbsent import checks\nfrom . import edges\n"
               "from .closed_form import open_spectrum\nimport numpy\nfrom math import log\n")
     assert package_imports(source) == FORBIDDEN | {"open_spectrum"}
+
+
+def test_traced_layers_resolve(monkeypatch):
+    # the traced benchmark run rebinds these names; a rename would break it
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.LAYERS.values():
+        for name in names:
+            assert callable(getattr(importlib.import_module(module), name)), (module, name)

@@ -10,6 +10,7 @@ from vbsent.checks import OPEN_GRID, PERIODIC_GRID
 from vbsent.errors import BranchPointCondition, BudgetError, ConvergenceError, InvariantError
 from vbsent.oracle import (
     DensityMatrix,
+    SpectrumReport,
     block_spectrum,
     hermitian_spectrum,
     jacobi_eigvalsh,
@@ -307,17 +308,26 @@ def test_real_view_gram_is_bit_identical_across_calls():
 # ------------------------------------------------------------ invariant checks
 
 
-def test_invariant_checks_raise_their_own_error():
+def test_invariant_checks_raise_their_own_error(monkeypatch):
     with pytest.raises(InvariantError):
         DensityMatrix((SiteBasis(2, "pair"),), np.diag([0.5, 0.5, 0.0, 1e-9]).astype(complex))
-    skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    skew[0, 1] = 1e-9
-    with pytest.raises(InvariantError):
-        DensityMatrix((SiteBasis(2, "pair"),), skew)
+    # NaN compares false against every bound, so each check must fail on it too
+    for bad in (1e-9, math.nan):
+        skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        skew[0, 1] = bad
+        with pytest.raises(InvariantError, match="Hermitian"):
+            DensityMatrix((SiteBasis(2, "pair"),), skew)
+        with pytest.raises(InvariantError, match="sum"):
+            spectrum_report([0.5, 0.5 + bad])
+        with pytest.raises(InvariantError, match="sum"):
+            von_neumann(SpectrumReport(np.array([0.5, 0.5 + bad]), [], 0.0))
+        with pytest.raises(ValueError, match="Hermitian"):
+            jacobi_eigvalsh(np.array([[1.0, bad], [0.0, 1.0]]))
     with pytest.raises(InvariantError):
         spectrum_report([1.0, -1e-9])
-    with pytest.raises(InvariantError):
-        spectrum_report([0.5, 0.5 + 1e-9])
+    monkeypatch.setattr(oracle.np, "trace", lambda m: complex(math.nan))
+    with pytest.raises(InvariantError, match="trace"):
+        DensityMatrix((SiteBasis(2, "pair"),), np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
 
 
 def test_invariant_checks_measure_accurately_at_dim_4096():

@@ -63,6 +63,8 @@ def test_pure_state_norm_guard():
         PureState((site,), np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(InvariantError):  # a norm 5e-11 above one
         PureState((site,), np.array([1.0, 1e-5, 0.0, 0.0], dtype=complex))
+    with pytest.raises(InvariantError):  # a NaN norm compares false against the bound
+        PureState((site,), np.array([math.nan, 0.0, 0.0, 0.0], dtype=complex))
     PureState((site,), np.array([1.0, 1e-7, 0.0, 0.0], dtype=complex))  # 5e-15 above
 
 
