@@ -22,7 +22,7 @@ from .closed_form import (
     transfer_matrix,
     transfer_spectrum,
 )
-from .edges import edge_basis, edge_gram, edge_state, projector_limit_residual, reconstruct_rho
+from .edges import edge_basis, edge_gram, reconstruct_rho
 from .errors import (
     BranchPointCondition,
     BudgetError,

@@ -1,10 +1,10 @@
 """Named verification checks pairing every closed form with its brute-force route.
 
-Each check is a generator: `check_<name>(n, amp_budget, matrix_budget)`
-yields one point `(deviation, tolerance, where)` per comparison it makes at
-one n.  `where` is a dict of keyword fields that locates the point: n, N, L,
-start, plus `part` where a check compares several quantities, and the
-label, branch integer or order a check runs over.  `CHECKS` maps each name
+Each check is a generator: `check_<name>(n, run)` yields one point
+`(deviation, tolerance, where)` per comparison it makes at one n.  `where`
+is a dict of keyword fields that locates the point: n, N, L, start, plus
+`part` where a check compares several quantities, and the label, branch
+integer or order a check runs over.  `CHECKS` maps each name
 to its grid of n values, its generator and the tolerance a SKIP reports.
 
 `run_checks` is the only place where points become a `CheckResult`, through
@@ -17,6 +17,12 @@ to its grid of n values, its generator and the tolerance a SKIP reports.
   deviation/tolerance ratio, a NaN ranking above every number;
 - a check that yields no point for the requested n is SKIP, with an empty
   detail, and fails a verification run.
+
+One `run_checks` call computes each oracle quantity once, on first use, in
+the `CheckRun` its checks share: an open chain per (n, N) and a block
+spectrum per (n, N, L, start), which `open-spectrum` and `independence` both
+compare and `edge-states` takes its N = L chains from.  `edge-states` builds
+one boundary basis per (n, L).  Nothing persists between runs.
 
 The checks never weaken a comparison to pass: the closed forms and the
 oracle must meet in the middle.  `ChainSpec`, the oracle and `edges` raise
@@ -88,39 +94,62 @@ def _worst(devs: Iterable[float]) -> float:
     return max(devs, key=lambda dev: (math.isnan(dev), dev))
 
 
-def spectrum_deviation(state: states.PureState, block: Sequence[int],
-                       expected: List, matrix_budget: int) -> float:
-    """Worst absolute gap between the oracle block spectrum and exact weights."""
-    report = oracle.block_spectrum(state, block, matrix_budget=matrix_budget)
-    found = [float(v) for v in report.eigenvalues if v > 1e-12]
+class CheckRun:
+    """One run's budgets and the open chains and spectra its checks share."""
+
+    def __init__(self, amp_budget: int, matrix_budget: int) -> None:
+        self.amp_budget = amp_budget
+        self.matrix_budget = matrix_budget
+        self._chains: Dict[Tuple[int, int], states.PureState] = {}
+        self._spectra: Dict[Tuple[int, int, int, int], np.ndarray] = {}
+
+    def open_chain(self, n: int, N: int) -> states.PureState:
+        if (n, N) not in self._chains:
+            self._chains[n, N] = states.open_vbs_state(
+                states.ChainSpec(n, N, states.OPEN, self.amp_budget))
+        return self._chains[n, N]
+
+    def open_eigenvalues(self, n: int, N: int, L: int, start: int) -> np.ndarray:
+        """Oracle eigenvalues of the L-site block at 0-based `start`."""
+        key = (n, N, L, start)
+        if key not in self._spectra:
+            report = oracle.block_spectrum(self.open_chain(n, N), range(start, start + L),
+                                           matrix_budget=self.matrix_budget)
+            self._spectra[key] = report.eigenvalues
+        return self._spectra[key]
+
+
+def spectrum_deviation(eigenvalues: np.ndarray, expected: List) -> float:
+    """Worst absolute gap between oracle block eigenvalues and exact weights."""
+    found = [float(v) for v in eigenvalues if v > 1e-12]
     want = sorted((float(v) for v in expected), reverse=True)
     if len(found) != len(want):
         return float("inf")
     return _worst(abs(a - b) for a, b in zip(found, want))
 
 
-def check_open_spectrum(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_open_spectrum(n: int, run: CheckRun) -> Iterator[Point]:
     """Oracle block spectra of open chains against the exact weight pair,
     across every chain length and block start the grid allows."""
     grid = OPEN_GRID[n]
     for N in grid["chains"]:
-        psi = states.open_vbs_state(states.ChainSpec(n, N, states.OPEN, amp_budget))
         for L in grid["lengths"]:
             if L > N:
                 continue
             expected = closed_form.open_spectrum(n, L).nonzero()
             for start in range(N - L + 1):
-                yield (spectrum_deviation(psi, range(start, start + L), expected, matrix_budget),
+                yield (spectrum_deviation(run.open_eigenvalues(n, N, L, start), expected),
                        1e-10, dict(n=n, N=N, L=L, start=start + 1))
 
 
-def check_periodic_spectrum(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_periodic_spectrum(n: int, run: CheckRun) -> Iterator[Point]:
     """Oracle block spectra of rings against the exact ring weights."""
     for N in PERIODIC_GRID[n]:
-        psi = states.periodic_vbs_state(states.ChainSpec(n, N, states.PERIODIC, amp_budget))
+        psi = states.periodic_vbs_state(states.ChainSpec(n, N, states.PERIODIC, run.amp_budget))
         for L in range(1, N):
             expected = closed_form.periodic_spectrum(n, N, L).nonzero()
-            yield (spectrum_deviation(psi, range(L), expected, matrix_budget),
+            report = oracle.block_spectrum(psi, range(L), matrix_budget=run.matrix_budget)
+            yield (spectrum_deviation(report.eigenvalues, expected),
                    1e-10, dict(n=n, N=N, L=L))
 
 
@@ -130,7 +159,7 @@ def saturation_envelope(n: int, L: int) -> float:
     return 3.0 * d ** (-L) * (L * math.log(d) + 2.0)
 
 
-def check_saturation(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_saturation(n: int, run: CheckRun) -> Iterator[Point]:
     """Entropy saturates at 2 log n: gap below 1e-12 at L=30, and inside the
     exponential envelope for every L in 2..40."""
     target = 2.0 * math.log(n)
@@ -140,14 +169,14 @@ def check_saturation(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Po
                dict(n=n, L=L, part="envelope"))
 
 
-def check_renyi_flatness(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_renyi_flatness(n: int, run: CheckRun) -> Iterator[Point]:
     """At L=40 the Renyi entropy is order-independent and equals 2 log n."""
     target = 2.0 * math.log(n)
     for a in FLATNESS_ORDERS:
         yield abs(closed_form.open_renyi(n, 40, a) - target), 1e-10, dict(n=n, L=40, alpha=a)
 
 
-def check_branch_points(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_branch_points(n: int, run: CheckRun) -> Iterator[Point]:
     """Every branch point annihilates the power sum and obeys the even/odd
     sign rule for its real part (a broken rule is an infinite deviation)."""
     for L in BRANCH_GRID[n]:
@@ -157,16 +186,16 @@ def check_branch_points(n: int, amp_budget: int, matrix_budget: int) -> Iterator
                    dict(n=n, L=L, m=point.m, sign=point.sign))
 
 
-def check_edge_states(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_edge_states(n: int, run: CheckRun) -> Iterator[Point]:
     """Boundary-state orthonormality, Gram diagonal, and block reconstruction."""
     d = n * n - 1
     for L in EDGE_GRID[n]:
-        basis = edges.edge_basis(n, L, amp_budget)
+        basis = edges.edge_basis(n, L, run.amp_budget)
         overlaps = basis.vectors.conj() @ basis.vectors.T
         yield (float(np.abs(overlaps - np.eye(len(basis.labels))).max()), 1e-10,
                dict(n=n, L=L, part="orthonormality"))
 
-        gram = edges.edge_gram(n, L, amp_budget)
+        gram = edges.edge_gram(basis)
         spec = closed_form.open_spectrum(n, L)
         for k in range(n * n):
             label = weyl.BellIndex(n, k // n, k % n)
@@ -176,19 +205,18 @@ def check_edge_states(n: int, amp_budget: int, matrix_budget: int) -> Iterator[P
         off = gram - np.diag(np.diagonal(gram))
         yield float(np.abs(off).max()), 1e-10, dict(n=n, L=L, part="gram-off-diagonal")
 
-        rho = edges.reconstruct_rho(n, L, amp_budget, matrix_budget)
-        psi = states.open_vbs_state(states.ChainSpec(n, L, states.OPEN, amp_budget))
-        rho_oracle = oracle.reduced_density(psi, range(L), matrix_budget)
+        rho = edges.reconstruct_rho(basis, run.matrix_budget)
+        rho_oracle = oracle.reduced_density(run.open_chain(n, L), range(L), run.matrix_budget)
         yield (float(np.linalg.norm(rho.matrix - rho_oracle.matrix)), 1e-10,
                dict(n=n, L=L, part="reconstruction"))
 
 
-def check_swap_identity(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_swap_identity(n: int, run: CheckRun) -> Iterator[Point]:
     """Four-qudit pair-swap identity holds to assembly precision."""
     yield weyl.swap_identity_residual(n), 1e-12, dict(n=n)
 
 
-def check_bell_invariance(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_bell_invariance(n: int, run: CheckRun) -> Iterator[Point]:
     """(U[l,m] tensor U[l,-m]) leaves the singlet pair invariant."""
     phi = weyl.bell_vector(n, (0, 0))
     for l in range(n):
@@ -197,7 +225,7 @@ def check_bell_invariance(n: int, amp_budget: int, matrix_budget: int) -> Iterat
             yield float(np.linalg.norm(op @ phi - phi)), 1e-13, dict(n=n, label=l * n + m)
 
 
-def check_transfer_matrix(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_transfer_matrix(n: int, run: CheckRun) -> Iterator[Point]:
     """Integer transfer-matrix route equals the exact weights; the hopping
     matrix has spectrum {n^2-1, -1 x (n^2-1)} and is diagonalized by the
     label Fourier matrix."""
@@ -216,7 +244,7 @@ def check_transfer_matrix(n: int, amp_budget: int, matrix_budget: int) -> Iterat
            dict(n=n, part="fourier-diagonalization"))
 
 
-def check_independence(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_independence(n: int, run: CheckRun) -> Iterator[Point]:
     """Open-chain block spectra do not depend on the block start or the chain
     length; all grid combinations agree with the shortest chain (a changed
     rank is an infinite deviation)."""
@@ -226,11 +254,9 @@ def check_independence(n: int, amp_budget: int, matrix_budget: int) -> Iterator[
         for N in grid["chains"]:
             if L > N:
                 continue
-            psi = states.open_vbs_state(states.ChainSpec(n, N, states.OPEN, amp_budget))
             for start in range(N - L + 1):
-                report = oracle.block_spectrum(psi, range(start, start + L),
-                                               matrix_budget=matrix_budget)
-                nonzero = report.eigenvalues[report.eigenvalues > 1e-12]
+                eigenvalues = run.open_eigenvalues(n, N, L, start)
+                nonzero = eigenvalues[eigenvalues > 1e-12]
                 if reference is None:
                     reference = nonzero
                 dev = (float(np.abs(nonzero - reference).max())
@@ -238,7 +264,7 @@ def check_independence(n: int, amp_budget: int, matrix_budget: int) -> Iterator[
                 yield dev, 1e-11, dict(n=n, N=N, L=L, start=start + 1)
 
 
-def check_limit_consistency(n: int, amp_budget: int, matrix_budget: int) -> Iterator[Point]:
+def check_limit_consistency(n: int, run: CheckRun) -> Iterator[Point]:
     """Ring weights at N=40 reduce to the open-chain weights (n=2), and Renyi
     entropies at order 1 +/- 1e-6 track the von Neumann value."""
     if n == 2:
@@ -258,7 +284,7 @@ def check_limit_consistency(n: int, amp_budget: int, matrix_budget: int) -> Iter
                    1e-5, dict(n=n, N=N, L=L, part="order-limit"))
 
 
-Check = Callable[[int, int, int], Iterator[Point]]
+Check = Callable[[int, CheckRun], Iterator[Point]]
 
 #: name -> (n values of its grid, generator, tolerance a SKIP reports)
 CHECKS: Dict[str, Tuple[Collection[int], Check, float]] = {
@@ -312,9 +338,10 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {sorted(CHECKS)}")
     use_ns = tuple(ns) if ns else ALL_NS
+    run = CheckRun(amp_budget, matrix_budget)
     results = []
     for name in names:
         grid, check, tolerance = CHECKS[name]
-        points = (p for n in use_ns if n in grid for p in check(n, amp_budget, matrix_budget))
+        points = (p for n in use_ns if n in grid for p in check(n, run))
         results.append(reduce_points(name, tolerance, points))
     return results

@@ -149,8 +149,9 @@ def _row(args, spec: closed_form.BlockSpectrum, state_for: StateSource) -> dict:
     row.update(n=spec.n, N=-1 if spec.N is None else spec.N, L=spec.L, boundary=args.boundary,
                lambda_singlet=singlet, lambda_adjoint=adjoint)
     if args.verify:
-        dev = spectrum_deviation(state_for(spec), range(spec.L), spec.nonzero(),
-                                 args.budget_matrix)
+        report = oracle.block_spectrum(state_for(spec), range(spec.L),
+                                       matrix_budget=args.budget_matrix)
+        dev = spectrum_deviation(report.eigenvalues, spec.nonzero())
         row.update(verified=dev <= args.tol, max_dev=dev)
     return row
 

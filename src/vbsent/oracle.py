@@ -23,7 +23,9 @@ bit-identical.
 The invariant checks (Hermiticity and unit trace of a density matrix; no
 eigenvalue below -1e-12 and a sum within 1e-10 of one) raise
 `errors.InvariantError`: a failure means the computation is broken.  Each is
-written `not deviation <= bound`, so a NaN deviation fails it.
+written `not deviation <= bound`, so a NaN deviation fails it.  Hermiticity
+is measured in row blocks (`hermitian_deviation`), with no full-size
+difference matrix.
 """
 
 from __future__ import annotations
@@ -55,8 +57,21 @@ OFF_DIAGONAL_TARGET = 1e-13
 
 DEFAULT_MAX_SWEEPS = 100
 
-#: Relative tolerance for grouping nearly equal eigenvalues (reporting only).
-MULTIPLICITY_RTOL = 1e-9
+#: Entries per row block of a Hermiticity measurement (4 MiB of complex128):
+#: a matrix of dim <= 512 is one block.
+HERMITIAN_BLOCK_ENTRIES = 1 << 18
+
+
+def hermitian_deviation(matrix: np.ndarray) -> float:
+    """Frobenius norm of matrix - matrix^dagger (NaN if any entry is NaN),
+    summed over row blocks so that no temporary is full-size."""
+    dim = matrix.shape[0]
+    rows = max(1, HERMITIAN_BLOCK_ENTRIES // max(dim, 1))
+    total = 0.0
+    for lo in range(0, dim, rows):
+        diff = matrix[lo:lo + rows] - matrix[:, lo:lo + rows].conj().T
+        total += float(np.vdot(diff, diff).real)
+    return math.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -70,7 +85,7 @@ class DensityMatrix:
         dim = math.prod(s.dim for s in self.sites)
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match block dimension {dim}")
-        herm = float(np.linalg.norm(self.matrix - self.matrix.conj().T))
+        herm = hermitian_deviation(self.matrix)
         if not herm <= 1e-12:  # NaN fails too
             raise InvariantError(f"matrix is not Hermitian: deviation {herm:.3e}")
         tr = complex(np.trace(self.matrix))
@@ -85,15 +100,10 @@ class DensityMatrix:
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues of a density matrix plus derived entropy data.
-
-    eigenvalues are sorted descending with tiny negatives clamped to zero;
-    multiplicities group nearly equal values for reporting only and are
-    never used in computations.
-    """
+    """Eigenvalues of a density matrix, sorted descending with tiny negatives
+    clamped to zero, and their von Neumann entropy."""
 
     eigenvalues: np.ndarray
-    multiplicities: List[Tuple[float, int]]
     entropy: float
 
 
@@ -114,7 +124,7 @@ def jacobi_eigvalsh(
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    herm = float(np.linalg.norm(a - a.conj().T))
+    herm = hermitian_deviation(a)
     if not herm <= hermitian_tol:  # NaN fails too
         raise ValueError(f"matrix is not Hermitian within {hermitian_tol:g}: deviation {herm:.3e}")
     dim = a.shape[0]
@@ -184,14 +194,7 @@ def spectrum_report(eigenvalues: Union[np.ndarray, Sequence[float]]) -> Spectrum
     total = float(eigs.sum())
     if not abs(total - 1.0) <= 1e-10:  # NaN fails too
         raise InvariantError(f"eigenvalues sum to {total!r}, expected 1 within 1e-10")
-    groups: List[List[float]] = []
-    for v in eigs:
-        if groups and abs(v - groups[-1][0]) <= MULTIPLICITY_RTOL * max(abs(groups[-1][0]), NEGATIVE_CLAMP):
-            groups[-1].append(float(v))
-        else:
-            groups.append([float(v)])
-    multiplicities = [(sum(g) / len(g), len(g)) for g in groups]
-    return SpectrumReport(eigs, multiplicities, _entropy_from_eigenvalues(eigs))
+    return SpectrumReport(eigs, _entropy_from_eigenvalues(eigs))
 
 
 def _entropy_from_eigenvalues(eigs: np.ndarray) -> float:

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from vbsent import closed_form
-from vbsent.checks import CHECKS, reduce_points, run_checks
+from vbsent import closed_form, oracle, states
+from vbsent.checks import CHECKS, OPEN_GRID, CheckRun, reduce_points, run_checks
 
 
 def test_reducer_passes_when_every_point_is_below_tolerance():
@@ -55,7 +56,7 @@ def test_reducer_picks_worst_by_ratio_across_tolerances():
 def test_checks_yield_located_points_on_their_grids():
     for name, (grid, check, _) in CHECKS.items():
         n = min(grid)
-        points = list(check(n, 10 ** 6, 4096))
+        points = list(check(n, CheckRun(10 ** 6, 4096)))
         assert points, name
         for dev, tol, where in points:
             assert where["n"] == n and set(where) <= {"n", "N", "L", "start", "part", "label",
@@ -79,3 +80,49 @@ def test_nan_entropies_fail_their_checks(monkeypatch):
     assert [r.status for r in results] == ["FAIL"] * 3
     assert all(math.isnan(r.max_dev) for r in results)
 
+
+# ------------------------------------------------------------ one run's sharing
+
+SHARING = ["open-spectrum", "independence", "edge-states", "periodic-spectrum"]
+
+
+def counting(monkeypatch, module, name, key):
+    """Replace module.name by a wrapper counting key(*args) per call."""
+    seen = Counter()
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        seen[key(*args)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_shared_checks_give_the_results_they_give_alone():
+    full = {result.name: result for result in run_checks()}
+    for name in SHARING:
+        assert run_checks(only=[name]) == [full[name]], name
+
+
+def test_full_run_computes_each_open_block_spectrum_once(monkeypatch):
+    seen = counting(monkeypatch, oracle, "block_spectrum",
+                    lambda state, block: (state.sites, tuple(block)))
+    run_checks()
+    assert set(seen.values()) == {1}
+    open_blocks = {(sites[0].n, len(sites) - 1, len(block), block[0])
+                   for sites, block in seen if sites[-1].kind == "pair"}
+    want = {(n, N, L, start) for n, grid in OPEN_GRID.items() for N in grid["chains"]
+            for L in grid["lengths"] if L <= N for start in range(N - L + 1)}
+    assert open_blocks == want and len(want) == 74
+
+
+def test_nothing_is_reused_across_runs(monkeypatch):
+    builds = counting(monkeypatch, states, "open_vbs_state", lambda spec: (spec.n, spec.N))
+    spectra = counting(monkeypatch, oracle, "block_spectrum",
+                       lambda state, block: (state.sites, tuple(block)))
+    run_checks(only=["independence"])
+    assert (sum(builds.values()), sum(spectra.values())) == (10, 74)
+    run_checks(only=["independence"])
+    assert (sum(builds.values()), sum(spectra.values())) == (20, 148)
+    assert set(builds.values()) == set(spectra.values()) == {2}

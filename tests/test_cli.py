@@ -272,6 +272,14 @@ def test_verify_budget_preflight(capsys):
     assert "state would need" in err and "budget is 1000" in err
 
 
+@pytest.mark.parametrize("only", [[], ["--only", "independence"]])
+def test_verify_budget_names_the_first_state_over_it(capsys, only):
+    # the shared open chains are built in the order the checks ask for them
+    code, out, err = run_cli(capsys, "verify", "--budget-amps", "1000", *only)
+    assert (code, out) == (3, "")
+    assert "state would need 2916 amplitudes, budget is 1000" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("VBSENT_AMP_BUDGET", "1000")
     code, out, _ = run_cli(capsys, "verify")

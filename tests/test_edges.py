@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from vbsent.closed_form import decay_factor, open_spectrum
-from vbsent.edges import (
-    edge_basis,
-    edge_gram,
-    edge_state,
-    edge_vector_unnormalized,
-    projector_limit_residual,
-    reconstruct_rho,
-)
+from vbsent.edges import edge_basis, edge_gram, edge_vector_unnormalized, reconstruct_rho
 from vbsent.errors import BudgetError
 from vbsent.oracle import reduced_density
 from vbsent.states import OPEN, ChainSpec, open_vbs_state
@@ -22,17 +15,19 @@ GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
 
 @pytest.mark.parametrize("n,L", GRID)
 def test_edge_states_normalized(n, L):
-    for p in range(n):
-        for q in range(n):
-            if (p, q) == (0, 0) and L == 1:
-                continue
-            psi = edge_state(n, L, (p, q))
-            assert abs(np.linalg.norm(psi.amps) - 1.0) < 1e-11
+    basis = edge_basis(n, L)
+    want = [(p, q) for p in range(n) for q in range(n) if (p, q) != (0, 0) or L > 1]
+    assert [(label.l, label.m) for label in basis.labels] == want
+    for vec in basis.vectors:
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-11
 
 
 def test_zero_norm_edge_state_rejected():
-    with pytest.raises(ValueError):
-        edge_state(2, 1, (0, 0))
+    # the singlet boundary state at L = 1 has weight 0: it is left out of the
+    # basis, and its raw vector is zero
+    basis = edge_basis(2, 1)
+    assert BellIndex(2, 0, 0) not in basis.labels
+    assert np.abs(basis.raw[0]).max() == 0.0
     vec = edge_vector_unnormalized(2, 1, (0, 0))
     assert np.abs(vec).max() == 0.0
 
@@ -52,7 +47,7 @@ def test_edge_basis_orthonormal(n, L):
 
 
 def test_gram_diagonal_frozen_values():
-    gram = edge_gram(2, 2)
+    gram = edge_gram(edge_basis(2, 2))
     assert abs(gram[0, 0].real - 3.0) < 1e-12   # label (0,0): 9 * singlet weight
     for k in (1, 2, 3):
         assert abs(gram[k, k].real - 2.0) < 1e-12  # 9 * adjoint weight
@@ -62,7 +57,7 @@ def test_gram_diagonal_frozen_values():
 
 @pytest.mark.parametrize("n,L", GRID)
 def test_gram_matches_weights(n, L):
-    gram = edge_gram(n, L)
+    gram = edge_gram(edge_basis(n, L))
     spec = open_spectrum(n, L)
     d = n * n - 1
     for p in range(n):
@@ -79,7 +74,7 @@ def test_gram_matches_weights(n, L):
 
 @pytest.mark.parametrize("n,L,chain", [(2, 1, 1), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 2, 2), (3, 2, 3)])
 def test_reconstruction_matches_oracle(n, L, chain):
-    rho = reconstruct_rho(n, L)
+    rho = reconstruct_rho(edge_basis(n, L))
     psi = open_vbs_state(ChainSpec(n, chain, OPEN))
     oracle_rho = reduced_density(psi, range(L))
     assert np.linalg.norm(rho.matrix - oracle_rho.matrix) < 1e-10
@@ -93,14 +88,21 @@ def test_oracle_projects_to_weights(n, L):
     psi = open_vbs_state(ChainSpec(n, L, OPEN))
     rho = reduced_density(psi, range(L)).matrix
     spec = open_spectrum(n, L)
-    for p in range(n):
-        for q in range(n):
-            vec = edge_state(n, L, (p, q)).amps
-            weight = vec.conj() @ rho @ vec
-            label = BellIndex(n, p, q)
-            want = float(spec.singlet if (-label).is_singlet else spec.adjoint)
-            assert abs(weight.real - want) < 1e-10
-            assert abs(weight.imag) < 1e-12
+    basis = edge_basis(n, L)
+    assert len(basis.labels) == n * n
+    for label, vec in zip(basis.labels, basis.vectors):
+        weight = vec.conj() @ rho @ vec
+        want = float(spec.singlet if (-label).is_singlet else spec.adjoint)
+        assert abs(weight.real - want) < 1e-10
+        assert abs(weight.imag) < 1e-12
+
+
+def projector_limit_residual(n, L):
+    """Frobenius distance between the block matrix and the flat projector
+    that weighs every boundary state by 1/n^2."""
+    basis = edge_basis(n, L)
+    flat = basis.vectors.T @ basis.vectors.conj() / (n * n)
+    return float(np.linalg.norm(reconstruct_rho(basis).matrix - flat))
 
 
 def test_projector_limit_decay():
@@ -117,6 +119,8 @@ def test_projector_limit_decay():
 
 def test_edge_budget_guards():
     with pytest.raises(BudgetError):
-        edge_state(2, 3, (0, 1), amp_budget=8)
+        edge_vector_unnormalized(2, 3, (0, 1), amp_budget=8)
     with pytest.raises(BudgetError):
-        reconstruct_rho(2, 3, matrix_budget=8)
+        edge_basis(2, 3, amp_budget=8)
+    with pytest.raises(BudgetError):
+        reconstruct_rho(edge_basis(2, 3), matrix_budget=8)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ def test_invariant_checks_raise_their_own_error(monkeypatch):
         with pytest.raises(InvariantError, match="sum"):
             spectrum_report([0.5, 0.5 + bad])
         with pytest.raises(InvariantError, match="sum"):
-            von_neumann(SpectrumReport(np.array([0.5, 0.5 + bad]), [], 0.0))
+            von_neumann(SpectrumReport(np.array([0.5, 0.5 + bad]), 0.0))
         with pytest.raises(ValueError, match="Hermitian"):
             jacobi_eigvalsh(np.array([[1.0, bad], [0.0, 1.0]]))
     with pytest.raises(InvariantError):
@@ -341,11 +342,45 @@ def test_invariant_checks_measure_accurately_at_dim_4096():
     assert abs(report.eigenvalues.sum() - 1.0) < 1e-15
 
 
+def test_hermiticity_measured_without_full_size_temporaries():
+    # dim 4096 (256 MiB): a difference m - m^dagger built whole took two
+    # temporaries of that size
+    psi = open_vbs_state(ChainSpec(3, 4, OPEN))
+    m, sites = oracle._block_environment(psi, range(4))
+    rho = m @ m.conj().T
+    del psi, m
+    # an anti-Hermitian 1e-11 perturbation in the last row block still fails
+    saved = rho[4000, 10], rho[10, 4000]
+    rho[4000, 10] += 1e-11
+    rho[10, 4000] -= 1e-11
+    with pytest.raises(InvariantError, match="Hermitian"):
+        DensityMatrix(sites, rho)
+    rho[4000, 10], rho[10, 4000] = saved
+    tracemalloc.start()
+    try:
+        DensityMatrix(sites, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_hermiticity_small_matrices_are_one_block():
+    # at verify's sizes the blocked measurement is the plain one
+    for dim in (1, 81, 243, 512):
+        a = random_hermitian(dim, seed=dim) + 1e-13 * rng(dim).normal(size=(dim, dim))
+        assert oracle.hermitian_deviation(a) == pytest.approx(
+            float(np.linalg.norm(a - a.conj().T)), rel=1e-12)
+    assert oracle.HERMITIAN_BLOCK_ENTRIES // 512 >= 512
+    assert math.isnan(oracle.hermitian_deviation(np.array([[1.0, math.nan], [0.0, 1.0]])))
+
+
 # ----------------------------------------------------------------- entropies
 
 def test_spectrum_report_grouping_and_entropy():
     report = spectrum_report([0.4, 0.4 - 1e-12, 0.1, 0.1 + 1e-12, -1e-13])
-    assert [count for _, count in report.multiplicities] == [2, 2, 1]
+    # sorted descending, nearly equal values kept apart, the tiny negative clamped
+    assert report.eigenvalues.tolist() == [0.4, 0.4 - 1e-12, 0.1 + 1e-12, 0.1, 0.0]
     assert report.eigenvalues.min() == 0.0
     assert abs(report.entropy - von_neumann(report)) == 0.0
 
