@@ -11,7 +11,6 @@ from .closed_form import (
     BranchPoint,
     branch_points,
     branch_residual,
-    decay_factor,
     open_entropy,
     open_renyi,
     open_spectrum,
@@ -34,11 +33,9 @@ from .oracle import (
     DensityMatrix,
     SpectrumReport,
     block_spectrum,
-    hermitian_spectrum,
     jacobi_eigvalsh,
     reduced_density,
     renyi,
-    schmidt_spectrum,
     spectrum_report,
     von_neumann,
 )

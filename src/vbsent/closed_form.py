@@ -49,14 +49,6 @@ BRANCH_RESIDUAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-15
 
 
-def decay_factor(n: int, L: int) -> Fraction:
-    """Signed decay factor (-1/(n^2-1))**L as an exact rational; equals 1 at L=0."""
-    _check_dimension(n)
-    if L < 0:
-        raise ValueError(f"block length must be >= 0, got {L}")
-    return Fraction(-1, n * n - 1) ** L
-
-
 def _check_length(L: int) -> None:
     if not isinstance(L, int) or L < 1:
         raise ValueError(f"block length must be an integer >= 1, got {L!r}")

@@ -14,11 +14,13 @@ connected components of its nonzero pattern (rows and columns linked by a
 nonzero entry).  The components share no row or column, so the Gram is
 their direct sum up to a permutation: each is diagonalized on its own
 smaller side, and the remaining eigenvalues are exact zeros.  The split
-reads only the pattern of M, never the closed forms.  The Gram of a tall M
-(more rows than columns) is formed from M's float64 view as one real
-symmetric product, with no conjugated copy of M beside it (`_gram`).  All
-reductions use fixed numpy contraction order, so repeated runs are
-bit-identical.
+reads only the pattern of M, never the closed forms.  M is float64 for an
+n = 2 state and complex128 otherwise (see `states`).  A real M's Gram, and
+its reduced density matrix, is one real product M M^T or M^T M.  The Gram
+of a tall complex M (more rows than columns) is formed from M's float64
+view as one real symmetric product.  Neither makes a conjugated copy of M
+(`_gram`).  All reductions use fixed numpy contraction order, so repeated
+runs are bit-identical.
 
 The invariant checks (Hermiticity and unit trace of a density matrix; no
 eigenvalue below -1e-12 and a sum within 1e-10 of one) raise
@@ -225,7 +227,8 @@ def reduced_density(
     """Partial trace of |state><state| onto a contiguous block of slots.
 
     `block` lists 0-based slot positions.  Tracing out nothing (the full
-    chain) is allowed and returns the pure projector.
+    chain) is allowed and returns the pure projector.  A real state gives a
+    real matrix: `conj()` of a real array is the array itself, not a copy.
     """
     m, sites = _block_environment(state, block)
     if m.shape[0] > matrix_budget:
@@ -268,15 +271,18 @@ def _independent_blocks(m: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
 def _gram(m: np.ndarray) -> np.ndarray:
     """Gram matrix of m on its smaller side: m m^dagger if wide, m^dagger m if tall.
 
-    A tall m is read through its float64 view R, whose columns hold the real
-    and imaginary parts of m's columns in turn.  The real Gram S = R^T R is
-    one symmetric rank-k product with no conjugated copy of m, and
+    A real m gives the real product m m^T or m^T m.  A tall complex m is
+    read through its float64 view R, whose columns hold the real and
+    imaginary parts of m's columns in turn.  The real Gram S = R^T R is one
+    symmetric rank-k product with no conjugated copy of m, and
     m^dagger m = (S_rr + S_ii) + i (S_ri - S_ir) in its even/odd blocks.  The
     view needs m in C order; any other m is copied to C order first.  S is
     exactly symmetric, so the result is exactly Hermitian.
     """
     if m.shape[0] <= m.shape[1]:
-        return m @ m.conj().T
+        return m @ m.conj().T  # m @ m.T for a real m: conj() returns m itself
+    if not np.iscomplexobj(m):
+        return m.T @ m
     r = np.ascontiguousarray(m, dtype=complex).view(np.float64)
     s = r.T @ r
     gram = np.empty((m.shape[1], m.shape[1]), dtype=complex)
@@ -305,32 +311,11 @@ def block_spectrum(
         raise BudgetError(
             f"both sides ({d_block}, {d_env}) exceed matrix budget {matrix_budget}"
         )
-    whole = (slice(None), slice(None))
-    parts = _independent_blocks(m) if side > SPLIT_MIN_SIDE else [whole]
-    eigs = []
-    for rows, cols in parts:
-        eigs.append(jacobi_eigvalsh(_gram(m[rows][:, cols]), max_sweeps=max_sweeps))
-    found = np.concatenate(eigs)
+    # one block at a time: np.ix_ copies only the block, not its whole rows
+    blocks = ((m[np.ix_(rows, cols)] for rows, cols in _independent_blocks(m))
+              if side > SPLIT_MIN_SIDE else (m,))
+    found = np.concatenate([jacobi_eigvalsh(_gram(b), max_sweeps=max_sweeps) for b in blocks])
     return spectrum_report(np.concatenate([found, np.zeros(side - found.size)]))
-
-
-def schmidt_spectrum(
-    state: PureState,
-    cut: int,
-    matrix_budget: int = DEFAULT_MATRIX_BUDGET,
-) -> SpectrumReport:
-    """Spectrum across the bipartition (slots [0, cut) | slots [cut, end))."""
-    if not 0 < cut < state.num_sites:
-        raise ValueError(f"cut {cut} does not split a chain of {state.num_sites} slots")
-    return block_spectrum(state, range(cut), matrix_budget=matrix_budget)
-
-
-def hermitian_spectrum(
-    dm: DensityMatrix,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> SpectrumReport:
-    """Full spectrum report of a density matrix via the Jacobi solver."""
-    return spectrum_report(jacobi_eigvalsh(dm.matrix, max_sweeps=max_sweeps))
 
 
 def von_neumann(report: SpectrumReport) -> float:

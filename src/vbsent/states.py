@@ -30,7 +30,12 @@ leading strings at a time.  Beside the vector, a build holds chunk-sized
 temporaries and the leading strings' tables, which have thousands of times
 fewer entries than the vector at any size near the budget; no lookup table
 is larger than one site's n^2 - 1 labels.  Each nonzero amplitude is one
-entry of an n-entry table of scaled powers of omega.
+entry of an n-entry table of scaled powers of omega (`_phase_table`).
+
+Storage.  At n = 2 omega = -1, so every amplitude is real: the table is
+exactly (1, -1) and the state is a float64 vector, 8 bytes per amplitude.
+For n >= 3 the state is complex128, 16 bytes per amplitude.  `PureState`
+takes either dtype; the amplitude budget counts amplitudes, not bytes.
 
 Norm.  `PureState` checks that the norm is 1 within 1e-12 (a NaN norm
 fails).  It measures the norm with `squared_norm`: chunked pairwise sums of
@@ -58,8 +63,10 @@ DEFAULT_AMP_BUDGET = 2 ** 26
 
 #: Label strings per chunk of the state fill, and float64 values per chunk of
 #: the norm sum: large enough to amortize numpy's per-call cost, small next
-#: to any state near the budget.
-FILL_CHUNK = 2 ** 14
+#: to any state near the budget.  A fill chunk holds about four int64-sized
+#: temporaries at once (row offsets, slots, phase indices, values), which
+#: must stay a small share of a float64 n = 2 state as short as N = 10.
+FILL_CHUNK = 2 ** 13
 NORM_CHUNK = 2 ** 15
 
 #: (sum_l, sum_m, phase) per bulk label string; see `fold_tables`.
@@ -126,8 +133,11 @@ def squared_norm(amps: np.ndarray) -> float:
     `np.sum` in chunks of NORM_CHUNK, and the chunk sums by `math.fsum`, so
     the rounding error does not grow with the vector length the way a BLAS
     dot product's does.  The chunking is fixed, so the result is reproducible.
+    A contiguous float64 or complex128 vector is read in place; a real one
+    has no imaginary parts to read.
     """
-    flat = np.ascontiguousarray(amps, dtype=complex).reshape(-1).view(np.float64)
+    dtype = complex if np.iscomplexobj(amps) else np.float64
+    flat = np.ascontiguousarray(amps, dtype=dtype).reshape(-1).view(np.float64)
     buf = np.empty(min(NORM_CHUNK, flat.size))
     sums = []
     for lo in range(0, flat.size, NORM_CHUNK):
@@ -138,12 +148,15 @@ def squared_norm(amps: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm amplitude vector over a labelled product basis."""
+    """Unit-norm float64 or complex128 amplitude vector over a labelled
+    product basis."""
 
     sites: Tuple[SiteBasis, ...]
     amps: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.amps.dtype not in (np.float64, np.complex128):
+            raise ValueError(f"amplitudes must be float64 or complex128, got {self.amps.dtype}")
         expected = math.prod(s.dim for s in self.sites)
         if self.amps.shape != (expected,):
             raise ValueError(f"amplitude vector has shape {self.amps.shape}, expected ({expected},)")
@@ -195,8 +208,15 @@ def fold_tables(n: int, sites: int) -> Tables:
     return tables
 
 
+def _phase_table(n: int) -> np.ndarray:
+    """omega**k for k = 0..n-1: exactly (1.0, -1.0) in float64 at n = 2, where
+    omega = -1 is real, and `weyl.omega_powers` (complex128) for n >= 3."""
+    return np.array([1.0, -1.0]) if n == 2 else omega_powers(n)
+
+
 def _fill(n: int, sites: int, width: int, first: int, values: np.ndarray) -> np.ndarray:
-    """Amplitude vector with one entry per bulk label string s of `sites` sites.
+    """Amplitude vector with one entry per bulk label string s of `sites` sites,
+    in the dtype of `values`.
 
     String s puts values[phase(s)] at s * width + lin(s) - first, where
     lin = l*n + m is the label of its running product; strings with
@@ -215,7 +235,7 @@ def _fill(n: int, sites: int, width: int, first: int, values: np.ndarray) -> np.
     size = tail[0].size
     step = max(1, min(head[0].size, FILL_CHUNK // size))
     offsets = np.arange(step * size) * width - first  # row starts within one chunk
-    amps = np.zeros(d ** sites * width, dtype=complex)
+    amps = np.zeros(d ** sites * width, dtype=values.dtype)
     for lo in range(0, head[0].size, step):
         suml, summ, phase = _join(tuple(t[lo:lo + step] for t in head), tail, n)
         lin = suml * n + summ  # at most n^2 - 1: stays in the tables' dtype
@@ -243,7 +263,7 @@ def open_vbs_state(spec: ChainSpec) -> PureState:
     if spec.boundary != OPEN:
         raise ValueError(f"spec has boundary {spec.boundary!r}, expected {OPEN!r}")
     n, N = spec.n, spec.N
-    amps = _fill(n, N, n * n, 0, omega_powers(n) * (n * n - 1) ** (-N / 2))
+    amps = _fill(n, N, n * n, 0, _phase_table(n) * (n * n - 1) ** (-N / 2))
     sites = (SiteBasis(n, "adjoint"),) * N + (SiteBasis(n, "pair"),)
     return PureState(sites, amps)
 
@@ -255,6 +275,6 @@ def periodic_vbs_state(spec: ChainSpec) -> PureState:
     n, N = spec.n, spec.N
     scale = 1.0 / math.sqrt(float(ring_norm_squared(n, N)))
     # the closing site stores labels 1..n^2-1: strings folding to the singlet drop out
-    amps = _fill(n, N - 1, n * n - 1, 1, omega_powers(n) * scale)
+    amps = _fill(n, N - 1, n * n - 1, 1, _phase_table(n) * scale)
     sites = (SiteBasis(n, "adjoint"),) * N
     return PureState(sites, amps)

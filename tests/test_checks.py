@@ -1,11 +1,21 @@
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from vbsent import closed_form, oracle, states
-from vbsent.checks import CHECKS, OPEN_GRID, CheckRun, reduce_points, run_checks
+from vbsent.checks import (
+    CHECKS,
+    OPEN_GRID,
+    CheckRun,
+    reduce_points,
+    run_checks,
+    saturation_envelope,
+    saturation_gap,
+)
 
 
 def test_reducer_passes_when_every_point_is_below_tolerance():
@@ -71,10 +81,27 @@ def test_saturation_and_limit_consistency_name_a_location():
         assert result.detail.startswith("worst at n=2 ")
 
 
+def test_saturation_gap_is_accurate_where_subtraction_rounds_to_zero():
+    # 2 log n - S by subtraction is exactly 0.0 from L = 38 (n=2), 20 (n=3), 15 (n=4)
+    with localcontext() as ctx:
+        ctx.prec = 400
+        for n in (2, 3, 4):
+            for L in range(2, 41):
+                spec = closed_form.open_spectrum(n, L)
+                s, a = (Decimal(w.numerator) / w.denominator for w in (spec.singlet, spec.adjoint))
+                exact = 2 * Decimal(n).ln() + s * s.ln() + (n * n - 1) * a * a.ln()
+                gap = saturation_gap(n, L)
+                assert abs(Decimal(gap) / exact - 1) < Decimal("1e-12"), (n, L)
+                assert 0.0 < gap < 0.02 * saturation_envelope(n, L), (n, L)
+
+
 def test_nan_entropies_fail_their_checks(monkeypatch):
     # a NaN compares false against every bound, so it must not read as a pass
     monkeypatch.setattr(closed_form, "open_entropy", lambda n, L: math.nan)
     monkeypatch.setattr(closed_form, "open_renyi", lambda n, L, alpha: math.nan)
+    # saturation reads the gap off the open weights
+    nan_weights = SimpleNamespace(singlet=math.nan, adjoint=math.nan)
+    monkeypatch.setattr(closed_form, "open_spectrum", lambda n, L: nan_weights)
     names = ["saturation", "renyi-flatness", "limit-consistency"]
     results = run_checks(only=names, ns=(2, 3))
     assert [r.status for r in results] == ["FAIL"] * 3

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from vbsent.closed_form import (
     branch_points,
     branch_residual,
-    decay_factor,
     open_entropy,
     open_renyi,
     open_spectrum,
@@ -24,12 +23,15 @@ from vbsent.errors import BranchPointCondition, DegenerateSpectrumError
 from vbsent.oracle import jacobi_eigvalsh, renyi, spectrum_report, von_neumann
 
 
+def decay_factor(n, L):
+    """Signed decay factor (-1/(n^2-1))**L as an exact rational."""
+    return Fraction(-1, n * n - 1) ** L
+
+
 def test_decay_factor_values():
-    assert decay_factor(2, 1) == Fraction(-1, 3)
-    assert decay_factor(3, 2) == Fraction(1, 64)
-    assert decay_factor(5, 0) == 1
-    with pytest.raises(ValueError):
-        decay_factor(2, -1)
+    # the open adjoint weight is (1 - r)/n^2, so r = 1 - n^2 * adjoint
+    for n, L, r in [(2, 1, Fraction(-1, 3)), (3, 2, Fraction(1, 64)), (5, 3, Fraction(-1, 13824))]:
+        assert 1 - n * n * open_spectrum(n, L).adjoint == r == decay_factor(n, L)
 
 
 def test_open_spectrum_values():

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vbsent.closed_form import decay_factor, open_spectrum
+from vbsent.closed_form import open_spectrum
 from vbsent.edges import edge_basis, edge_gram, edge_vector_unnormalized, reconstruct_rho
 from vbsent.errors import BudgetError
 from vbsent.oracle import reduced_density
@@ -113,7 +114,7 @@ def test_projector_limit_decay():
     assert ratio == pytest.approx(1 / 9, rel=1.0)  # within a factor of two
     # exact value: |decay| * sqrt(1 - 1/n^2) once all weights exist
     for n, L in [(2, 2), (2, 3), (3, 2)]:
-        expected = abs(float(decay_factor(n, L))) * math.sqrt(1 - 1 / (n * n))
+        expected = abs(float(Fraction(-1, n * n - 1) ** L)) * math.sqrt(1 - 1 / (n * n))
         assert abs(projector_limit_residual(n, L) - expected) < 1e-12
 
 

@@ -13,11 +13,9 @@ from vbsent.oracle import (
     DensityMatrix,
     SpectrumReport,
     block_spectrum,
-    hermitian_spectrum,
     jacobi_eigvalsh,
     reduced_density,
     renyi,
-    schmidt_spectrum,
     spectrum_report,
     von_neumann,
 )
@@ -133,7 +131,7 @@ def test_density_matrix_sanity():
 
 def test_schmidt_symmetry_open():
     psi = open_vbs_state(ChainSpec(2, 6, OPEN))
-    left = schmidt_spectrum(psi, 3).eigenvalues
+    left = block_spectrum(psi, range(3)).eigenvalues
     right = block_spectrum(psi, range(3, psi.num_sites)).eigenvalues
     k = min(left.size, right.size)
     assert np.abs(left[:k] - right[:k]).max() < 1e-11
@@ -142,7 +140,7 @@ def test_schmidt_symmetry_open():
 
 def test_schmidt_symmetry_periodic():
     psi = periodic_vbs_state(ChainSpec(2, 4, PERIODIC))
-    front = schmidt_spectrum(psi, 2).eigenvalues
+    front = block_spectrum(psi, range(2)).eigenvalues
     back = block_spectrum(psi, range(2, 4)).eigenvalues
     assert np.abs(front - back).max() < 1e-11
 
@@ -155,9 +153,12 @@ def test_single_site_block_n3():
 
 def test_schmidt_cut_validation():
     psi = open_vbs_state(ChainSpec(2, 2, OPEN))
-    for cut in (0, psi.num_sites):
+    for block in (range(0), range(psi.num_sites, psi.num_sites + 1), [0, 2]):
         with pytest.raises(ValueError):
-            schmidt_spectrum(psi, cut)
+            block_spectrum(psi, block)
+    # the whole chain is a block too: the pure state has one weight
+    whole = block_spectrum(psi, range(psi.num_sites)).eigenvalues
+    assert whole.shape == (1,) and abs(whole[0] - 1.0) < 1e-15
 
 
 def test_block_spectrum_budget():
@@ -198,6 +199,22 @@ def verify_grid_blocks():
                 yield psi, range(L)
     yield periodic_vbs_state(ChainSpec(3, 6, PERIODIC)), range(3)
     yield periodic_vbs_state(ChainSpec(2, 13, PERIODIC)), range(6)
+
+
+def test_real_states_match_their_complex_copies():
+    # n = 2 states are float64; their Grams are real products
+    count = 0
+    for psi, block in verify_grid_blocks():
+        if psi.sites[0].n != 2:
+            continue
+        as_complex = PureState(psi.sites, psi.amps.astype(complex))
+        real = block_spectrum(psi, block).eigenvalues
+        assert np.abs(real - block_spectrum(as_complex, block).eigenvalues).max() <= 1e-15
+        rho = reduced_density(psi, block).matrix
+        assert rho.dtype == np.float64
+        assert np.abs(rho - reduced_density(as_complex, block).matrix).max() <= 1e-15
+        count += 1
+    assert count == 55 + 27 + 1  # open grid, ring grid, the N=13 ring
 
 
 def test_split_agrees_with_whole_gram(monkeypatch):
@@ -426,8 +443,8 @@ def test_renyi_branch_point_condition():
     assert np.isfinite(value.real) and np.isfinite(value.imag)
 
 
-def test_hermitian_spectrum_wraps_density_matrix():
+def test_spectrum_report_of_density_matrix():
     psi = open_vbs_state(ChainSpec(2, 2, OPEN))
     dm = reduced_density(psi, [0, 1])
-    report = hermitian_spectrum(dm)
+    report = spectrum_report(jacobi_eigvalsh(dm.matrix))
     assert abs(report.eigenvalues.sum() - 1.0) < 1e-10

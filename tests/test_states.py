@@ -10,6 +10,7 @@ import pytest
 from vbsent.errors import BudgetError, InvariantError
 from vbsent.oracle import block_spectrum
 from vbsent.states import (
+    NORM_CHUNK,
     OPEN,
     PERIODIC,
     ChainSpec,
@@ -66,6 +67,18 @@ def test_pure_state_norm_guard():
     with pytest.raises(InvariantError):  # a NaN norm compares false against the bound
         PureState((site,), np.array([math.nan, 0.0, 0.0, 0.0], dtype=complex))
     PureState((site,), np.array([1.0, 1e-7, 0.0, 0.0], dtype=complex))  # 5e-15 above
+    PureState((site,), np.array([1.0, 1e-7, 0.0, 0.0]))  # float64 is accepted too
+    for dtype in (np.float32, np.complex64, np.int64):
+        with pytest.raises(ValueError):
+            PureState((site,), np.array([1, 0, 0, 0], dtype=dtype))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_state_dtype_follows_n(n):
+    # omega = -1 is real at n = 2 only
+    want = np.float64 if n == 2 else np.complex128
+    assert open_vbs_state(ChainSpec(n, 2, OPEN)).amps.dtype == want
+    assert periodic_vbs_state(ChainSpec(n, 3, PERIODIC)).amps.dtype == want
 
 
 def test_open_single_site():
@@ -182,24 +195,29 @@ def test_fold_tables_against_scalar_fold():
 # ------------------------------------------- build and norm at budget scale
 
 
-def reference_open_amps(n, N):
+def exact_phases(n):
+    """omega**k: exactly +-1 in float64 at n = 2, where omega = -1."""
+    return np.array([1.0, -1.0]) if n == 2 else omega_powers(n)
+
+
+def reference_open_amps(n, N, phases):
     """The original one-pass scatter: int64 slots over the full fold tables."""
     nn, d = n * n, n * n - 1
     suml, summ, phase = fold_tables(n, N)
     slots = np.arange(d ** N, dtype=np.int64) * nn + suml.astype(np.int64) * n + summ
-    amps = np.zeros(d ** N * nn, dtype=complex)
-    amps[slots] = omega_powers(n)[phase.astype(np.intp)] * d ** (-N / 2)
+    amps = np.zeros(d ** N * nn, dtype=phases.dtype)
+    amps[slots] = phases[phase.astype(np.intp)] * d ** (-N / 2)
     return amps
 
 
-def reference_ring_amps(n, N):
+def reference_ring_amps(n, N, phases):
     d = n * n - 1
     suml, summ, phase = fold_tables(n, N - 1)
     lin = suml.astype(np.int64) * n + summ
     keep = np.nonzero(lin)[0]
     scale = 1.0 / math.sqrt(float(ring_norm_squared(n, N)))
-    amps = np.zeros(d ** (N - 1) * d, dtype=complex)
-    amps[keep * d + (lin[keep] - 1)] = omega_powers(n)[phase[keep].astype(np.intp)] * scale
+    amps = np.zeros(d ** (N - 1) * d, dtype=phases.dtype)
+    amps[keep * d + (lin[keep] - 1)] = phases[phase[keep].astype(np.intp)] * scale
     return amps
 
 
@@ -230,13 +248,18 @@ def test_build_and_norm_on_random_admitted_specs():
     picks = random.Random(20070).sample(specs, 10)
     picks.append(max(specs, key=lambda spec: spec.amplitudes))
     for spec in picks:
-        if spec.boundary == OPEN:
-            psi, ref = open_vbs_state(spec), reference_open_amps(spec.n, spec.N)
-        else:
-            psi, ref = periodic_vbs_state(spec), reference_ring_amps(spec.n, spec.N)
-        assert np.array_equal(psi.amps, ref), spec
+        build, reference = ((open_vbs_state, reference_open_amps) if spec.boundary == OPEN
+                            else (periodic_vbs_state, reference_ring_amps))
+        psi, ref = build(spec), reference(spec.n, spec.N, exact_phases(spec.n))
+        assert psi.amps.dtype == ref.dtype and np.array_equal(psi.amps, ref), spec
         exact = math.fsum(np.square(ref.view(np.float64)).tolist())
         assert abs(squared_norm(psi.amps) - exact) <= 1e-15, spec
+        if spec.n == 2:
+            # the complex table stores only the rounding of exp(i pi) beside the real part
+            old = reference(spec.n, spec.N, omega_powers(2))
+            scale = np.abs(ref).max()
+            assert np.array_equal(old.real, ref), spec
+            assert np.abs(old.imag).max() <= 2e-16 * scale, spec
 
 
 def test_squared_norm_any_layout():
@@ -246,6 +269,18 @@ def test_squared_norm_any_layout():
         parts = np.concatenate([view.real.ravel(), view.imag.ravel()])
         want = math.fsum((parts * parts).tolist())
         assert abs(squared_norm(view) - want) <= 1e-15 * want
+
+
+def test_squared_norm_reads_a_real_vector_in_place():
+    amps = np.full(2 ** 20, 2.0 ** -10)  # unit norm, 8 MiB
+    tracemalloc.start()
+    try:
+        total = squared_norm(amps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total == 1.0
+    assert peak <= 2 * NORM_CHUNK * amps.itemsize
 
 
 @pytest.mark.parametrize("n,N", [(2, 10), (41, 1)])
