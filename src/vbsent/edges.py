@@ -31,8 +31,8 @@ import numpy as np
 from .closed_form import open_spectrum
 from .errors import BudgetError
 from .oracle import DEFAULT_MATRIX_BUDGET, DensityMatrix
-from .states import DEFAULT_AMP_BUDGET, SiteBasis, fold_tables
-from .weyl import BellIndex, IndexLike, as_index, omega_powers
+from .states import DEFAULT_AMP_BUDGET, SiteBasis, fold_tables, phase_table
+from .weyl import BellIndex, IndexLike, as_index
 
 
 def _check_edge_size(n: int, L: int, amp_budget: int) -> None:
@@ -45,7 +45,10 @@ def _check_edge_size(n: int, L: int, amp_budget: int) -> None:
 
 
 def _raw_rows(n: int, L: int, labels: Sequence[BellIndex], amp_budget: int) -> np.ndarray:
-    """Raw amplitude vectors of |p,q> for `labels`, one row each, from one fold."""
+    """Raw amplitude vectors of |p,q> for `labels`, one row each, from one fold.
+
+    The phases come from the chain states' exact table, so n = 2 rows are real.
+    """
     _check_edge_size(n, L, amp_budget)
     d = n * n - 1
     suml, summ, phase = (t.astype(np.int64) for t in fold_tables(n, L - 1))
@@ -56,9 +59,10 @@ def _raw_rows(n: int, L: int, labels: Sequence[BellIndex], amp_budget: int) -> n
     # and transposing the closure pair adds -total_l * total_m
     exp = (phase + q * suml - total_l * total_m) % n
     closure = ((-total_l) % n) * n + ((-total_m) % n)
-    rows = np.zeros((len(labels), d ** L), dtype=complex)
+    phases = phase_table(n)
+    rows = np.zeros((len(labels), d ** L), dtype=phases.dtype)
     row, config = np.nonzero(closure)  # closure 0: the singlet, projected out
-    rows[row, config * d + (closure[row, config] - 1)] = omega_powers(n)[exp[row, config]]
+    rows[row, config * d + (closure[row, config] - 1)] = phases[exp[row, config]]
     return rows
 
 

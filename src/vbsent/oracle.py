@@ -1,4 +1,4 @@
-"""Brute-force reference computations from explicit amplitude vectors.
+"""Brute-force reference computations from explicit state vectors.
 
 Everything in this module is derived directly from state vectors: partial
 traces, Hermitian spectra via cyclic Jacobi rotations, and entropies from
@@ -14,13 +14,17 @@ connected components of its nonzero pattern (rows and columns linked by a
 nonzero entry).  The components share no row or column, so the Gram is
 their direct sum up to a permutation: each is diagonalized on its own
 smaller side, and the remaining eigenvalues are exact zeros.  The split
-reads only the pattern of M, never the closed forms.  M is float64 for an
-n = 2 state and complex128 otherwise (see `states`).  A real M's Gram, and
-its reduced density matrix, is one real product M M^T or M^T M.  The Gram
-of a tall complex M (more rows than columns) is formed from M's float64
-view as one real symmetric product.  Neither makes a conjugated copy of M
-(`_gram`).  All reductions use fixed numpy contraction order, so repeated
-runs are bit-identical.
+reads only the pattern of M, never the closed forms.
+
+M itself holds the state's phase codes (see `states`), reshaped and
+transposed: one byte per entry.  Every Gram, and every reduced density
+matrix, decodes M in chunks of whole rows or columns into one reused buffer
+through the state's table of n + 1 amplitudes (real at n = 2, so an n = 2
+Gram is real) and sums the chunk Grams (`_gram`).  A decoded array is one
+chunk, or a whole M smaller than its Gram, never a whole state near the
+budget; and each chunk sum is short, so the Gram's rounding does not grow
+with the state.  All reductions use a fixed chunking and numpy
+contraction order, so repeated runs are bit-identical.
 
 The invariant checks (Hermiticity and unit trace of a density matrix; no
 eigenvalue below -1e-12 and a sum within 1e-10 of one) raise
@@ -58,6 +62,12 @@ NEGATIVE_CLAMP = 1e-12
 OFF_DIAGONAL_TARGET = 1e-13
 
 DEFAULT_MAX_SWEEPS = 100
+
+#: Decoded entries per chunk of a Gram product (512 KiB of float64).  A chunk
+#: also spans at least 8 Gram sides where that fits in 8 * GRAM_CHUNK
+#: entries: with fewer rows than its output's side, a symmetric product is
+#: dominated by its output and runs many times slower per entry.
+GRAM_CHUNK = 1 << 16
 
 #: Entries per row block of a Hermiticity measurement (4 MiB of complex128):
 #: a matrix of dim <= 512 is one block.
@@ -205,7 +215,7 @@ def _entropy_from_eigenvalues(eigs: np.ndarray) -> float:
 
 
 def _block_environment(state: PureState, block: Sequence[int]) -> Tuple[np.ndarray, Tuple[SiteBasis, ...]]:
-    """Reshape amplitudes to a (block, environment) matrix for a contiguous block."""
+    """Reshape the phase codes to a (block, environment) matrix for a contiguous block."""
     positions = list(block)
     if not positions:
         raise ValueError("block must contain at least one site")
@@ -214,7 +224,7 @@ def _block_environment(state: PureState, block: Sequence[int]) -> Tuple[np.ndarr
     if positions[0] < 0 or positions[-1] >= state.num_sites:
         raise ValueError(f"block positions {positions} outside chain of {state.num_sites} slots")
     env = [i for i in range(state.num_sites) if i not in positions]
-    tensor = state.tensor().transpose(positions + env)
+    tensor = state.codes.reshape(state.dims).transpose(positions + env)
     d_block = math.prod(state.dims[i] for i in positions)
     return tensor.reshape(d_block, -1), tuple(state.sites[i] for i in positions)
 
@@ -227,19 +237,20 @@ def reduced_density(
     """Partial trace of |state><state| onto a contiguous block of slots.
 
     `block` lists 0-based slot positions.  Tracing out nothing (the full
-    chain) is allowed and returns the pure projector.  A real state gives a
-    real matrix: `conj()` of a real array is the array itself, not a copy.
+    chain) is allowed and returns the pure projector.  An n = 2 state gives
+    a real matrix.
     """
     m, sites = _block_environment(state, block)
     if m.shape[0] > matrix_budget:
         raise BudgetError(f"block dimension {m.shape[0]} exceeds matrix budget {matrix_budget}")
-    return DensityMatrix(sites, m @ m.conj().T)
+    return DensityMatrix(sites, _gram(m, state.table, on_rows=True))
 
 
 def _independent_blocks(m: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Row and column index sets of the connected components of m's nonzero pattern.
 
-    Row i and column j are linked when m[i, j] != 0, so the blocks share no
+    m holds phase codes, whose pattern is the amplitudes' pattern.  Row i and
+    column j are linked when m[i, j] != 0, so the blocks share no
     row or column and the Gram of m is their direct sum up to a permutation.
     All-zero rows and columns belong to no block.  Each row is labelled by
     the least row index it reaches: labels spread row -> column -> row by
@@ -268,26 +279,43 @@ def _independent_blocks(m: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
     return list(zip(groups(label, row_members), groups(col_label, col_members)))
 
 
-def _gram(m: np.ndarray) -> np.ndarray:
-    """Gram matrix of m on its smaller side: m m^dagger if wide, m^dagger m if tall.
+def _gram(codes: np.ndarray, table: np.ndarray, on_rows: bool) -> np.ndarray:
+    """Gram matrix of the decoded matrix D = table[codes]: D D^dagger if
+    `on_rows`, else D^dagger D.
 
-    A real m gives the real product m m^T or m^T m.  A tall complex m is
-    read through its float64 view R, whose columns hold the real and
-    imaginary parts of m's columns in turn.  The real Gram S = R^T R is one
-    symmetric rank-k product with no conjugated copy of m, and
-    m^dagger m = (S_rr + S_ii) + i (S_ri - S_ir) in its even/odd blocks.  The
-    view needs m in C order; any other m is copied to C order first.  S is
-    exactly symmetric, so the result is exactly Hermitian.
+    Both are E^dagger E for E = D, or E = conj(D^T) read through the
+    conjugate table, with the Gram side as E's columns.  E is decoded in
+    chunks of whole rows into one reused buffer: GRAM_CHUNK entries, or 8
+    Gram sides if longer, up to 8 * GRAM_CHUNK entries.  A chunk's Gram is
+    one real symmetric product R^T R of its float64 view R (E itself for a
+    real table; for a complex one, R's columns hold the real and imaginary
+    parts of E's in turn), and the chunk products are summed in order.  The
+    complex Gram is (S_rr + S_ii) + i (S_ri - S_ir) in the even/odd blocks
+    of that sum S, exactly Hermitian.  An E that is one chunk, or that has
+    fewer rows than columns (a Gram larger than E), is decoded whole and
+    multiplied once.
     """
-    if m.shape[0] <= m.shape[1]:
-        return m @ m.conj().T  # m @ m.T for a real m: conj() returns m itself
-    if not np.iscomplexobj(m):
-        return m.T @ m
-    r = np.ascontiguousarray(m, dtype=complex).view(np.float64)
-    s = r.T @ r
-    gram = np.empty((m.shape[1], m.shape[1]), dtype=complex)
-    gram.real = s[0::2, 0::2] + s[1::2, 1::2]
-    gram.imag = s[0::2, 1::2] - s[1::2, 0::2]
+    e, values = (codes.T, table.conj()) if on_rows else (codes, table)
+    length, side = e.shape
+    step = min(length, max(GRAM_CHUNK // side, min(8 * side, 8 * GRAM_CHUNK // side)))
+    if step == length or length < side:
+        d = values[e]
+        return d.conj().T @ d  # d.T @ d for a real table: conj() returns d itself
+    index = np.empty((step, side), dtype=np.intp)  # else np.take allocates one per chunk
+    buf = np.empty((step, side), dtype=values.dtype)
+    width = buf.view(np.float64).shape[1]
+    total, product = np.zeros((width, width)), np.empty((width, width))
+    for lo in range(0, length, step):
+        rows = min(step, length - lo)
+        index[:rows] = e[lo:lo + rows]
+        # mode="clip" writes into `buf` directly; the default mode buffers a copy
+        r = np.take(values, index[:rows], out=buf[:rows], mode="clip").view(np.float64)
+        total += np.matmul(r.T, r, out=product)
+    if not np.iscomplexobj(values):
+        return total
+    gram = np.empty((side, side), dtype=complex)
+    gram.real = total[0::2, 0::2] + total[1::2, 1::2]
+    gram.imag = total[0::2, 1::2] - total[1::2, 0::2]
     return gram
 
 
@@ -311,10 +339,13 @@ def block_spectrum(
         raise BudgetError(
             f"both sides ({d_block}, {d_env}) exceed matrix budget {matrix_budget}"
         )
-    # one block at a time: np.ix_ copies only the block, not its whole rows
+    table = state.table
+    # one block at a time: np.ix_ copies only the block's codes, not its whole rows
     blocks = ((m[np.ix_(rows, cols)] for rows, cols in _independent_blocks(m))
               if side > SPLIT_MIN_SIDE else (m,))
-    found = np.concatenate([jacobi_eigvalsh(_gram(b), max_sweeps=max_sweeps) for b in blocks])
+    found = np.concatenate([
+        jacobi_eigvalsh(_gram(b, table, on_rows=b.shape[0] <= b.shape[1]), max_sweeps=max_sweeps)
+        for b in blocks])
     return spectrum_report(np.concatenate([found, np.zeros(side - found.size)]))
 
 

@@ -1,4 +1,4 @@
-"""Dense valence-bond-solid chain states over pair labels.
+"""Valence-bond-solid chain states over pair labels, stored as phase codes.
 
 Encoding.  A chain carries N bulk ("adjoint") sites.  Bulk site k holds the
 (n^2-1)-dimensional space spanned by the pair states phi[l,-m] of its two
@@ -22,26 +22,30 @@ constituent qudits (barred on the left, plain on the right), labelled by
   constant `ring_norm_squared`.  Any other marked site gives the same
   spectra (checked in the test suite via translation covariance).
 
+Storage.  Every nonzero amplitude is scale * omega**k, so a state is stored
+as one code per amplitude, code = k + 1 with code 0 for a zero amplitude, in
+the smallest unsigned dtype that holds n (`code_dtype`: one byte for every
+n <= 255), beside one float `scale`.  The codes are exact; decoding
+through the n + 1 values of `PureState.table` (0, then scale * omega**k from
+`phase_table`) gives the amplitudes, real at n = 2 where omega = -1.
+`PureState.amplitudes()` decodes a whole state; the oracle decodes chunk by
+chunk.  The amplitude budget counts amplitudes, not bytes.
+
 Construction.  Labels and phases of the running products come from one
 fold (`fold_tables`) in the smallest unsigned dtype that holds n^2 - 1.  The
-amplitude vector is zero-allocated and filled in chunks of label strings:
-the tables of the last few sites are folded once and joined to a few
-leading strings at a time.  Beside the vector, a build holds chunk-sized
-temporaries and the leading strings' tables, which have thousands of times
-fewer entries than the vector at any size near the budget; no lookup table
-is larger than one site's n^2 - 1 labels.  Each nonzero amplitude is one
-entry of an n-entry table of scaled powers of omega (`_phase_table`).
-
-Storage.  At n = 2 omega = -1, so every amplitude is real: the table is
-exactly (1, -1) and the state is a float64 vector, 8 bytes per amplitude.
-For n >= 3 the state is complex128, 16 bytes per amplitude.  `PureState`
-takes either dtype; the amplitude budget counts amplitudes, not bytes.
+codes that follow a leading string depend only on its running label and
+phase, one of n^3 values.  So the codes of the last few sites are scattered
+once behind each of those n^3 (label, phase) pairs (`_scatter`, in chunks of
+label strings), and the state is those blocks copied out, one per leading
+string (`_fill`).  The blocks take at most 1/16 of the state's bytes; beside
+them a build holds the leading strings' tables and chunk-sized
+temporaries, and no lookup table is larger than one site's n^2 - 1 labels
+times n.  A state too short for that is scattered directly.
 
 Norm.  `PureState` checks that the norm is 1 within 1e-12 (a NaN norm
-fails).  It measures the norm with `squared_norm`: chunked pairwise sums of
-squares combined by `math.fsum`, accurate to a few ulp at any length.  A
-plain BLAS dot product loses about 1e-11 near the amplitude budget, enough
-to reject correct states.
+fails).  Every nonzero amplitude has modulus `scale`, so the squared norm is
+scale**2 times the exact count of nonzero codes, with no long sum whose
+rounding grows with the state.
 
 States are immutable after construction and safe to share across threads.
 """
@@ -61,13 +65,10 @@ from .weyl import BellIndex, _check_dimension, omega_powers
 #: Default cap on the number of stored amplitudes per state.
 DEFAULT_AMP_BUDGET = 2 ** 26
 
-#: Label strings per chunk of the state fill, and float64 values per chunk of
-#: the norm sum: large enough to amortize numpy's per-call cost, small next
-#: to any state near the budget.  A fill chunk holds about four int64-sized
-#: temporaries at once (row offsets, slots, phase indices, values), which
-#: must stay a small share of a float64 n = 2 state as short as N = 10.
+#: Label strings per chunk of a scatter: large enough to amortize numpy's
+#: per-call cost, small next to any state near the budget.  A chunk holds
+#: one int64 slot per string and a few one-byte temporaries.
 FILL_CHUNK = 2 ** 13
-NORM_CHUNK = 2 ** 15
 
 #: (sum_l, sum_m, phase) per bulk label string; see `fold_tables`.
 Tables = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -126,44 +127,48 @@ class ChainSpec:
         return d ** self.N * (self.n * self.n if self.boundary == OPEN else 1)
 
 
-def squared_norm(amps: np.ndarray) -> float:
-    """Sum of |a|^2 over an amplitude vector, accurate to a few ulp at any length.
+def code_dtype(n: int) -> np.dtype:
+    """Dtype of a state's phase codes: the smallest unsigned one holding n."""
+    return np.min_scalar_type(n)
 
-    The squares of the real and imaginary parts are summed pairwise by
-    `np.sum` in chunks of NORM_CHUNK, and the chunk sums by `math.fsum`, so
-    the rounding error does not grow with the vector length the way a BLAS
-    dot product's does.  The chunking is fixed, so the result is reproducible.
-    A contiguous float64 or complex128 vector is read in place; a real one
-    has no imaginary parts to read.
-    """
-    dtype = complex if np.iscomplexobj(amps) else np.float64
-    flat = np.ascontiguousarray(amps, dtype=dtype).reshape(-1).view(np.float64)
-    buf = np.empty(min(NORM_CHUNK, flat.size))
-    sums = []
-    for lo in range(0, flat.size, NORM_CHUNK):
-        part = flat[lo:lo + NORM_CHUNK]
-        sums.append(float(np.square(part, out=buf[:part.size]).sum()))
-    return math.fsum(sums)
+
+def phase_table(n: int) -> np.ndarray:
+    """omega**k for k = 0..n-1: exactly (1.0, -1.0) in float64 at n = 2, where
+    omega = -1 is real, and `weyl.omega_powers` (complex128) for n >= 3."""
+    return np.array([1.0, -1.0]) if n == 2 else omega_powers(n)
 
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm float64 or complex128 amplitude vector over a labelled
-    product basis."""
+    """Unit-norm state over a labelled product basis, stored as phase codes.
+
+    Amplitude i is 0 where codes[i] == 0 and scale * omega**(codes[i] - 1)
+    otherwise, with omega the clock phase of the sites' common n.
+    """
 
     sites: Tuple[SiteBasis, ...]
-    amps: np.ndarray
+    codes: np.ndarray
+    scale: float
 
     def __post_init__(self) -> None:
-        if self.amps.dtype not in (np.float64, np.complex128):
-            raise ValueError(f"amplitudes must be float64 or complex128, got {self.amps.dtype}")
-        expected = math.prod(s.dim for s in self.sites)
-        if self.amps.shape != (expected,):
-            raise ValueError(f"amplitude vector has shape {self.amps.shape}, expected ({expected},)")
-        norm = math.sqrt(squared_norm(self.amps))
+        if not self.sites or any(s.n != self.n for s in self.sites):
+            raise ValueError("a state needs at least one site, all of one n")
+        if self.codes.dtype != code_dtype(self.n):
+            raise ValueError(f"codes must be {code_dtype(self.n)} at n = {self.n}, "
+                             f"got {self.codes.dtype}")
+        expected = math.prod(self.dims)
+        if self.codes.shape != (expected,):
+            raise ValueError(f"code vector has shape {self.codes.shape}, expected ({expected},)")
+        if self.codes.max() > self.n:
+            raise ValueError(f"phase codes run from 0 to {self.n}, got {self.codes.max()}")
+        norm = math.sqrt(self.scale * self.scale * np.count_nonzero(self.codes))
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise InvariantError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
-        self.amps.flags.writeable = False
+        self.codes.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.sites[0].n
 
     @property
     def dims(self) -> Tuple[int, ...]:
@@ -173,9 +178,15 @@ class PureState:
     def num_sites(self) -> int:
         return len(self.sites)
 
-    def tensor(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per slot (read-only view)."""
-        return self.amps.reshape(self.dims)
+    @property
+    def table(self) -> np.ndarray:
+        """The amplitude of each code: 0, then scale * omega**k (float64 at
+        n = 2, complex128 otherwise)."""
+        return np.concatenate(([0.0], phase_table(self.n) * self.scale))
+
+    def amplitudes(self) -> np.ndarray:
+        """The whole amplitude vector, decoded (a new array)."""
+        return self.table[self.codes]
 
 
 def _join(head: Tables, tail: Tables, n: int) -> Tables:
@@ -208,43 +219,62 @@ def fold_tables(n: int, sites: int) -> Tables:
     return tables
 
 
-def _phase_table(n: int) -> np.ndarray:
-    """omega**k for k = 0..n-1: exactly (1.0, -1.0) in float64 at n = 2, where
-    omega = -1 is real, and `weyl.omega_powers` (complex128) for n >= 3."""
-    return np.array([1.0, -1.0]) if n == 2 else omega_powers(n)
+def _scatter(n: int, head: Tables, sites: int, width: int, first: int) -> np.ndarray:
+    """Phase codes with one row of `width` per label string s: every string
+    of `head` followed by every string of `sites` more bulk sites, in C order.
 
-
-def _fill(n: int, sites: int, width: int, first: int, values: np.ndarray) -> np.ndarray:
-    """Amplitude vector with one entry per bulk label string s of `sites` sites,
-    in the dtype of `values`.
-
-    String s puts values[phase(s)] at s * width + lin(s) - first, where
+    String s puts phase(s) + 1 at s * width + lin(s) - first, where
     lin = l*n + m is the label of its running product; strings with
     lin < first are projected out and leave their row zero.  The strings
     are visited in chunks of about FILL_CHUNK: the tables of the last few
-    sites (at most FILL_CHUNK strings, and never the first site) are folded
-    once and joined to a few head strings per chunk, so every temporary is
-    chunk-sized.
+    sites (at most FILL_CHUNK strings) are folded once and joined to a few
+    leading strings per chunk, so every temporary is chunk-sized.
     """
     d = n * n - 1
     tail_sites = 0
-    while tail_sites < sites - 1 and d ** (tail_sites + 1) <= FILL_CHUNK:
+    while tail_sites < sites and d ** (tail_sites + 1) <= FILL_CHUNK:
         tail_sites += 1
-    head = fold_tables(n, sites - tail_sites)
+    head = _join(head, fold_tables(n, sites - tail_sites), n)
     tail = fold_tables(n, tail_sites)
     size = tail[0].size
     step = max(1, min(head[0].size, FILL_CHUNK // size))
-    offsets = np.arange(step * size) * width - first  # row starts within one chunk
-    amps = np.zeros(d ** sites * width, dtype=values.dtype)
+    codes = np.zeros(head[0].size * size * width, dtype=code_dtype(n))
     for lo in range(0, head[0].size, step):
         suml, summ, phase = _join(tuple(t[lo:lo + step] for t in head), tail, n)
         lin = suml * n + summ  # at most n^2 - 1: stays in the tables' dtype
-        slots = offsets[:lin.size] + lin + lo * size * width
+        start = lo * size * width - first
+        slots = np.arange(start, start + lin.size * width, width)  # row starts
+        slots += lin
         if first:
             keep = lin >= first
             slots, phase = slots[keep], phase[keep]
-        amps[slots] = values[phase]
-    return amps
+        codes[slots] = phase + 1  # at most n: fits the codes' dtype
+    return codes
+
+
+def _fill(n: int, sites: int, width: int, first: int) -> np.ndarray:
+    """`_scatter` of every string of `sites` bulk sites, built as blocks.
+
+    The codes behind a leading string depend only on its running label and
+    phase (l, m, p): the last t sites are scattered once behind each of the
+    n^3 values of (l, m, p), and each leading string's block is copied from
+    the one its own (l, m, p) selects.  t is the longest tail whose n^3
+    blocks take at most 1/16 of the state; with no such tail the state is
+    scattered directly.
+    """
+    d = n * n - 1
+    t = 0
+    while 16 * n ** 3 * d ** (t + 1) <= d ** sites:
+        t += 1
+    empty = fold_tables(n, 0)
+    if t == 0:
+        return _scatter(n, empty, sites, width, first)
+    every = np.arange(n ** 3)
+    labels = tuple((v % n).astype(empty[0].dtype) for v in (every // (n * n), every // n, every))
+    blocks = _scatter(n, labels, t, width, first).reshape(n ** 3, -1)
+    suml, summ, phase = fold_tables(n, sites - t)
+    key = (suml.astype(np.intp) * n + summ) * n + phase
+    return np.take(blocks, key, axis=0, mode="clip").reshape(-1)
 
 
 def ring_norm_squared(n: int, N: int) -> Fraction:
@@ -263,9 +293,8 @@ def open_vbs_state(spec: ChainSpec) -> PureState:
     if spec.boundary != OPEN:
         raise ValueError(f"spec has boundary {spec.boundary!r}, expected {OPEN!r}")
     n, N = spec.n, spec.N
-    amps = _fill(n, N, n * n, 0, _phase_table(n) * (n * n - 1) ** (-N / 2))
     sites = (SiteBasis(n, "adjoint"),) * N + (SiteBasis(n, "pair"),)
-    return PureState(sites, amps)
+    return PureState(sites, _fill(n, N, n * n, 0), (n * n - 1) ** (-N / 2))
 
 
 def periodic_vbs_state(spec: ChainSpec) -> PureState:
@@ -275,6 +304,5 @@ def periodic_vbs_state(spec: ChainSpec) -> PureState:
     n, N = spec.n, spec.N
     scale = 1.0 / math.sqrt(float(ring_norm_squared(n, N)))
     # the closing site stores labels 1..n^2-1: strings folding to the singlet drop out
-    amps = _fill(n, N - 1, n * n - 1, 1, _phase_table(n) * scale)
     sites = (SiteBasis(n, "adjoint"),) * N
-    return PureState(sites, amps)
+    return PureState(sites, _fill(n, N - 1, n * n - 1, 1), scale)

@@ -314,6 +314,16 @@ def test_verify_open_chains_past_the_blas_norm_limit(capsys):
     assert all(row["verified"] == "true" and float(row["max_dev"]) < 1e-13 for row in rows)
 
 
+def test_verify_deviation_does_not_grow_with_the_state(capsys):
+    # one Gram product summed over the 4.8e6 rows of this block reached 4.0e-14;
+    # short chunk sums keep it at a few ulp
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "open",
+                           "--block", "14", "--verify")
+    assert code == 0
+    (row,) = read_csv(out)
+    assert row["verified"] == "true" and float(row["max_dev"]) < 1e-14
+
+
 def test_ring_state_built_once_per_command(capsys, monkeypatch):
     built = []
     original = states.periodic_vbs_state

@@ -118,6 +118,19 @@ def test_projector_limit_decay():
         assert abs(projector_limit_residual(n, L) - expected) < 1e-12
 
 
+@pytest.mark.parametrize("L", [1, 2, 4])
+def test_su2_boundary_states_are_exactly_real(L):
+    # omega = -1 at n = 2: the chain states' exact table, with no rounding of exp(i pi)
+    basis = edge_basis(2, L)
+    assert basis.raw.dtype == np.float64
+    assert set(np.unique(basis.raw).tolist()) <= {-1.0, 0.0, 1.0}
+    assert edge_gram(basis).dtype == np.float64
+    rho = reconstruct_rho(basis).matrix
+    assert rho.dtype == np.float64
+    psi = open_vbs_state(ChainSpec(2, L, OPEN))
+    assert np.abs(rho - reduced_density(psi, range(L)).matrix).max() < 1e-15
+
+
 def test_edge_budget_guards():
     with pytest.raises(BudgetError):
         edge_vector_unnormalized(2, 3, (0, 1), amp_budget=8)

@@ -201,20 +201,46 @@ def verify_grid_blocks():
     yield periodic_vbs_state(ChainSpec(2, 13, PERIODIC)), range(6)
 
 
+def decoded_block_matrix(psi, block):
+    """The (block, environment) matrix of amplitudes, decoded whole."""
+    m, _ = oracle._block_environment(psi, block)
+    return psi.table[m]
+
+
 def test_real_states_match_their_complex_copies():
-    # n = 2 states are float64; their Grams are real products
+    # n = 2 states decode through a real table; their Grams are real products
     count = 0
     for psi, block in verify_grid_blocks():
-        if psi.sites[0].n != 2:
+        if psi.n != 2:
             continue
-        as_complex = PureState(psi.sites, psi.amps.astype(complex))
-        real = block_spectrum(psi, block).eigenvalues
-        assert np.abs(real - block_spectrum(as_complex, block).eigenvalues).max() <= 1e-15
+        m, _ = oracle._block_environment(psi, block)
+        on_rows = m.shape[0] <= m.shape[1]
+        real = oracle._gram(m, psi.table, on_rows)
+        assert real.dtype == np.float64
+        assert np.abs(real - oracle._gram(m, psi.table.astype(complex), on_rows)).max() <= 1e-15
         rho = reduced_density(psi, block).matrix
         assert rho.dtype == np.float64
-        assert np.abs(rho - reduced_density(as_complex, block).matrix).max() <= 1e-15
+        assert np.abs(rho - oracle._gram(m, psi.table.astype(complex), True)).max() <= 1e-15
         count += 1
     assert count == 55 + 27 + 1  # open grid, ring grid, the N=13 ring
+
+
+@pytest.mark.parametrize("chunk", [oracle.GRAM_CHUNK, 1 << 12])
+def test_chunked_grams_match_the_whole_decoded_product(monkeypatch, chunk):
+    # a 4096-entry chunk splits the larger Grams of the grids into several chunks
+    monkeypatch.setattr(oracle, "GRAM_CHUNK", chunk)
+    count = 0
+    for psi, block in verify_grid_blocks():
+        d = decoded_block_matrix(psi, block)
+        m, _ = oracle._block_environment(psi, block)
+        rho = reduced_density(psi, block).matrix
+        assert rho.dtype == psi.table.dtype  # real at n = 2
+        assert np.abs(rho - d @ d.conj().T).max() <= 1e-15
+        if m.shape[0] > m.shape[1]:  # the smaller side, as block_spectrum takes it
+            gram = oracle._gram(m, psi.table, on_rows=False)
+            assert np.abs(gram - d.conj().T @ d).max() <= 1e-15
+        count += 1
+    assert count == 55 + 19 + 27 + 5 + 2  # open grids, ring grids, the N=6 and N=13 rings
 
 
 def test_split_agrees_with_whole_gram(monkeypatch):
@@ -231,41 +257,42 @@ def test_split_agrees_with_whole_gram(monkeypatch):
 
 
 def permuted_block_state(seed=0):
-    """Unit vector whose (72, 36) block/environment matrix is a permuted
-    direct sum of dense random blocks, a chained staircase block, and
-    all-zero rows and columns."""
+    """n = 3 state whose (72, 72) block/environment code matrix is a permuted
+    direct sum of dense random-phase blocks, a chained staircase block, and
+    all-zero rows and columns.  Returns the state, its decoded matrix and the
+    summed rank of the decoded blocks."""
     r = rng(seed)
-    blocks = [r.normal(size=shape) + 1j * r.normal(size=shape)
-              for shape in [(10, 5), (20, 12), (7, 7), (1, 3)]]
-    blocks.append(np.eye(6, 7) + np.eye(6, 7, 1))  # rows linked only through a chain
-    m = np.zeros((72, 36), dtype=complex)
+    blocks = [r.integers(1, 4, size=shape) for shape in [(10, 5), (20, 12), (7, 7), (1, 3)]]
+    blocks.append(np.eye(6, 7, dtype=int) + np.eye(6, 7, 1, dtype=int))  # rows linked only through a chain
+    m = np.zeros((72, 72), dtype=np.uint8)
     i = j = 0
     for b in blocks:
         m[i:i + b.shape[0], j:j + b.shape[1]] = b
         i, j = i + b.shape[0], j + b.shape[1]
-    m = m[r.permutation(72)][:, r.permutation(36)]
-    m /= np.linalg.norm(m)
-    sites = (SiteBasis(3, "pair"), SiteBasis(3, "adjoint"), SiteBasis(3, "pair"), SiteBasis(2, "pair"))
-    return PureState(sites, m.reshape(-1)), m
+    m = m[r.permutation(72)][:, r.permutation(72)]
+    sites = (SiteBasis(3, "pair"), SiteBasis(3, "adjoint")) * 2
+    psi = PureState(sites, m.reshape(-1), 1 / np.sqrt(np.count_nonzero(m)))
+    rank = sum(np.linalg.matrix_rank(psi.table[b]) for b in blocks)
+    return psi, psi.table[m], rank
 
 
 def test_split_of_permuted_block_matrix(monkeypatch):
     monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
-    psi, m = permuted_block_state()
-    parts = oracle._independent_blocks(m)
+    psi, m, rank = permuted_block_state()
+    parts = oracle._independent_blocks(oracle._block_environment(psi, range(2))[0])
     assert sorted((len(rows), len(cols)) for rows, cols in parts) == [
         (1, 3), (6, 7), (7, 7), (10, 5), (20, 12)]
     report = block_spectrum(psi, range(2))
     reference = np.sort(np.linalg.eigvalsh(m.conj().T @ m))[::-1]
-    assert report.eigenvalues.shape == (36,)  # min(d_block, d_env)
+    assert report.eigenvalues.shape == (72,)  # min(d_block, d_env)
     assert np.abs(report.eigenvalues - reference).max() < 1e-13
-    # one eigenvalue per row or column of each block's smaller side, then exact zeros
-    assert np.count_nonzero(report.eigenvalues) == 1 + 6 + 7 + 5 + 12
+    # one eigenvalue per unit of each block's rank, then exact zeros
+    assert np.count_nonzero(report.eigenvalues) == rank
 
 
 def test_split_is_bit_identical_across_calls(monkeypatch):
     monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
-    psi, _ = permuted_block_state(seed=3)
+    psi, _, _ = permuted_block_state(seed=3)
     first, second = block_spectrum(psi, range(2)), block_spectrum(psi, range(2))
     assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
     assert first.entropy == second.entropy
@@ -273,16 +300,17 @@ def test_split_is_bit_identical_across_calls(monkeypatch):
 
 def test_split_surfaces_convergence_error(monkeypatch):
     monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
-    psi, _ = permuted_block_state(seed=5)
+    psi, _, _ = permuted_block_state(seed=5)
     with pytest.raises(ConvergenceError):
         block_spectrum(psi, range(2), max_sweeps=0)
 
 
-# ------------------------------------------------------------ real-view Gram
+# ------------------------------------------------- chunked real-view Gram
 
 
 def tall_open_blocks():
-    """(n, N, L, start, M) for every open-grid block whose M has more rows than columns."""
+    """(n, N, L, start, psi, M) for every open-grid block whose code matrix M
+    has more rows than columns."""
     for n, grid in OPEN_GRID.items():
         for N in grid["chains"]:
             psi = open_vbs_state(ChainSpec(n, N, OPEN))
@@ -290,37 +318,73 @@ def tall_open_blocks():
                 for start in range(N - L + 1):
                     m, _ = oracle._block_environment(psi, range(start, start + L))
                     if m.shape[0] > m.shape[1]:
-                        yield n, N, L, start, m
+                        yield n, N, L, start, psi, m
 
 
 def test_real_view_gram_matches_conjugate_product():
     count = 0
-    for n, N, L, start, m in tall_open_blocks():
-        assert np.abs(oracle._gram(m) - m.conj().T @ m).max() < 1e-13, (n, N, L, start)
+    for n, N, L, start, psi, m in tall_open_blocks():
+        d = psi.table[m]
+        assert np.abs(oracle._gram(m, psi.table, False) - d.conj().T @ d).max() < 1e-13, (n, N, L, start)
         count += 1
     assert count == 17
     psi = open_vbs_state(ChainSpec(4, 5, OPEN))
-    m, _ = oracle._block_environment(psi, range(5))  # 759375 x 16
-    assert np.abs(oracle._gram(m) - m.conj().T @ m).max() < 1e-13
+    m, _ = oracle._block_environment(psi, range(5))  # 759375 x 16, many chunks
+    d = psi.table[m]
+    assert np.abs(oracle._gram(m, psi.table, False) - d.conj().T @ d).max() < 1e-13
 
 
-def test_real_view_gram_on_random_and_strided_input():
-    r = rng(7)
-    a = r.normal(size=(500, 24)) + 1j * r.normal(size=(500, 24))
-    a /= np.linalg.norm(a)  # unit norm, as a state's block matrix
-    # C order, then strided columns, Fortran order and strided rows, which are copied first
-    for m in (a, a[:, ::3], np.asfortranarray(a), a[::2]):
-        gram = oracle._gram(m)
-        assert np.abs(gram - m.conj().T @ m).max() < 1e-13
-        assert np.array_equal(gram, gram.conj().T)  # exactly Hermitian
-    wide = a.T
-    assert np.array_equal(oracle._gram(wide), wide @ wide.conj().T)
+def random_codes(shape, n=3, seed=7):
+    """Random phase codes (zeros included) and the table of a unit-norm state."""
+    codes = rng(seed).integers(0, n + 1, size=shape).astype(np.uint8)
+    table = np.concatenate(([0.0], np.exp(2j * np.pi * np.arange(n) / n)))
+    return codes, table / np.sqrt(np.count_nonzero(codes))
+
+
+def test_real_view_gram_on_random_and_strided_input(monkeypatch):
+    a, table = random_codes((500, 24))
+    real_codes, _ = random_codes((300, 10), n=2)
+    real = np.array([0.0, 1.0, -1.0]) / np.sqrt(np.count_nonzero(real_codes))
+    # small chunks leave 8-side chunks and short last ones
+    for chunk in (oracle.GRAM_CHUNK, 200, 24):
+        monkeypatch.setattr(oracle, "GRAM_CHUNK", chunk)
+        # C order, strided columns, transposed, strided rows and Fortran order
+        for m in (a, a[:, ::3], a.T, a[::2], np.asfortranarray(a)):
+            d = table[m]
+            for on_rows, want in ((True, d @ d.conj().T), (False, d.conj().T @ d)):
+                gram = oracle._gram(m, table, on_rows)
+                assert np.abs(gram - want).max() < 1e-13
+                side, length = m.shape if on_rows else m.shape[::-1]
+                if chunk <= 200 and length >= side:  # summed from chunks: exactly Hermitian
+                    assert np.array_equal(gram, gram.conj().T)
+        for on_rows in (True, False):
+            gram = oracle._gram(real_codes, real, on_rows)
+            d = real[real_codes]
+            assert gram.dtype == np.float64
+            assert np.abs(gram - (d @ d.T if on_rows else d.T @ d)).max() < 1e-13
 
 
 def test_real_view_gram_is_bit_identical_across_calls():
     psi = open_vbs_state(ChainSpec(3, 4, OPEN))
-    m, _ = oracle._block_environment(psi, range(4))
-    assert oracle._gram(m).tobytes() == oracle._gram(m).tobytes()
+    m, _ = oracle._block_environment(psi, range(1, 3))  # 64 x 576, chunked
+    first, second = (oracle._gram(m, psi.table, on_rows) for on_rows in (True, True))
+    assert first.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize("block", [range(12), range(1, 12)])
+def test_block_spectrum_memory_stays_near_the_codes(block):
+    # the codes are 1 byte per amplitude; no decoded array is as long as the state
+    psi = open_vbs_state(ChainSpec(2, 12, OPEN))
+    m, _ = oracle._block_environment(psi, block)
+    gram_bytes = min(m.shape) ** 2 * 8
+    del m
+    tracemalloc.start()
+    try:
+        block_spectrum(psi, block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * psi.codes.nbytes + gram_bytes
 
 
 # ------------------------------------------------------------ invariant checks
@@ -364,7 +428,7 @@ def test_hermiticity_measured_without_full_size_temporaries():
     # temporaries of that size
     psi = open_vbs_state(ChainSpec(3, 4, OPEN))
     m, sites = oracle._block_environment(psi, range(4))
-    rho = m @ m.conj().T
+    rho = oracle._gram(m, psi.table, on_rows=True)
     del psi, m
     # an anti-Hermitian 1e-11 perturbation in the last row block still fails
     saved = rho[4000, 10], rho[10, 4000]

@@ -10,17 +10,17 @@ import pytest
 from vbsent.errors import BudgetError, InvariantError
 from vbsent.oracle import block_spectrum
 from vbsent.states import (
-    NORM_CHUNK,
     OPEN,
     PERIODIC,
     ChainSpec,
     PureState,
     SiteBasis,
+    code_dtype,
     fold_tables,
     open_vbs_state,
     periodic_vbs_state,
+    phase_table,
     ring_norm_squared,
-    squared_norm,
 )
 from vbsent.weyl import omega_powers, phase_fold
 
@@ -60,30 +60,48 @@ def test_site_basis_labels():
 
 def test_pure_state_norm_guard():
     site = SiteBasis(2, "pair")
-    with pytest.raises(ValueError):
-        PureState((site,), np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
-    with pytest.raises(InvariantError):  # a norm 5e-11 above one
-        PureState((site,), np.array([1.0, 1e-5, 0.0, 0.0], dtype=complex))
+    one = np.array([1, 0, 0, 0], dtype=np.uint8)
+    PureState((site,), one, 1.0)
+    PureState((site,), np.array([1, 2, 1, 0], dtype=np.uint8), 1 / math.sqrt(3))
+    PureState((site,), one, 1.0 + 5e-13)
+    with pytest.raises(InvariantError):  # a norm 2e-12 above one
+        PureState((site,), one, 1.0 + 2e-12)
     with pytest.raises(InvariantError):  # a NaN norm compares false against the bound
-        PureState((site,), np.array([math.nan, 0.0, 0.0, 0.0], dtype=complex))
-    PureState((site,), np.array([1.0, 1e-7, 0.0, 0.0], dtype=complex))  # 5e-15 above
-    PureState((site,), np.array([1.0, 1e-7, 0.0, 0.0]))  # float64 is accepted too
-    for dtype in (np.float32, np.complex64, np.int64):
+        PureState((site,), one, math.nan)
+    with pytest.raises(InvariantError):  # no nonzero amplitude
+        PureState((site,), np.zeros(4, dtype=np.uint8), 1.0)
+    with pytest.raises(ValueError, match="phase codes"):  # omega**2 does not exist at n = 2
+        PureState((site,), np.array([3, 0, 0, 0], dtype=np.uint8), 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        PureState((site,), one[:3], 1.0)
+    with pytest.raises(ValueError, match="one n"):
+        PureState((site, SiteBasis(3, "pair")), np.ones(36, dtype=np.uint8), 1 / 6)
+    for dtype in (np.uint16, np.int8, np.float64, np.complex128):
         with pytest.raises(ValueError):
-            PureState((site,), np.array([1, 0, 0, 0], dtype=dtype))
+            PureState((site,), one.astype(dtype), 1.0)
+
+
+def test_code_dtype_follows_n():
+    # a code is phase + 1 <= n: one byte up to n = 255
+    assert code_dtype(2) == code_dtype(255) == np.uint8
+    assert code_dtype(256) == np.uint16
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_state_dtype_follows_n(n):
     # omega = -1 is real at n = 2 only
     want = np.float64 if n == 2 else np.complex128
-    assert open_vbs_state(ChainSpec(n, 2, OPEN)).amps.dtype == want
-    assert periodic_vbs_state(ChainSpec(n, 3, PERIODIC)).amps.dtype == want
+    for psi in (open_vbs_state(ChainSpec(n, 2, OPEN)), periodic_vbs_state(ChainSpec(n, 3, PERIODIC))):
+        assert psi.codes.dtype == code_dtype(n) == np.uint8
+        assert psi.table.dtype == psi.amplitudes().dtype == want
+        assert psi.table.tolist() == [0.0, *(phase_table(n) * psi.scale).tolist()]
+        assert not psi.codes.flags.writeable
 
 
 def test_open_single_site():
     psi = open_vbs_state(ChainSpec(2, 1, OPEN))
-    nz = psi.amps[np.abs(psi.amps) > 0]
+    amps = psi.amplitudes()
+    nz = amps[np.abs(amps) > 0]
     assert nz.size == 3
     assert np.allclose(np.abs(nz), 1 / math.sqrt(3))
     report = block_spectrum(psi, [0])
@@ -93,12 +111,13 @@ def test_open_single_site():
 @pytest.mark.parametrize("n,N", [(2, 2), (2, 5), (3, 2), (3, 3)])
 def test_open_norm(n, N):
     psi = open_vbs_state(ChainSpec(n, N, OPEN))
-    assert abs(np.linalg.norm(psi.amps) - 1.0) < 1e-13
+    assert abs(np.linalg.norm(psi.amplitudes()) - 1.0) < 1e-13
 
 
 def test_open_support_count():
     psi = open_vbs_state(ChainSpec(3, 2, OPEN))
-    nz = psi.amps[np.abs(psi.amps) > 0]
+    amps = psi.amplitudes()
+    nz = amps[np.abs(amps) > 0]
     assert nz.size == 64  # (n^2-1)^N label strings, one boundary slot each
     assert np.allclose(np.abs(nz), 1 / 8)
 
@@ -108,7 +127,7 @@ def test_open_amplitudes_match_scalar_fold(n, N):
     """Full enumeration: every amplitude equals the per-string fold, done
     label string by label string in plain Python."""
     psi = open_vbs_state(ChainSpec(n, N, OPEN))
-    tensor = psi.tensor()
+    tensor = psi.amplitudes().reshape(psi.dims)
     labels = nonzero_labels(n)
     scale = (n * n - 1) ** (-N / 2)
     for config in itertools.product(range(len(labels)), repeat=N):
@@ -136,13 +155,13 @@ def test_ring_norm_constant():
 @pytest.mark.parametrize("n,N", [(2, 2), (2, 6), (3, 3)])
 def test_periodic_norm(n, N):
     psi = periodic_vbs_state(ChainSpec(n, N, PERIODIC))
-    assert abs(np.linalg.norm(psi.amps) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi.amplitudes()) - 1.0) < 1e-12
 
 
 def test_periodic_no_singlet_closure_support():
     n, N = 2, 4
     psi = periodic_vbs_state(ChainSpec(n, N, PERIODIC))
-    tensor = psi.tensor()
+    tensor = psi.amplitudes().reshape(psi.dims)
     labels = nonzero_labels(n)
     scale = 1.0 / math.sqrt(float(ring_norm_squared(n, N)))
     for config in itertools.product(range(len(labels)), repeat=N - 1):
@@ -195,11 +214,6 @@ def test_fold_tables_against_scalar_fold():
 # ------------------------------------------- build and norm at budget scale
 
 
-def exact_phases(n):
-    """omega**k: exactly +-1 in float64 at n = 2, where omega = -1."""
-    return np.array([1.0, -1.0]) if n == 2 else omega_powers(n)
-
-
 def reference_open_amps(n, N, phases):
     """The original one-pass scatter: int64 slots over the full fold tables."""
     nn, d = n * n, n * n - 1
@@ -237,10 +251,11 @@ def admitted_specs(limit):
 
 
 def test_smallest_states_the_blas_norm_rejected():
-    # np.linalg.norm gave 0.9999999999988199 at open N=12 and failed the ring at N=14
+    # np.linalg.norm gave 0.9999999999988199 at open N=12 and failed the ring at N=14;
+    # scale**2 times the exact count of nonzero codes is within a few ulp of 1
     for psi in (open_vbs_state(ChainSpec(2, 12, OPEN)),
                 periodic_vbs_state(ChainSpec(2, 14, PERIODIC))):
-        assert abs(squared_norm(psi.amps) - 1.0) < 1e-15
+        assert abs(np.count_nonzero(psi.codes) * psi.scale ** 2 - 1.0) < 1e-15
 
 
 def test_build_and_norm_on_random_admitted_specs():
@@ -250,37 +265,18 @@ def test_build_and_norm_on_random_admitted_specs():
     for spec in picks:
         build, reference = ((open_vbs_state, reference_open_amps) if spec.boundary == OPEN
                             else (periodic_vbs_state, reference_ring_amps))
-        psi, ref = build(spec), reference(spec.n, spec.N, exact_phases(spec.n))
-        assert psi.amps.dtype == ref.dtype and np.array_equal(psi.amps, ref), spec
+        psi, ref = build(spec), reference(spec.n, spec.N, phase_table(spec.n))
+        amps = psi.amplitudes()
+        assert amps.dtype == ref.dtype and amps.tobytes() == ref.tobytes(), spec
+        assert np.array_equal(psi.codes != 0, ref != 0), spec
         exact = math.fsum(np.square(ref.view(np.float64)).tolist())
-        assert abs(squared_norm(psi.amps) - exact) <= 1e-15, spec
+        assert abs(np.count_nonzero(psi.codes) * psi.scale ** 2 - exact) <= 1e-15, spec
         if spec.n == 2:
             # the complex table stores only the rounding of exp(i pi) beside the real part
             old = reference(spec.n, spec.N, omega_powers(2))
             scale = np.abs(ref).max()
             assert np.array_equal(old.real, ref), spec
             assert np.abs(old.imag).max() <= 2e-16 * scale, spec
-
-
-def test_squared_norm_any_layout():
-    r = np.random.default_rng(1)
-    a = r.normal(size=(300, 7)) + 1j * r.normal(size=(300, 7))
-    for view in (a, a.T, a[:, ::2], a.real):
-        parts = np.concatenate([view.real.ravel(), view.imag.ravel()])
-        want = math.fsum((parts * parts).tolist())
-        assert abs(squared_norm(view) - want) <= 1e-15 * want
-
-
-def test_squared_norm_reads_a_real_vector_in_place():
-    amps = np.full(2 ** 20, 2.0 ** -10)  # unit norm, 8 MiB
-    tracemalloc.start()
-    try:
-        total = squared_norm(amps)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert total == 1.0
-    assert peak <= 2 * NORM_CHUNK * amps.itemsize
 
 
 @pytest.mark.parametrize("n,N", [(2, 10), (41, 1)])
@@ -293,4 +289,4 @@ def test_build_peak_memory_near_state_size(n, N):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * psi.amps.nbytes
+    assert peak <= 1.25 * psi.codes.nbytes
