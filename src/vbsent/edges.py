@@ -32,7 +32,7 @@ from .closed_form import open_spectrum
 from .errors import BudgetError
 from .oracle import DEFAULT_MATRIX_BUDGET, DensityMatrix
 from .states import DEFAULT_AMP_BUDGET, SiteBasis, fold_tables, phase_table
-from .weyl import BellIndex, IndexLike, as_index
+from .weyl import BellIndex
 
 
 def _check_edge_size(n: int, L: int, amp_budget: int) -> None:
@@ -64,16 +64,6 @@ def _raw_rows(n: int, L: int, labels: Sequence[BellIndex], amp_budget: int) -> n
     row, config = np.nonzero(closure)  # closure 0: the singlet, projected out
     rows[row, config * d + (closure[row, config] - 1)] = phases[exp[row, config]]
     return rows
-
-
-def edge_vector_unnormalized(n: int, L: int, label: IndexLike,
-                             amp_budget: int = DEFAULT_AMP_BUDGET) -> np.ndarray:
-    """Raw amplitude vector of |p,q> with the normalization constant set to 1.
-
-    Zero everywhere for (p,q) = (0,0) at L = 1 (the closure is fully
-    projected out).
-    """
-    return _raw_rows(n, L, [as_index(n, label)], amp_budget)[0]
 
 
 @dataclass(frozen=True)

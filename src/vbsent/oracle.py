@@ -61,7 +61,12 @@ NEGATIVE_CLAMP = 1e-12
 #: Jacobi terminates once the off-diagonal Frobenius norm drops below this.
 OFF_DIAGONAL_TARGET = 1e-13
 
+#: Jacobi raises ConvergenceError if the target is not met after this many sweeps.
 DEFAULT_MAX_SWEEPS = 100
+
+#: Bound on the Frobenius norm of matrix - matrix^dagger of a density matrix
+#: or of a Jacobi input.
+HERMITIAN_TOL = 1e-12
 
 #: Decoded entries per chunk of a Gram product (512 KiB of float64).  A chunk
 #: also spans at least 8 Gram sides where that fits in 8 * GRAM_CHUNK
@@ -98,7 +103,7 @@ class DensityMatrix:
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match block dimension {dim}")
         herm = hermitian_deviation(self.matrix)
-        if not herm <= 1e-12:  # NaN fails too
+        if not herm <= HERMITIAN_TOL:  # NaN fails too
             raise InvariantError(f"matrix is not Hermitian: deviation {herm:.3e}")
         tr = complex(np.trace(self.matrix))
         if not abs(tr - 1.0) <= 1e-12:
@@ -113,47 +118,41 @@ class DensityMatrix:
 @dataclass
 class SpectrumReport:
     """Eigenvalues of a density matrix, sorted descending with tiny negatives
-    clamped to zero, and their von Neumann entropy."""
+    clamped to zero (see `spectrum_report`)."""
 
     eigenvalues: np.ndarray
-    entropy: float
 
 
-def jacobi_eigvalsh(
-    matrix: np.ndarray,
-    off_target: float = OFF_DIAGONAL_TARGET,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    hermitian_tol: float = 1e-12,
-) -> np.ndarray:
+def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations, descending.
 
     Sweeps the strict upper triangle in fixed row order, annihilating each
     pivot with a complex plane rotation, until the off-diagonal Frobenius
-    norm falls below `off_target`.  Raises ConvergenceError if the target is
-    not met after `max_sweeps` sweeps, and ValueError for input that is not
-    Hermitian within `hermitian_tol`.
+    norm falls below OFF_DIAGONAL_TARGET.  Raises ConvergenceError if the
+    target is not met after DEFAULT_MAX_SWEEPS sweeps, and ValueError for
+    input that is not Hermitian within HERMITIAN_TOL.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     herm = hermitian_deviation(a)
-    if not herm <= hermitian_tol:  # NaN fails too
-        raise ValueError(f"matrix is not Hermitian within {hermitian_tol:g}: deviation {herm:.3e}")
+    if not herm <= HERMITIAN_TOL:  # NaN fails too
+        raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL:g}: deviation {herm:.3e}")
     dim = a.shape[0]
     if dim == 1:
         return np.array([a[0, 0].real])
 
     w = (a + a.conj().T) / 2.0
     # pivots below this cannot collectively push the off-norm above target
-    skip = off_target / (4.0 * dim)
+    skip = OFF_DIAGONAL_TARGET / (4.0 * dim)
 
     def off_norm() -> float:
         off = w.copy()
         np.fill_diagonal(off, 0.0)
         return float(np.linalg.norm(off))
 
-    converged = off_norm() < off_target
-    for _ in range(max_sweeps):
+    converged = off_norm() < OFF_DIAGONAL_TARGET
+    for _ in range(DEFAULT_MAX_SWEEPS):
         if converged:
             break
         for p in range(dim - 1):
@@ -185,10 +184,11 @@ def jacobi_eigvalsh(
                 w[q, q] = aqq + t * absb
                 w[p, q] = 0.0
                 w[q, p] = 0.0
-        converged = off_norm() < off_target
+        converged = off_norm() < OFF_DIAGONAL_TARGET
     if not converged:
         raise ConvergenceError(
-            f"off-diagonal norm {off_norm():.3e} above target {off_target:g} after {max_sweeps} sweeps"
+            f"off-diagonal norm {off_norm():.3e} above target {OFF_DIAGONAL_TARGET:g} "
+            f"after {DEFAULT_MAX_SWEEPS} sweeps"
         )
     return np.sort(np.diagonal(w).real)[::-1]
 
@@ -206,12 +206,7 @@ def spectrum_report(eigenvalues: Union[np.ndarray, Sequence[float]]) -> Spectrum
     total = float(eigs.sum())
     if not abs(total - 1.0) <= 1e-10:  # NaN fails too
         raise InvariantError(f"eigenvalues sum to {total!r}, expected 1 within 1e-10")
-    return SpectrumReport(eigs, _entropy_from_eigenvalues(eigs))
-
-
-def _entropy_from_eigenvalues(eigs: np.ndarray) -> float:
-    pos = eigs[eigs > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    return SpectrumReport(eigs)
 
 
 def _block_environment(state: PureState, block: Sequence[int]) -> Tuple[np.ndarray, Tuple[SiteBasis, ...]]:
@@ -323,7 +318,6 @@ def block_spectrum(
     state: PureState,
     block: Sequence[int],
     matrix_budget: int = DEFAULT_MATRIX_BUDGET,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> SpectrumReport:
     """Spectrum of the block reduction, diagonalizing the smaller Gram side.
 
@@ -344,7 +338,7 @@ def block_spectrum(
     blocks = ((m[np.ix_(rows, cols)] for rows, cols in _independent_blocks(m))
               if side > SPLIT_MIN_SIDE else (m,))
     found = np.concatenate([
-        jacobi_eigvalsh(_gram(b, table, on_rows=b.shape[0] <= b.shape[1]), max_sweeps=max_sweeps)
+        jacobi_eigvalsh(_gram(b, table, on_rows=b.shape[0] <= b.shape[1]))
         for b in blocks])
     return spectrum_report(np.concatenate([found, np.zeros(side - found.size)]))
 
@@ -354,7 +348,8 @@ def von_neumann(report: SpectrumReport) -> float:
     total = float(report.eigenvalues.sum())
     if not abs(total - 1.0) <= 1e-10:
         raise InvariantError(f"eigenvalues sum to {total!r}, expected 1 within 1e-10")
-    return _entropy_from_eigenvalues(report.eigenvalues)
+    pos = report.eigenvalues[report.eigenvalues > 0.0]
+    return float(-(pos * np.log(pos)).sum())
 
 
 def renyi(report: SpectrumReport, alpha: Union[float, complex]) -> Union[float, complex]:

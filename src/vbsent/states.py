@@ -32,15 +32,18 @@ through the n + 1 values of `PureState.table` (0, then scale * omega**k from
 chunk.  The amplitude budget counts amplitudes, not bytes.
 
 Construction.  Labels and phases of the running products come from one
-fold (`fold_tables`) in the smallest unsigned dtype that holds n^2 - 1.  The
-codes that follow a leading string depend only on its running label and
-phase, one of n^3 values.  So the codes of the last few sites are scattered
-once behind each of those n^3 (label, phase) pairs (`_scatter`, in chunks of
-label strings), and the state is those blocks copied out, one per leading
-string (`_fill`).  The blocks take at most 1/16 of the state's bytes; beside
-them a build holds the leading strings' tables and chunk-sized
-temporaries, and no lookup table is larger than one site's n^2 - 1 labels
-times n.  A state too short for that is scattered directly.
+fold (`fold_tables`) in the smallest unsigned dtype that holds n^2 - 1.  A
+state is one closure row per label string of its free bulk sites: the codes
+of the last slot (the boundary pair, or the ring's closing site), nonzero at
+the running product's label only (`_closure`).  The rows behind a leading
+string depend only on its running label and phase, its key, one of n^3
+values.  So `_fill` writes the closure rows of the n^3 keys, grows them t
+times by one bulk site (a key's new block gathers the blocks of the keys it
+steps to, from a one-site step table), and copies one block per leading
+string with one `np.take`.  The blocks take at most 1/16 of the state's
+bytes; beside them a build holds the leading strings' keys and the step
+table of n^3 (n^2 - 1) keys.  A state too short for that has the closure
+rows of its strings written directly, with one index per string.
 
 Norm.  `PureState` checks that the norm is 1 within 1e-12 (a NaN norm
 fails).  Every nonzero amplitude has modulus `scale`, so the squared norm is
@@ -64,11 +67,6 @@ from .weyl import BellIndex, _check_dimension, omega_powers
 
 #: Default cap on the number of stored amplitudes per state.
 DEFAULT_AMP_BUDGET = 2 ** 26
-
-#: Label strings per chunk of a scatter: large enough to amortize numpy's
-#: per-call cost, small next to any state near the budget.  A chunk holds
-#: one int64 slot per string and a few one-byte temporaries.
-FILL_CHUNK = 2 ** 13
 
 #: (sum_l, sum_m, phase) per bulk label string; see `fold_tables`.
 Tables = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -219,62 +217,54 @@ def fold_tables(n: int, sites: int) -> Tables:
     return tables
 
 
-def _scatter(n: int, head: Tables, sites: int, width: int, first: int) -> np.ndarray:
-    """Phase codes with one row of `width` per label string s: every string
-    of `head` followed by every string of `sites` more bulk sites, in C order.
+def _key(tables: Tables, n: int) -> np.ndarray:
+    """Index (l*n + m)*n + p of each string's running label (l, m) and phase p."""
+    suml, summ, phase = tables
+    return (suml.astype(np.intp) * n + summ) * n + phase
 
-    String s puts phase(s) + 1 at s * width + lin(s) - first, where
-    lin = l*n + m is the label of its running product; strings with
-    lin < first are projected out and leave their row zero.  The strings
-    are visited in chunks of about FILL_CHUNK: the tables of the last few
-    sites (at most FILL_CHUNK strings) are folded once and joined to a few
-    leading strings per chunk, so every temporary is chunk-sized.
-    """
-    d = n * n - 1
-    tail_sites = 0
-    while tail_sites < sites and d ** (tail_sites + 1) <= FILL_CHUNK:
-        tail_sites += 1
-    head = _join(head, fold_tables(n, sites - tail_sites), n)
-    tail = fold_tables(n, tail_sites)
-    size = tail[0].size
-    step = max(1, min(head[0].size, FILL_CHUNK // size))
-    codes = np.zeros(head[0].size * size * width, dtype=code_dtype(n))
-    for lo in range(0, head[0].size, step):
-        suml, summ, phase = _join(tuple(t[lo:lo + step] for t in head), tail, n)
-        lin = suml * n + summ  # at most n^2 - 1: stays in the tables' dtype
-        start = lo * size * width - first
-        slots = np.arange(start, start + lin.size * width, width)  # row starts
-        slots += lin
-        if first:
-            keep = lin >= first
-            slots, phase = slots[keep], phase[keep]
-        codes[slots] = phase + 1  # at most n: fits the codes' dtype
-    return codes
+
+def _closure(n: int, tables: Tables, width: int, first: int) -> np.ndarray:
+    """Closure rows: one row of `width` codes per string of `tables`, holding
+    phase + 1 at slot l*n + m - first of its running label (l, m), or zero
+    where that slot is negative (the singlet, projected out of a ring)."""
+    suml, summ, phase = tables
+    lin = suml * n + summ  # at most n^2 - 1: stays in the tables' dtype
+    codes = phase + 1  # at most n: fits the codes' dtype
+    codes[lin < first] = 0  # a projected-out string writes 0 at its own row start
+    np.maximum(lin, first, out=lin)
+    rows = np.zeros((lin.size, width), dtype=code_dtype(n))
+    slots = np.arange(-first, lin.size * width - first, width)  # row starts
+    slots += lin
+    rows.reshape(-1)[slots] = codes
+    return rows
 
 
 def _fill(n: int, sites: int, width: int, first: int) -> np.ndarray:
-    """`_scatter` of every string of `sites` bulk sites, built as blocks.
+    """The closure rows of every string of `sites` bulk sites, in C order.
 
     The codes behind a leading string depend only on its running label and
-    phase (l, m, p): the last t sites are scattered once behind each of the
-    n^3 values of (l, m, p), and each leading string's block is copied from
-    the one its own (l, m, p) selects.  t is the longest tail whose n^3
-    blocks take at most 1/16 of the state; with no such tail the state is
-    scattered directly.
+    phase, its key: one of n^3.  The closure rows of the n^3 keys are grown
+    one site at a time, t times: a key's new block is the old blocks of the
+    keys it steps to under each next label, in label order.  Each leading
+    string then copies the block of its own key.  t is the longest tail
+    whose n^3 blocks take at most 1/16 of the state; with no such tail the
+    closure rows of the strings are written directly.
     """
     d = n * n - 1
     t = 0
     while 16 * n ** 3 * d ** (t + 1) <= d ** sites:
         t += 1
-    empty = fold_tables(n, 0)
     if t == 0:
-        return _scatter(n, empty, sites, width, first)
+        return _closure(n, fold_tables(n, sites), width, first).reshape(-1)
+    site = fold_tables(n, 1)
     every = np.arange(n ** 3)
-    labels = tuple((v % n).astype(empty[0].dtype) for v in (every // (n * n), every // n, every))
-    blocks = _scatter(n, labels, t, width, first).reshape(n ** 3, -1)
-    suml, summ, phase = fold_tables(n, sites - t)
-    key = (suml.astype(np.intp) * n + summ) * n + phase
-    return np.take(blocks, key, axis=0, mode="clip").reshape(-1)
+    keys = tuple((v % n).astype(site[0].dtype) for v in (every // (n * n), every // n, every))
+    step = _key(_join(keys, site, n), n).reshape(n ** 3, d)
+    blocks = _closure(n, keys, width, first)
+    for _ in range(t):
+        blocks = blocks[step].reshape(n ** 3, -1)
+    lead = _key(fold_tables(n, sites - t), n)
+    return np.take(blocks, lead, axis=0, mode="clip").reshape(-1)
 
 
 def ring_norm_squared(n: int, N: int) -> Fraction:

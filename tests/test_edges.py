@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vbsent.closed_form import open_spectrum
-from vbsent.edges import edge_basis, edge_gram, edge_vector_unnormalized, reconstruct_rho
+from vbsent.edges import edge_basis, edge_gram, reconstruct_rho
 from vbsent.errors import BudgetError
 from vbsent.oracle import reduced_density
 from vbsent.states import OPEN, ChainSpec, open_vbs_state
@@ -29,8 +29,6 @@ def test_zero_norm_edge_state_rejected():
     basis = edge_basis(2, 1)
     assert BellIndex(2, 0, 0) not in basis.labels
     assert np.abs(basis.raw[0]).max() == 0.0
-    vec = edge_vector_unnormalized(2, 1, (0, 0))
-    assert np.abs(vec).max() == 0.0
 
 
 def test_length_one_basis_is_the_adjoint():
@@ -132,8 +130,6 @@ def test_su2_boundary_states_are_exactly_real(L):
 
 
 def test_edge_budget_guards():
-    with pytest.raises(BudgetError):
-        edge_vector_unnormalized(2, 3, (0, 1), amp_budget=8)
     with pytest.raises(BudgetError):
         edge_basis(2, 3, amp_budget=8)
     with pytest.raises(BudgetError):

@@ -75,12 +75,13 @@ def test_jacobi_rejects_non_hermitian():
         jacobi_eigvalsh(np.zeros((2, 3)))
 
 
-def test_jacobi_sweep_limit():
+def test_jacobi_sweep_limit(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_SWEEPS", 0)
     h = random_hermitian(6, 5)
     with pytest.raises(ConvergenceError):
-        jacobi_eigvalsh(h, max_sweeps=0)
+        jacobi_eigvalsh(h)
     # an already diagonal matrix needs no sweeps at all
-    jacobi_eigvalsh(np.diag([0.5, 0.5]), max_sweeps=0)
+    jacobi_eigvalsh(np.diag([0.5, 0.5]))
 
 
 # ------------------------------------------------------------ reduced density
@@ -295,14 +296,15 @@ def test_split_is_bit_identical_across_calls(monkeypatch):
     psi, _, _ = permuted_block_state(seed=3)
     first, second = block_spectrum(psi, range(2)), block_spectrum(psi, range(2))
     assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
-    assert first.entropy == second.entropy
+    assert von_neumann(first) == von_neumann(second)
 
 
 def test_split_surfaces_convergence_error(monkeypatch):
     monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_SWEEPS", 0)
     psi, _, _ = permuted_block_state(seed=5)
     with pytest.raises(ConvergenceError):
-        block_spectrum(psi, range(2), max_sweeps=0)
+        block_spectrum(psi, range(2))
 
 
 # ------------------------------------------------- chunked real-view Gram
@@ -402,7 +404,7 @@ def test_invariant_checks_raise_their_own_error(monkeypatch):
         with pytest.raises(InvariantError, match="sum"):
             spectrum_report([0.5, 0.5 + bad])
         with pytest.raises(InvariantError, match="sum"):
-            von_neumann(SpectrumReport(np.array([0.5, 0.5 + bad]), 0.0))
+            von_neumann(SpectrumReport(np.array([0.5, 0.5 + bad])))
         with pytest.raises(ValueError, match="Hermitian"):
             jacobi_eigvalsh(np.array([[1.0, bad], [0.0, 1.0]]))
     with pytest.raises(InvariantError):
@@ -463,7 +465,8 @@ def test_spectrum_report_grouping_and_entropy():
     # sorted descending, nearly equal values kept apart, the tiny negative clamped
     assert report.eigenvalues.tolist() == [0.4, 0.4 - 1e-12, 0.1 + 1e-12, 0.1, 0.0]
     assert report.eigenvalues.min() == 0.0
-    assert abs(report.entropy - von_neumann(report)) == 0.0
+    expected = -math.fsum(x * math.log(x) for x in report.eigenvalues.tolist() if x > 0.0)
+    assert abs(von_neumann(report) - expected) < 1e-15
 
 
 def test_spectrum_report_guards():

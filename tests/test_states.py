@@ -279,10 +279,12 @@ def test_build_and_norm_on_random_admitted_specs():
             assert np.abs(old.imag).max() <= 2e-16 * scale, spec
 
 
-@pytest.mark.parametrize("n,N", [(2, 10), (41, 1)])
+@pytest.mark.parametrize("n,N", [(2, 10), (41, 1), (8, 3)])
 def test_build_peak_memory_near_state_size(n, N):
     # n=41 is the largest n whose N=1 open state fits the default budget:
-    # per-(label, phase) lookup tables there would dwarf the state
+    # per-(label, phase) lookup tables there would dwarf the state.  n=8 N=3
+    # writes the closure rows of its 250,047 strings directly, where the
+    # per-string temporaries weigh most
     tracemalloc.start()
     try:
         psi = open_vbs_state(ChainSpec(n, N, OPEN))
