@@ -42,7 +42,6 @@ from .oracle import (
 from .states import (
     ChainSpec,
     PureState,
-    SiteBasis,
     open_vbs_state,
     periodic_vbs_state,
     ring_norm_squared,

@@ -72,6 +72,14 @@ def parse_alpha(text: str) -> Union[float, complex]:
     return complex(float(body[:split]), float(body[split:]))
 
 
+def tolerance(text: str) -> float:
+    """A --tol value, finite and >= 0: NaN or negative verifies no row, inf every row."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def parse_span(text: str) -> List[int]:
     """Parse '4' or '1..8' into an inclusive integer list."""
     if ".." in text:
@@ -235,11 +243,12 @@ def cmd_verify(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="write output to this path instead of stdout")
+    # argparse converts a string default (the environment's) with `type` too
     parser.add_argument("--budget-amps", type=int,
-                        default=int(os.environ.get(AMP_BUDGET_ENV, states.DEFAULT_AMP_BUDGET)),
+                        default=os.environ.get(AMP_BUDGET_ENV, states.DEFAULT_AMP_BUDGET),
                         help="maximum stored amplitudes per state")
     parser.add_argument("--budget-matrix", type=int,
-                        default=int(os.environ.get(MATRIX_BUDGET_ENV, oracle.DEFAULT_MATRIX_BUDGET)),
+                        default=os.environ.get(MATRIX_BUDGET_ENV, oracle.DEFAULT_MATRIX_BUDGET),
                         help="maximum materialized matrix dimension")
 
 
@@ -254,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--block", required=True, help="block length L or span lo..hi")
     sp.add_argument("--chain", type=int, help="ring length N (periodic only)")
     sp.add_argument("--verify", action="store_true", help="cross-check against the brute-force route")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=tolerance, default=1e-10)
     _add_common(sp)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -268,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--log-base", choices=("e", "2", "n"), default="e",
                     help="display base for entropies (computation stays in nats)")
     en.add_argument("--verify", action="store_true")
-    en.add_argument("--tol", type=float, default=1e-10)
+    en.add_argument("--tol", type=tolerance, default=1e-10)
     _add_common(en)
     en.set_defaults(func=cmd_entropy)
 

@@ -178,6 +178,8 @@ def periodic_entropy(n: int, N: int, L: int) -> float:
 
 
 def _validate_order(alpha: Order) -> Order:
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"order must be finite, got {alpha!r}")
     if isinstance(alpha, complex) and alpha.imag == 0.0:
         alpha = alpha.real
     if alpha == 1.0:

@@ -1,9 +1,10 @@
 """Degenerate boundary states of the open chain and the block reduction they diagonalize.
 
 For a block of L bulk sites there are n^2 boundary states |p,q>, one per
-pair label.  Each is built with the same running-product machinery as the
-chain states: fold U[p,q] through the first L-1 bulk labels, close on the
-last site, and project the singlet component out of the closure.
+pair label: the chain states' closure rows (`states._join`, `_closure`)
+of the running products from U[p,q] through the first L-1 bulk labels,
+with the singlet projected out of the last site.  The n^2 rows hold as many
+amplitudes as the open chain of L bulk sites, under its budget (`ChainSpec`).
 
 One translation matters here.  Bulk slots are labelled so that (l, m)
 stands for the pair state phi[l,-m] with the barred qudit first, while the
@@ -24,46 +25,28 @@ and cannot be normalized -- the block reduction has rank n^2 - 1 there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .closed_form import open_spectrum
 from .errors import BudgetError
 from .oracle import DEFAULT_MATRIX_BUDGET, DensityMatrix
-from .states import DEFAULT_AMP_BUDGET, SiteBasis, fold_tables, phase_table
+from .states import DEFAULT_AMP_BUDGET, OPEN, ChainSpec, _closure, _join, fold_tables, phase_table
 from .weyl import BellIndex
 
 
-def _check_edge_size(n: int, L: int, amp_budget: int) -> None:
-    if not isinstance(L, int) or L < 1:
-        raise ValueError(f"block length must be an integer >= 1, got {L!r}")
-    if (n * n - 1) ** L > amp_budget:
-        raise BudgetError(
-            f"boundary state needs {(n * n - 1) ** L} amplitudes, budget is {amp_budget}"
-        )
-
-
-def _raw_rows(n: int, L: int, labels: Sequence[BellIndex], amp_budget: int) -> np.ndarray:
-    """Raw amplitude vectors of |p,q> for `labels`, one row each, from one fold.
-
-    The phases come from the chain states' exact table, so n = 2 rows are real.
-    """
-    _check_edge_size(n, L, amp_budget)
-    d = n * n - 1
-    suml, summ, phase = (t.astype(np.int64) for t in fold_tables(n, L - 1))
-    p, q = np.array([(label.l, label.m) for label in labels]).T[:, :, None]
-    total_l = (p + suml) % n
-    total_m = (q + summ) % n
-    # initial m-sum q contributes q * (sum of config l's) to the fold phase,
-    # and transposing the closure pair adds -total_l * total_m
-    exp = (phase + q * suml - total_l * total_m) % n
-    closure = ((-total_l) % n) * n + ((-total_m) % n)
-    phases = phase_table(n)
-    rows = np.zeros((len(labels), d ** L), dtype=phases.dtype)
-    row, config = np.nonzero(closure)  # closure 0: the singlet, projected out
-    rows[row, config * d + (closure[row, config] - 1)] = phases[exp[row, config]]
-    return rows
+def _raw_rows(n: int, L: int) -> np.ndarray:
+    """Raw amplitude vectors of every |p,q>, row p*n + q: the closure rows of
+    the keys (p, q, 0) joined to every string, closure label b written as -b
+    with phase omega**(-b_l * b_m), decoded exactly (real at n = 2)."""
+    tail = fold_tables(n, L - 1)
+    every = np.arange(n * n, dtype=tail[0].dtype)
+    suml, summ, phase = _join((every // n, every % n, np.zeros_like(every)), tail, n)
+    # every term below is at most n^2 - 1: it stays in the tables' dtype
+    neg_l, neg_m = (n - suml) % n, (n - summ) % n
+    codes = _closure(n, (neg_l, neg_m, (phase + neg_l * summ) % n), n * n - 1, 1)
+    return np.array([0, *phase_table(n)])[codes.reshape(n * n, -1)]
 
 
 @dataclass(frozen=True)
@@ -71,8 +54,6 @@ class EdgeBasis:
     """The boundary states of a block: every raw vector, and the normalizable
     ones normalized, with the weight each carries in the block matrix."""
 
-    n: int
-    L: int
     raw: np.ndarray  # shape (n^2, (n^2-1)**L), row l*n + m holds |l,m> unnormalized
     labels: Tuple[BellIndex, ...]
     vectors: np.ndarray  # shape (len(labels), (n^2-1)**L), unit rows
@@ -82,13 +63,14 @@ class EdgeBasis:
 def edge_basis(n: int, L: int, amp_budget: int = DEFAULT_AMP_BUDGET) -> EdgeBasis:
     """Build all n^2 raw |p,q> once and normalize every normalizable one;
     at L = 1 the singlet label has weight 0 and is absent."""
+    ChainSpec(n, L, OPEN, amp_budget)  # the open chain this block is compared with
     labels = [BellIndex(n, k // n, k % n) for k in range(n * n)]
-    raw = _raw_rows(n, L, labels, amp_budget)
+    raw = _raw_rows(n, L)
     singlet, adjoint = open_spectrum(n, L).floats()
     weights = np.array([singlet if (-label).is_singlet else adjoint for label in labels])
     keep = np.flatnonzero(weights)
     vectors = raw[keep] / np.sqrt((n * n - 1) ** L * weights[keep])[:, None]
-    return EdgeBasis(n, L, raw, tuple(labels[k] for k in keep), vectors, weights[keep])
+    return EdgeBasis(raw, tuple(labels[k] for k in keep), vectors, weights[keep])
 
 
 def edge_gram(basis: EdgeBasis) -> np.ndarray:
@@ -112,4 +94,4 @@ def reconstruct_rho(basis: EdgeBasis,
     if dim > matrix_budget:
         raise BudgetError(f"block dimension {dim} exceeds matrix budget {matrix_budget}")
     rho = (basis.vectors.T * basis.weights) @ basis.vectors.conj()
-    return DensityMatrix((SiteBasis(basis.n, "adjoint"),) * basis.L, rho)
+    return DensityMatrix(rho)

@@ -44,7 +44,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import BranchPointCondition, BudgetError, ConvergenceError, InvariantError
-from .states import PureState, SiteBasis
+from .states import PureState
 
 #: Default cap on the dimension of any materialized density/Gram matrix.
 DEFAULT_MATRIX_BUDGET = 4096
@@ -93,15 +93,13 @@ def hermitian_deviation(matrix: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, trace-one matrix over a labelled block basis."""
+    """Square, Hermitian, trace-one matrix of a block."""
 
-    sites: Tuple[SiteBasis, ...]
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = math.prod(s.dim for s in self.sites)
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.matrix.shape} does not match block dimension {dim}")
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {self.matrix.shape}")
         herm = hermitian_deviation(self.matrix)
         if not herm <= HERMITIAN_TOL:  # NaN fails too
             raise InvariantError(f"matrix is not Hermitian: deviation {herm:.3e}")
@@ -209,19 +207,19 @@ def spectrum_report(eigenvalues: Union[np.ndarray, Sequence[float]]) -> Spectrum
     return SpectrumReport(eigs)
 
 
-def _block_environment(state: PureState, block: Sequence[int]) -> Tuple[np.ndarray, Tuple[SiteBasis, ...]]:
+def _block_environment(state: PureState, block: Sequence[int]) -> np.ndarray:
     """Reshape the phase codes to a (block, environment) matrix for a contiguous block."""
     positions = list(block)
     if not positions:
         raise ValueError("block must contain at least one site")
     if positions != list(range(positions[0], positions[-1] + 1)):
         raise ValueError(f"block positions {positions} are not a contiguous ascending range")
-    if positions[0] < 0 or positions[-1] >= state.num_sites:
-        raise ValueError(f"block positions {positions} outside chain of {state.num_sites} slots")
-    env = [i for i in range(state.num_sites) if i not in positions]
+    if positions[0] < 0 or positions[-1] >= len(state.dims):
+        raise ValueError(f"block positions {positions} outside chain of {len(state.dims)} slots")
+    env = [i for i in range(len(state.dims)) if i not in positions]
     tensor = state.codes.reshape(state.dims).transpose(positions + env)
     d_block = math.prod(state.dims[i] for i in positions)
-    return tensor.reshape(d_block, -1), tuple(state.sites[i] for i in positions)
+    return tensor.reshape(d_block, -1)
 
 
 def reduced_density(
@@ -235,10 +233,10 @@ def reduced_density(
     chain) is allowed and returns the pure projector.  An n = 2 state gives
     a real matrix.
     """
-    m, sites = _block_environment(state, block)
+    m = _block_environment(state, block)
     if m.shape[0] > matrix_budget:
         raise BudgetError(f"block dimension {m.shape[0]} exceeds matrix budget {matrix_budget}")
-    return DensityMatrix(sites, _gram(m, state.table, on_rows=True))
+    return DensityMatrix(_gram(m, state.table, on_rows=True))
 
 
 def _independent_blocks(m: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -326,7 +324,7 @@ def block_spectrum(
     diagonalized on its own smaller side; the eigenvalues are padded with
     exact zeros to the smaller side of the whole matrix.
     """
-    m, _ = _block_environment(state, block)
+    m = _block_environment(state, block)
     d_block, d_env = m.shape
     side = min(d_block, d_env)
     if side > matrix_budget:
@@ -355,11 +353,13 @@ def von_neumann(report: SpectrumReport) -> float:
 def renyi(report: SpectrumReport, alpha: Union[float, complex]) -> Union[float, complex]:
     """Renyi entropy log(sum lambda**alpha) / (1 - alpha), natural log.
 
-    Real alpha must be positive and not 1; complex alpha must have positive
-    real part.  Zero eigenvalues are excluded from the power sum.  For
-    complex alpha a vanishing power sum (within 1e-14) raises
-    BranchPointCondition: the entropy is undefined on a branch point.
+    alpha must be finite.  Real alpha must be positive and not 1; complex
+    alpha must have positive real part.  Zero eigenvalues are excluded from
+    the power sum.  For complex alpha a vanishing power sum (within 1e-14)
+    raises BranchPointCondition: the entropy is undefined on a branch point.
     """
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"order must be finite, got {alpha!r}")
     if isinstance(alpha, complex) and alpha.imag == 0.0:
         alpha = alpha.real
     pos = report.eigenvalues[report.eigenvalues > 0.0]

@@ -22,10 +22,11 @@ constituent qudits (barred on the left, plain on the right), labelled by
   constant `ring_norm_squared`.  Any other marked site gives the same
   spectra (checked in the test suite via translation covariance).
 
-Storage.  Every nonzero amplitude is scale * omega**k, so a state is stored
-as one code per amplitude, code = k + 1 with code 0 for a zero amplitude, in
-the smallest unsigned dtype that holds n (`code_dtype`: one byte for every
-n <= 255), beside one float `scale`.  The codes are exact; decoding
+Storage.  A state is `PureState(n, dims, codes, scale)`: its slot dims
+(n^2 - 1 per bulk site, n^2 for the boundary pair), one code per amplitude
+and one float.  Every nonzero amplitude is scale * omega**k, stored as code
+k + 1 (0 for a zero amplitude) in the smallest unsigned dtype that holds n
+(`code_dtype`: one byte for every n <= 255).  The codes are exact; decoding
 through the n + 1 values of `PureState.table` (0, then scale * omega**k from
 `phase_table`) gives the amplitudes, real at n = 2 where omega = -1.
 `PureState.amplitudes()` decodes a whole state; the oracle decodes chunk by
@@ -43,7 +44,8 @@ steps to, from a one-site step table), and copies one block per leading
 string with one `np.take`.  The blocks take at most 1/16 of the state's
 bytes; beside them a build holds the leading strings' keys and the step
 table of n^3 (n^2 - 1) keys.  A state too short for that has the closure
-rows of its strings written directly, with one index per string.
+rows of its strings written directly, with one index per string.  `edges`
+builds its boundary states from the same `_join` and `_closure`.
 
 Norm.  `PureState` checks that the norm is 1 within 1e-12 (a NaN norm
 fails).  Every nonzero amplitude has modulus `scale`, so the squared norm is
@@ -58,12 +60,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import BudgetError, InvariantError
-from .weyl import BellIndex, _check_dimension, omega_powers
+from .weyl import _check_dimension, omega_powers
 
 #: Default cap on the number of stored amplitudes per state.
 DEFAULT_AMP_BUDGET = 2 ** 26
@@ -73,29 +75,6 @@ Tables = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 OPEN = "open"
 PERIODIC = "periodic"
-
-
-@dataclass(frozen=True)
-class SiteBasis:
-    """Local basis of one slot: 'adjoint' (dim n^2-1) or 'pair' (dim n^2)."""
-
-    n: int
-    kind: str
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.n)
-        if self.kind not in ("adjoint", "pair"):
-            raise ValueError(f"unknown site kind {self.kind!r}")
-
-    @property
-    def dim(self) -> int:
-        nn = self.n * self.n
-        return nn - 1 if self.kind == "adjoint" else nn
-
-    def labels(self) -> List[BellIndex]:
-        """Axis labels in storage order (adjoint slots skip the singlet)."""
-        start = 1 if self.kind == "adjoint" else 0
-        return [BellIndex(self.n, k // self.n, k % self.n) for k in range(start, self.n * self.n)]
 
 
 @dataclass(frozen=True)
@@ -138,19 +117,21 @@ def phase_table(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PureState:
-    """Unit-norm state over a labelled product basis, stored as phase codes.
+    """Unit-norm state over slots of dims n^2 - 1 or n^2, stored as phase codes.
 
     Amplitude i is 0 where codes[i] == 0 and scale * omega**(codes[i] - 1)
-    otherwise, with omega the clock phase of the sites' common n.
+    otherwise, with omega the clock phase of n.
     """
 
-    sites: Tuple[SiteBasis, ...]
+    n: int
+    dims: Tuple[int, ...]
     codes: np.ndarray
     scale: float
 
     def __post_init__(self) -> None:
-        if not self.sites or any(s.n != self.n for s in self.sites):
-            raise ValueError("a state needs at least one site, all of one n")
+        _check_dimension(self.n)
+        if not self.dims or not set(self.dims) <= {self.n ** 2 - 1, self.n ** 2}:
+            raise ValueError(f"slot dimensions must be n^2 - 1 or n^2 at n = {self.n}, got {self.dims}")
         if self.codes.dtype != code_dtype(self.n):
             raise ValueError(f"codes must be {code_dtype(self.n)} at n = {self.n}, "
                              f"got {self.codes.dtype}")
@@ -163,18 +144,6 @@ class PureState:
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise InvariantError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
         self.codes.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.sites[0].n
-
-    @property
-    def dims(self) -> Tuple[int, ...]:
-        return tuple(s.dim for s in self.sites)
-
-    @property
-    def num_sites(self) -> int:
-        return len(self.sites)
 
     @property
     def table(self) -> np.ndarray:
@@ -283,8 +252,8 @@ def open_vbs_state(spec: ChainSpec) -> PureState:
     if spec.boundary != OPEN:
         raise ValueError(f"spec has boundary {spec.boundary!r}, expected {OPEN!r}")
     n, N = spec.n, spec.N
-    sites = (SiteBasis(n, "adjoint"),) * N + (SiteBasis(n, "pair"),)
-    return PureState(sites, _fill(n, N, n * n, 0), (n * n - 1) ** (-N / 2))
+    dims = (n * n - 1,) * N + (n * n,)
+    return PureState(n, dims, _fill(n, N, n * n, 0), (n * n - 1) ** (-N / 2))
 
 
 def periodic_vbs_state(spec: ChainSpec) -> PureState:
@@ -294,5 +263,4 @@ def periodic_vbs_state(spec: ChainSpec) -> PureState:
     n, N = spec.n, spec.N
     scale = 1.0 / math.sqrt(float(ring_norm_squared(n, N)))
     # the closing site stores labels 1..n^2-1: strings folding to the singlet drop out
-    sites = (SiteBasis(n, "adjoint"),) * N
-    return PureState(sites, _fill(n, N - 1, n * n - 1, 1), scale)
+    return PureState(n, (n * n - 1,) * N, _fill(n, N - 1, n * n - 1, 1), scale)

@@ -37,7 +37,7 @@ from typing import Iterable, Tuple, Union
 import numpy as np
 
 #: Largest n for which the exponentially sized self-tests (antisymmetric
-#: embedding, four-qudit pair swap) are built by default.
+#: embedding, four-qudit pair swap) are built; read at each call.
 MAX_EMBED_DIMENSION = 4
 
 IndexLike = Union["BellIndex", Tuple[int, int]]
@@ -175,15 +175,15 @@ def _permutation_sign(seq: Tuple[int, ...]) -> int:
     return sign
 
 
-def conjugate_embedding(n: int, j: int, max_dimension: int = MAX_EMBED_DIMENSION) -> np.ndarray:
+def conjugate_embedding(n: int, j: int) -> np.ndarray:
     """|jbar> realized inside n-1 plain qudits via the rank-n antisymmetric tensor.
 
     Returns a unit vector of dimension n**(n-1); the n vectors are mutually
-    orthonormal.  Exponential in n, hence guarded by `max_dimension`.
+    orthonormal.  Exponential in n, hence guarded by MAX_EMBED_DIMENSION.
     """
     _check_dimension(n)
-    if n > max_dimension:
-        raise ValueError(f"embedding dimension n**(n-1) too large for n={n} (max n={max_dimension})")
+    if n > MAX_EMBED_DIMENSION:
+        raise ValueError(f"embedding n**(n-1) too large for n={n} (max n={MAX_EMBED_DIMENSION})")
     if not 0 <= j < n:
         raise ValueError(f"basis label {j} out of range for dimension {n}")
     vec = np.zeros(n ** (n - 1), dtype=complex)
@@ -197,7 +197,7 @@ def conjugate_embedding(n: int, j: int, max_dimension: int = MAX_EMBED_DIMENSION
     return vec
 
 
-def swap_identity_residual(n: int, max_dimension: int = MAX_EMBED_DIMENSION) -> float:
+def swap_identity_residual(n: int) -> float:
     """Residual of the pair-swap identity on four qudits ordered (0, 1bar, 1, 2bar).
 
     Two adjacent singlet pairs on (0,1bar) and (1,2bar) equal the Bell sum
@@ -206,8 +206,8 @@ def swap_identity_residual(n: int, max_dimension: int = MAX_EMBED_DIMENSION) -> 
     of assembling both sides.
     """
     _check_dimension(n)
-    if n > max_dimension:
-        raise ValueError(f"four-qudit space too large for n={n} (max n={max_dimension})")
+    if n > MAX_EMBED_DIMENSION:
+        raise ValueError(f"four-qudit space too large for n={n} (max n={MAX_EMBED_DIMENSION})")
     pair0 = u_lm(n, (0, 0)) / math.sqrt(n)
     lhs = np.einsum("ab,cd->abcd", pair0, pair0)
     rhs = np.zeros_like(lhs)

@@ -134,11 +134,11 @@ def test_shared_checks_give_the_results_they_give_alone():
 
 def test_full_run_computes_each_open_block_spectrum_once(monkeypatch):
     seen = counting(monkeypatch, oracle, "block_spectrum",
-                    lambda state, block: (state.sites, tuple(block)))
+                    lambda state, block: ((state.n, state.dims), tuple(block)))
     run_checks()
     assert set(seen.values()) == {1}
-    open_blocks = {(sites[0].n, len(sites) - 1, len(block), block[0])
-                   for sites, block in seen if sites[-1].kind == "pair"}
+    open_blocks = {(n, len(dims) - 1, len(block), block[0])
+                   for (n, dims), block in seen if dims[-1] == n * n}
     want = {(n, N, L, start) for n, grid in OPEN_GRID.items() for N in grid["chains"]
             for L in grid["lengths"] if L <= N for start in range(N - L + 1)}
     assert open_blocks == want and len(want) == 74
@@ -147,7 +147,7 @@ def test_full_run_computes_each_open_block_spectrum_once(monkeypatch):
 def test_nothing_is_reused_across_runs(monkeypatch):
     builds = counting(monkeypatch, states, "open_vbs_state", lambda spec: (spec.n, spec.N))
     spectra = counting(monkeypatch, oracle, "block_spectrum",
-                       lambda state, block: (state.sites, tuple(block)))
+                       lambda state, block: ((state.n, state.dims), tuple(block)))
     run_checks(only=["independence"])
     assert (sum(builds.values()), sum(spectra.values())) == (10, 74)
     run_checks(only=["independence"])

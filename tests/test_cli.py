@@ -286,6 +286,36 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize("env", ["VBSENT_AMP_BUDGET", "VBSENT_MATRIX_BUDGET"])
+def test_bad_budget_env_is_a_usage_error(capsys, monkeypatch, env):
+    monkeypatch.setenv(env, "abc")
+    code, out, err = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "open", "--block", "2")
+    option = "--budget-amps" if env == "VBSENT_AMP_BUDGET" else "--budget-matrix"
+    assert (code, out) == (2, "")
+    assert option in err and "'abc'" in err
+    # an option on the command line still wins over the environment
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "open", "--block", "2",
+                           option, "100")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "nan+1i", "inf+1i", "0.5+infi", "2-nani"])
+def test_entropy_rejects_non_finite_order(capsys, alpha):
+    code, out, err = run_cli(capsys, "entropy", "--n", "2", "--boundary", "open",
+                             "--block", "2", f"--alpha={alpha}")
+    assert (code, out) == (2, "")
+    assert "order must be finite" in err and "branch point" not in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "entropy"])
+@pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf", "abc"])
+def test_unusable_tolerance_rejected(capsys, command, tol):
+    code, out, err = run_cli(capsys, command, "--n", "2", "--boundary", "open", "--block", "2",
+                             "--verify", f"--tol={tol}")
+    assert (code, out) == (2, "")
+    assert "--tol" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "moebius", "--block", "2")
     assert code == 2

@@ -233,6 +233,17 @@ def test_branch_point_rejections():
         branch_points(2, 2, [-1])
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+                                   complex(math.nan, 1.0), complex(math.inf, 1.0),
+                                   complex(0.5, math.inf), complex(2.0, math.nan)])
+def test_non_finite_orders_rejected(alpha):
+    report = spectrum_report([0.6, 0.4])
+    for entropy in (lambda: open_renyi(2, 2, alpha), lambda: periodic_renyi(2, 4, 2, alpha),
+                    lambda: renyi(report, alpha)):
+        with pytest.raises(ValueError, match="finite"):
+            entropy()
+
+
 def test_closed_form_branch_condition():
     point = branch_points(2, 2, [0])[0]
     with pytest.raises(BranchPointCondition):

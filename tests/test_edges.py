@@ -130,7 +130,23 @@ def test_su2_boundary_states_are_exactly_real(L):
 
 
 def test_edge_budget_guards():
+    for L in (0, 1.0):
+        with pytest.raises(ValueError, match="N >= 1"):
+            edge_basis(2, L)
     with pytest.raises(BudgetError):
         edge_basis(2, 3, amp_budget=8)
     with pytest.raises(BudgetError):
         reconstruct_rho(edge_basis(2, 3), matrix_budget=8)
+
+
+@pytest.mark.parametrize("n,L", [(2, 1), (2, 3), (3, 2)])
+def test_edge_budget_is_the_open_chain_budget(n, L):
+    # the n^2 boundary states hold n^2 (n^2-1)**L amplitudes, as many as the
+    # open chain of L bulk sites they are compared with
+    need = n * n * (n * n - 1) ** L
+    with pytest.raises(BudgetError, match=f"state would need {need} amplitudes"):
+        ChainSpec(n, L, OPEN, need - 1)
+    with pytest.raises(BudgetError, match=f"state would need {need} amplitudes"):
+        edge_basis(n, L, amp_budget=need - 1)
+    ChainSpec(n, L, OPEN, need)
+    assert edge_basis(n, L, amp_budget=need).raw.size == need

@@ -24,7 +24,6 @@ from vbsent.states import (
     PERIODIC,
     ChainSpec,
     PureState,
-    SiteBasis,
     open_vbs_state,
     periodic_vbs_state,
 )
@@ -102,7 +101,7 @@ def test_two_site_block_spectrum_frozen():
 
 def test_full_block_is_pure_projector():
     psi = open_vbs_state(ChainSpec(2, 2, OPEN))
-    dm = reduced_density(psi, range(psi.num_sites))
+    dm = reduced_density(psi, range(len(psi.dims)))
     eigs = jacobi_eigvalsh(dm.matrix)
     assert abs(eigs[0] - 1.0) < 1e-12
     assert np.abs(eigs[1:]).max() < 1e-12
@@ -133,7 +132,7 @@ def test_density_matrix_sanity():
 def test_schmidt_symmetry_open():
     psi = open_vbs_state(ChainSpec(2, 6, OPEN))
     left = block_spectrum(psi, range(3)).eigenvalues
-    right = block_spectrum(psi, range(3, psi.num_sites)).eigenvalues
+    right = block_spectrum(psi, range(3, len(psi.dims))).eigenvalues
     k = min(left.size, right.size)
     assert np.abs(left[:k] - right[:k]).max() < 1e-11
     assert np.abs(left[k:]).max() < 1e-11 if left.size > k else True
@@ -154,11 +153,11 @@ def test_single_site_block_n3():
 
 def test_schmidt_cut_validation():
     psi = open_vbs_state(ChainSpec(2, 2, OPEN))
-    for block in (range(0), range(psi.num_sites, psi.num_sites + 1), [0, 2]):
+    for block in (range(0), range(len(psi.dims), len(psi.dims) + 1), [0, 2]):
         with pytest.raises(ValueError):
             block_spectrum(psi, block)
     # the whole chain is a block too: the pure state has one weight
-    whole = block_spectrum(psi, range(psi.num_sites)).eigenvalues
+    whole = block_spectrum(psi, range(len(psi.dims))).eigenvalues
     assert whole.shape == (1,) and abs(whole[0] - 1.0) < 1e-15
 
 
@@ -204,7 +203,7 @@ def verify_grid_blocks():
 
 def decoded_block_matrix(psi, block):
     """The (block, environment) matrix of amplitudes, decoded whole."""
-    m, _ = oracle._block_environment(psi, block)
+    m = oracle._block_environment(psi, block)
     return psi.table[m]
 
 
@@ -214,7 +213,7 @@ def test_real_states_match_their_complex_copies():
     for psi, block in verify_grid_blocks():
         if psi.n != 2:
             continue
-        m, _ = oracle._block_environment(psi, block)
+        m = oracle._block_environment(psi, block)
         on_rows = m.shape[0] <= m.shape[1]
         real = oracle._gram(m, psi.table, on_rows)
         assert real.dtype == np.float64
@@ -233,7 +232,7 @@ def test_chunked_grams_match_the_whole_decoded_product(monkeypatch, chunk):
     count = 0
     for psi, block in verify_grid_blocks():
         d = decoded_block_matrix(psi, block)
-        m, _ = oracle._block_environment(psi, block)
+        m = oracle._block_environment(psi, block)
         rho = reduced_density(psi, block).matrix
         assert rho.dtype == psi.table.dtype  # real at n = 2
         assert np.abs(rho - d @ d.conj().T).max() <= 1e-15
@@ -271,8 +270,7 @@ def permuted_block_state(seed=0):
         m[i:i + b.shape[0], j:j + b.shape[1]] = b
         i, j = i + b.shape[0], j + b.shape[1]
     m = m[r.permutation(72)][:, r.permutation(72)]
-    sites = (SiteBasis(3, "pair"), SiteBasis(3, "adjoint")) * 2
-    psi = PureState(sites, m.reshape(-1), 1 / np.sqrt(np.count_nonzero(m)))
+    psi = PureState(3, (9, 8) * 2, m.reshape(-1), 1 / np.sqrt(np.count_nonzero(m)))
     rank = sum(np.linalg.matrix_rank(psi.table[b]) for b in blocks)
     return psi, psi.table[m], rank
 
@@ -280,7 +278,7 @@ def permuted_block_state(seed=0):
 def test_split_of_permuted_block_matrix(monkeypatch):
     monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
     psi, m, rank = permuted_block_state()
-    parts = oracle._independent_blocks(oracle._block_environment(psi, range(2))[0])
+    parts = oracle._independent_blocks(oracle._block_environment(psi, range(2)))
     assert sorted((len(rows), len(cols)) for rows, cols in parts) == [
         (1, 3), (6, 7), (7, 7), (10, 5), (20, 12)]
     report = block_spectrum(psi, range(2))
@@ -318,7 +316,7 @@ def tall_open_blocks():
             psi = open_vbs_state(ChainSpec(n, N, OPEN))
             for L in grid["lengths"]:
                 for start in range(N - L + 1):
-                    m, _ = oracle._block_environment(psi, range(start, start + L))
+                    m = oracle._block_environment(psi, range(start, start + L))
                     if m.shape[0] > m.shape[1]:
                         yield n, N, L, start, psi, m
 
@@ -331,7 +329,7 @@ def test_real_view_gram_matches_conjugate_product():
         count += 1
     assert count == 17
     psi = open_vbs_state(ChainSpec(4, 5, OPEN))
-    m, _ = oracle._block_environment(psi, range(5))  # 759375 x 16, many chunks
+    m = oracle._block_environment(psi, range(5))  # 759375 x 16, many chunks
     d = psi.table[m]
     assert np.abs(oracle._gram(m, psi.table, False) - d.conj().T @ d).max() < 1e-13
 
@@ -368,7 +366,7 @@ def test_real_view_gram_on_random_and_strided_input(monkeypatch):
 
 def test_real_view_gram_is_bit_identical_across_calls():
     psi = open_vbs_state(ChainSpec(3, 4, OPEN))
-    m, _ = oracle._block_environment(psi, range(1, 3))  # 64 x 576, chunked
+    m = oracle._block_environment(psi, range(1, 3))  # 64 x 576, chunked
     first, second = (oracle._gram(m, psi.table, on_rows) for on_rows in (True, True))
     assert first.tobytes() == second.tobytes()
 
@@ -377,7 +375,7 @@ def test_real_view_gram_is_bit_identical_across_calls():
 def test_block_spectrum_memory_stays_near_the_codes(block):
     # the codes are 1 byte per amplitude; no decoded array is as long as the state
     psi = open_vbs_state(ChainSpec(2, 12, OPEN))
-    m, _ = oracle._block_environment(psi, block)
+    m = oracle._block_environment(psi, block)
     gram_bytes = min(m.shape) ** 2 * 8
     del m
     tracemalloc.start()
@@ -393,14 +391,17 @@ def test_block_spectrum_memory_stays_near_the_codes(block):
 
 
 def test_invariant_checks_raise_their_own_error(monkeypatch):
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(np.zeros(shape))
     with pytest.raises(InvariantError):
-        DensityMatrix((SiteBasis(2, "pair"),), np.diag([0.5, 0.5, 0.0, 1e-9]).astype(complex))
+        DensityMatrix(np.diag([0.5, 0.5, 0.0, 1e-9]).astype(complex))
     # NaN compares false against every bound, so each check must fail on it too
     for bad in (1e-9, math.nan):
         skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         skew[0, 1] = bad
         with pytest.raises(InvariantError, match="Hermitian"):
-            DensityMatrix((SiteBasis(2, "pair"),), skew)
+            DensityMatrix(skew)
         with pytest.raises(InvariantError, match="sum"):
             spectrum_report([0.5, 0.5 + bad])
         with pytest.raises(InvariantError, match="sum"):
@@ -411,7 +412,7 @@ def test_invariant_checks_raise_their_own_error(monkeypatch):
         spectrum_report([1.0, -1e-9])
     monkeypatch.setattr(oracle.np, "trace", lambda m: complex(math.nan))
     with pytest.raises(InvariantError, match="trace"):
-        DensityMatrix((SiteBasis(2, "pair"),), np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+        DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
 
 
 def test_invariant_checks_measure_accurately_at_dim_4096():
@@ -429,7 +430,7 @@ def test_hermiticity_measured_without_full_size_temporaries():
     # dim 4096 (256 MiB): a difference m - m^dagger built whole took two
     # temporaries of that size
     psi = open_vbs_state(ChainSpec(3, 4, OPEN))
-    m, sites = oracle._block_environment(psi, range(4))
+    m = oracle._block_environment(psi, range(4))
     rho = oracle._gram(m, psi.table, on_rows=True)
     del psi, m
     # an anti-Hermitian 1e-11 perturbation in the last row block still fails
@@ -437,11 +438,11 @@ def test_hermiticity_measured_without_full_size_temporaries():
     rho[4000, 10] += 1e-11
     rho[10, 4000] -= 1e-11
     with pytest.raises(InvariantError, match="Hermitian"):
-        DensityMatrix(sites, rho)
+        DensityMatrix(rho)
     rho[4000, 10], rho[10, 4000] = saved
     tracemalloc.start()
     try:
-        DensityMatrix(sites, rho)
+        DensityMatrix(rho)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

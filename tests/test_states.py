@@ -14,7 +14,6 @@ from vbsent.states import (
     PERIODIC,
     ChainSpec,
     PureState,
-    SiteBasis,
     code_dtype,
     fold_tables,
     open_vbs_state,
@@ -49,36 +48,29 @@ def test_chain_spec_budget_guard():
     ChainSpec(2, 3, OPEN, amp_budget=1000)
 
 
-def test_site_basis_labels():
-    adjoint = SiteBasis(3, "adjoint")
-    assert adjoint.dim == 8
-    assert [(b.l, b.m) for b in adjoint.labels()] == nonzero_labels(3)
-    pair = SiteBasis(2, "pair")
-    assert pair.dim == 4
-    assert [b.linear for b in pair.labels()] == [0, 1, 2, 3]
-
-
 def test_pure_state_norm_guard():
-    site = SiteBasis(2, "pair")
     one = np.array([1, 0, 0, 0], dtype=np.uint8)
-    PureState((site,), one, 1.0)
-    PureState((site,), np.array([1, 2, 1, 0], dtype=np.uint8), 1 / math.sqrt(3))
-    PureState((site,), one, 1.0 + 5e-13)
+    PureState(2, (4,), one, 1.0)
+    PureState(2, (4,), np.array([1, 2, 1, 0], dtype=np.uint8), 1 / math.sqrt(3))
+    PureState(2, (4,), one, 1.0 + 5e-13)
     with pytest.raises(InvariantError):  # a norm 2e-12 above one
-        PureState((site,), one, 1.0 + 2e-12)
+        PureState(2, (4,), one, 1.0 + 2e-12)
     with pytest.raises(InvariantError):  # a NaN norm compares false against the bound
-        PureState((site,), one, math.nan)
+        PureState(2, (4,), one, math.nan)
     with pytest.raises(InvariantError):  # no nonzero amplitude
-        PureState((site,), np.zeros(4, dtype=np.uint8), 1.0)
+        PureState(2, (4,), np.zeros(4, dtype=np.uint8), 1.0)
     with pytest.raises(ValueError, match="phase codes"):  # omega**2 does not exist at n = 2
-        PureState((site,), np.array([3, 0, 0, 0], dtype=np.uint8), 1.0)
+        PureState(2, (4,), np.array([3, 0, 0, 0], dtype=np.uint8), 1.0)
     with pytest.raises(ValueError, match="shape"):
-        PureState((site,), one[:3], 1.0)
-    with pytest.raises(ValueError, match="one n"):
-        PureState((site, SiteBasis(3, "pair")), np.ones(36, dtype=np.uint8), 1 / 6)
+        PureState(2, (4,), one[:3], 1.0)
+    for dims in ((), (4, 9), (2, 2)):  # every slot is n^2 - 1 or n^2
+        with pytest.raises(ValueError, match="slot dimensions"):
+            PureState(2, dims, np.ones(4, dtype=np.uint8), 0.5)
+    with pytest.raises(ValueError, match="qudit dimension"):
+        PureState(1, (1,), one[:1], 1.0)
     for dtype in (np.uint16, np.int8, np.float64, np.complex128):
         with pytest.raises(ValueError):
-            PureState((site,), one.astype(dtype), 1.0)
+            PureState(2, (4,), one.astype(dtype), 1.0)
 
 
 def test_code_dtype_follows_n():

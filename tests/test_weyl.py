@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vbsent import weyl
 from vbsent.weyl import (
     BellIndex,
     PhasedIndex,
@@ -188,10 +189,11 @@ def test_swap_identity(n):
     assert swap_identity_residual(n) < 1e-12
 
 
-def test_swap_identity_guard():
+def test_swap_identity_guard(monkeypatch):
     with pytest.raises(ValueError):
         swap_identity_residual(5)
-    assert swap_identity_residual(5, max_dimension=5) < 1e-12
+    monkeypatch.setattr(weyl, "MAX_EMBED_DIMENSION", 5)
+    assert swap_identity_residual(5) < 1e-12
 
 
 def test_omega_powers_table():
