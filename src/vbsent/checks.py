@@ -119,8 +119,9 @@ class CheckRun:
         return self._spectra[key]
 
 
-def spectrum_deviation(eigenvalues: np.ndarray, expected: List) -> float:
-    """Worst absolute gap between oracle block eigenvalues and exact weights."""
+def spectrum_deviation(eigenvalues: np.ndarray, expected: Iterable[float]) -> float:
+    """Worst absolute gap between the oracle eigenvalues above 1e-12 and an
+    expected nonzero spectrum, descending; infinite if their counts differ."""
     found = [float(v) for v in eigenvalues if v > 1e-12]
     want = sorted((float(v) for v in expected), reverse=True)
     if len(found) != len(want):
@@ -275,12 +276,10 @@ def check_independence(n: int, run: CheckRun) -> Iterator[Point]:
                 continue
             for start in range(N - L + 1):
                 eigenvalues = run.open_eigenvalues(n, N, L, start)
-                nonzero = eigenvalues[eigenvalues > 1e-12]
                 if reference is None:
-                    reference = nonzero
-                dev = (float(np.abs(nonzero - reference).max())
-                       if nonzero.shape == reference.shape else math.inf)
-                yield dev, 1e-11, dict(n=n, N=N, L=L, start=start + 1)
+                    reference = eigenvalues[eigenvalues > 1e-12]
+                yield (spectrum_deviation(eigenvalues, reference), 1e-11,
+                       dict(n=n, N=N, L=L, start=start + 1))
 
 
 def check_limit_consistency(n: int, run: CheckRun) -> Iterator[Point]:

@@ -45,6 +45,9 @@ BRANCH_HEADER = ["n", "L", "m", "sign", "alpha_re", "alpha_im", "residual", "par
 AMP_BUDGET_ENV = "VBSENT_AMP_BUDGET"
 MATRIX_BUDGET_ENV = "VBSENT_MATRIX_BUDGET"
 
+#: Most values a --block or --m span may hold.
+MAX_SPAN = 10 ** 6
+
 
 def fmt(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.17g}"
@@ -81,12 +84,14 @@ def tolerance(text: str) -> float:
 
 
 def parse_span(text: str) -> List[int]:
-    """Parse '4' or '1..8' into an inclusive integer list."""
+    """Parse '4' or '1..8' into an inclusive integer list of at most MAX_SPAN values."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError(f"empty span {text!r}")
+        if hi - lo >= MAX_SPAN:
+            raise ValueError(f"span {text!r} has {hi - lo + 1} values, more than the limit {MAX_SPAN}")
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -113,10 +118,18 @@ def _emit(objs: List[dict], header: List[str], args) -> None:
         writer.writerows([_cell(k, v) for k, v in obj.items()] for obj in objs)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write(path: str, text: str) -> None:
+    """Write an --out file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
 
 def _spectrum_for(args, L: int) -> closed_form.BlockSpectrum:
@@ -228,15 +241,12 @@ def cmd_verify(args) -> int:
                    for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    if args.format == "json" and not args.out:
-        json.dump(summary, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-        if args.out:
-            with open(args.out, "w") as handle:
-                json.dump(summary, handle, indent=2)
-                handle.write("\n")
+    text, report = "\n".join(lines) + "\n", json.dumps(summary, indent=2) + "\n"
+    if args.out:
+        _write(args.out, report)  # before stdout: an unwritable path prints no lines
+    elif args.format == "json":
+        text = report
+    sys.stdout.write(text)
     return 0 if summary["all_passed"] else 1
 
 

@@ -35,7 +35,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import BranchPointCondition, DegenerateSpectrumError
-from .weyl import _check_dimension
+from .weyl import _check_dimension, _check_order
 
 Order = Union[float, complex]
 
@@ -132,9 +132,19 @@ class BlockSpectrum:
         return 2.0 * math.log(self.n) + head - d * adjoint * math.log1p(-r)
 
     def renyi(self, alpha: Order) -> Order:
-        """Renyi block entropy at real or complex order."""
-        singlet, adjoint = self.floats()
-        return _renyi_from_weights(singlet, adjoint, self.multiplicity, alpha)
+        """Renyi block entropy at real or complex order; a zero weight drops
+        out of the power sum."""
+        alpha = _check_order(alpha)
+        total = 0.0
+        for w, mult in zip(self.floats(), (1, self.multiplicity)):
+            if w != 0.0:
+                total += mult * (cmath.exp(alpha * math.log(w)) if isinstance(alpha, complex)
+                                 else w ** alpha)
+        if isinstance(alpha, complex):
+            if abs(total) < BRANCH_SUM_TOL:
+                raise BranchPointCondition(f"power sum vanished at order {alpha!r}")
+            return cmath.log(total) / (1.0 - alpha)
+        return math.log(total) / (1.0 - alpha)
 
 
 def open_spectrum(n: int, L: int) -> BlockSpectrum:
@@ -175,41 +185,6 @@ def open_entropy(n: int, L: int) -> float:
 def periodic_entropy(n: int, N: int, L: int) -> float:
     """Block entropy of the ring, -sum(w log w) over the weights."""
     return periodic_spectrum(n, N, L).entropy()
-
-
-def _validate_order(alpha: Order) -> Order:
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"order must be finite, got {alpha!r}")
-    if isinstance(alpha, complex) and alpha.imag == 0.0:
-        alpha = alpha.real
-    if alpha == 1.0:
-        raise ValueError("order 1 is the von Neumann limit")
-    if isinstance(alpha, complex):
-        if alpha.real <= 0.0:
-            raise ValueError(f"complex order must have positive real part, got {alpha!r}")
-    elif alpha <= 0.0:
-        raise ValueError(f"order must be positive, got {alpha!r}")
-    return alpha
-
-
-def _power_sum(singlet: float, adjoint: float, mult: int, alpha: Order) -> complex:
-    def term(w: float) -> complex:
-        if w == 0.0:
-            return 0.0
-        if isinstance(alpha, complex):
-            return cmath.exp(alpha * math.log(w))
-        return w ** alpha
-    return term(singlet) + mult * term(adjoint)
-
-
-def _renyi_from_weights(singlet: float, adjoint: float, mult: int, alpha: Order) -> Order:
-    alpha = _validate_order(alpha)
-    total = _power_sum(singlet, adjoint, mult, alpha)
-    if isinstance(alpha, complex):
-        if abs(total) < BRANCH_SUM_TOL:
-            raise BranchPointCondition(f"power sum vanished at order {alpha!r}")
-        return cmath.log(total) / (1.0 - alpha)
-    return math.log(total.real) / (1.0 - alpha)
 
 
 def open_renyi(n: int, L: int, alpha: Order) -> Order:

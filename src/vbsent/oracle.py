@@ -9,12 +9,13 @@ closed forms.
 Spectra of a block are computed, by default, on whichever side of the
 bipartition is smaller: for a unit vector reshaped to a (block, environment)
 matrix M, the nonzero eigenvalues of M M^dagger and M^dagger M coincide.
-When that smaller side exceeds SPLIT_MIN_SIDE, M is first split into the
-connected components of its nonzero pattern (rows and columns linked by a
-nonzero entry).  The components share no row or column, so the Gram is
-their direct sum up to a permutation: each is diagonalized on its own
-smaller side, and the remaining eigenvalues are exact zeros.  The split
-reads only the pattern of M, never the closed forms.
+When that smaller side exceeds SPLIT_MIN_SIDE, M is first split into its
+n^2 charge sectors (`_sectors`): every nonzero amplitude has Z_n x Z_n
+charge 0 (`states.charges`), so a nonzero entry links only a row and a
+column of equal charge, and the Gram is the sectors' direct sum up to a
+permutation.  Each is diagonalized on its own smaller side; the remaining
+eigenvalues are exact zeros.  Sectors holding fewer nonzeros than the state
+raise InvariantError.  The charges come from the slot encoding alone.
 
 M itself holds the state's phase codes (see `states`), reshaped and
 transposed: one byte per entry.  Every Gram, and every reduced density
@@ -39,20 +40,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import BranchPointCondition, BudgetError, ConvergenceError, InvariantError
-from .states import PureState
+from .states import PureState, charges
+from .weyl import _check_order
 
 #: Default cap on the dimension of any materialized density/Gram matrix.
 DEFAULT_MATRIX_BUDGET = 4096
 
 #: Smaller (block, environment) side above which `block_spectrum` splits the
-#: matrix into independent blocks.  Finding them reads all of the matrix: at
-#: side 81 that costs twice the whole Gram and Jacobi, at 243 it breaks even,
-#: and from 512 up the split at least halves the time (geometric mean: 360).
+#: matrix into its charge sectors.  Below it the larger side reaches 14.3M
+#: rows (n = 2 open, N = 15), where a charge and a sector index per row would
+#: outweigh the codes; above it that side is at most 2**26 / 361, about 186k.
 SPLIT_MIN_SIDE = 360
 
 #: Eigenvalues in [-NEGATIVE_CLAMP, 0) are rounded to 0; anything below is an error.
@@ -239,37 +241,27 @@ def reduced_density(
     return DensityMatrix(_gram(m, state.table, on_rows=True))
 
 
-def _independent_blocks(m: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Row and column index sets of the connected components of m's nonzero pattern.
-
-    m holds phase codes, whose pattern is the amplitudes' pattern.  Row i and
-    column j are linked when m[i, j] != 0, so the blocks share no
-    row or column and the Gram of m is their direct sum up to a permutation.
-    All-zero rows and columns belong to no block.  Each row is labelled by
-    the least row index it reaches: labels spread row -> column -> row by
-    vectorized min-propagation with pointer jumping until they settle.
-    Blocks come out ordered by their least row index.
-    """
-    rows, cols = np.nonzero(m)
-    d_rows, d_cols = m.shape
-    label = np.arange(d_rows)
-    while True:
-        col_label = np.full(d_cols, d_rows)
-        np.minimum.at(col_label, cols, label[rows])
-        settled = label.copy()
-        np.minimum.at(settled, rows, col_label[cols])
-        settled = settled[settled]
-        if np.array_equal(settled, label):
-            break
-        label = settled
-
-    def groups(labels: np.ndarray, members: np.ndarray) -> List[np.ndarray]:
-        members = members[np.argsort(labels[members], kind="stable")]
-        return np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
-
-    row_members = np.flatnonzero(np.bincount(rows, minlength=d_rows))
-    col_members = np.flatnonzero(col_label < d_rows)
-    return list(zip(groups(label, row_members), groups(col_label, col_members)))
+def _sectors(state: PureState, block: Sequence[int], m: np.ndarray) -> Iterator[np.ndarray]:
+    """The nonempty charge sectors of m, the state's (block, environment)
+    code matrix, in charge order: a row's charge is its block slots'
+    `states.charges`, a column's the negated charge of its environment slots.
+    Raises InvariantError, after the last sector, if the sectors hold fewer
+    nonzeros than the state: some nonzero crossed sectors."""
+    n, dims = state.n, state.dims
+    row_charge = charges(n, dims, block)
+    col_charge = charges(n, dims, [i for i in range(len(dims)) if i not in block])
+    nonzeros = 0
+    for c in range(n * n):
+        rows = np.flatnonzero(row_charge == c)
+        cols = np.flatnonzero(col_charge == (n - c // n) % n * n + (n - c % n) % n)
+        sector = m[np.ix_(rows, cols)]  # copies only the sector's codes
+        nonzeros += np.count_nonzero(sector)
+        if sector.size:
+            yield sector
+    total = np.count_nonzero(state.codes)
+    if nonzeros != total:
+        raise InvariantError(f"{total - nonzeros} of {total} nonzero amplitudes cross "
+                             f"the Z_n x Z_n charge sectors")
 
 
 def _gram(codes: np.ndarray, table: np.ndarray, on_rows: bool) -> np.ndarray:
@@ -320,9 +312,9 @@ def block_spectrum(
     """Spectrum of the block reduction, diagonalizing the smaller Gram side.
 
     When the smaller side of the (block, environment) matrix exceeds
-    SPLIT_MIN_SIDE, each independent block of its nonzero pattern is
-    diagonalized on its own smaller side; the eigenvalues are padded with
-    exact zeros to the smaller side of the whole matrix.
+    SPLIT_MIN_SIDE, each charge sector (`_sectors`) is diagonalized on its
+    own smaller side; the eigenvalues are padded with exact zeros to the
+    smaller side of the whole matrix.
     """
     m = _block_environment(state, block)
     d_block, d_env = m.shape
@@ -332,9 +324,7 @@ def block_spectrum(
             f"both sides ({d_block}, {d_env}) exceed matrix budget {matrix_budget}"
         )
     table = state.table
-    # one block at a time: np.ix_ copies only the block's codes, not its whole rows
-    blocks = ((m[np.ix_(rows, cols)] for rows, cols in _independent_blocks(m))
-              if side > SPLIT_MIN_SIDE else (m,))
+    blocks = _sectors(state, block, m) if side > SPLIT_MIN_SIDE else (m,)
     found = np.concatenate([
         jacobi_eigvalsh(_gram(b, table, on_rows=b.shape[0] <= b.shape[1]))
         for b in blocks])
@@ -353,26 +343,16 @@ def von_neumann(report: SpectrumReport) -> float:
 def renyi(report: SpectrumReport, alpha: Union[float, complex]) -> Union[float, complex]:
     """Renyi entropy log(sum lambda**alpha) / (1 - alpha), natural log.
 
-    alpha must be finite.  Real alpha must be positive and not 1; complex
-    alpha must have positive real part.  Zero eigenvalues are excluded from
-    the power sum.  For complex alpha a vanishing power sum (within 1e-14)
+    alpha is validated by `weyl._check_order`.  Zero eigenvalues are excluded
+    from the power sum.  For complex alpha a vanishing power sum (within 1e-14)
     raises BranchPointCondition: the entropy is undefined on a branch point.
     """
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"order must be finite, got {alpha!r}")
-    if isinstance(alpha, complex) and alpha.imag == 0.0:
-        alpha = alpha.real
+    alpha = _check_order(alpha)
     pos = report.eigenvalues[report.eigenvalues > 0.0]
     if isinstance(alpha, complex):
-        if alpha.real <= 0.0:
-            raise ValueError(f"complex order must have positive real part, got {alpha!r}")
         power_sum = complex(np.exp(alpha * np.log(pos)).sum())
         if abs(power_sum) < 1e-14:
             raise BranchPointCondition(f"power sum vanished at order {alpha!r}")
         return cmath.log(power_sum) / (1.0 - alpha)
-    if alpha == 1.0:
-        raise ValueError("order 1 is the von Neumann limit; use von_neumann")
-    if alpha <= 0.0:
-        raise ValueError(f"order must be positive, got {alpha!r}")
     power_sum = float((pos ** alpha).sum())
     return math.log(power_sum) / (1.0 - alpha)

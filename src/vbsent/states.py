@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -184,6 +184,23 @@ def fold_tables(n: int, sites: int) -> Tables:
     for _ in range(sites - 1):
         tables = _join(tables, site, n)
     return tables
+
+
+def charges(n: int, dims: Sequence[int], positions: Iterable[int]) -> np.ndarray:
+    """Z_n x Z_n charge l*n + m of every label string over the slots at
+    `positions`, in C order: their pair labels summed mod n, the chain's last
+    slot (the boundary pair, or the ring's closing site) negated.  The last
+    slot holds the running product of the others, so every nonzero amplitude
+    has charge 0 over all slots.  Bulk position p stands for label p + 1."""
+    dtype = np.min_scalar_type(n * n - 1)
+    tables = (np.zeros(1, dtype=dtype),) * 3
+    for i in positions:
+        labels = np.arange(n * n - dims[i], n * n, dtype=dtype)
+        l, m = labels // n, labels % n
+        if i == len(dims) - 1:
+            l, m = (n - l) % n, (n - m) % n
+        tables = _join(tables, (l, m, np.zeros_like(l)), n)
+    return tables[0] * n + tables[1]  # at most n^2 - 1: stays in the dtype
 
 
 def _key(tables: Tables, n: int) -> np.ndarray:

@@ -28,6 +28,7 @@ threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,6 +47,22 @@ IndexLike = Union["BellIndex", Tuple[int, int]]
 def _check_dimension(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"qudit dimension must be an integer >= 2, got {n!r}")
+
+
+def _check_order(alpha: Union[float, complex]) -> Union[float, complex]:
+    """A Renyi order, validated: finite, not 1, with positive (real) part.
+    A complex order with zero imaginary part comes back real."""
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"order must be finite, got {alpha!r}")
+    if isinstance(alpha, complex) and alpha.imag == 0.0:
+        alpha = alpha.real
+    if alpha == 1.0:
+        raise ValueError("order 1 is the von Neumann limit")
+    if isinstance(alpha, complex) and alpha.real <= 0.0:
+        raise ValueError(f"complex order must have positive real part, got {alpha!r}")
+    if not isinstance(alpha, complex) and alpha <= 0.0:
+        raise ValueError(f"order must be positive, got {alpha!r}")
+    return alpha
 
 
 @dataclass(frozen=True, order=True)

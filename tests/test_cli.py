@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from vbsent import closed_form, states
-from vbsent.cli import main, parse_alpha, parse_span
+from vbsent.cli import MAX_SPAN, main, parse_alpha, parse_span
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +220,38 @@ def test_output_file(tmp_path, capsys):
                            "--block", "2", "--out", str(target))
     assert code == 0 and out == ""
     assert "lambda_singlet" in target.read_text()
+
+
+def test_verify_output_file(tmp_path, capsys):
+    target = tmp_path / "verify.json"
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--only", "swap-identity",
+                           "--out", str(target))
+    assert code == 0 and out.startswith("swap-identity: PASS")
+    assert json.loads(target.read_text())["all_passed"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n", "2", "--boundary", "open", "--block", "2"),
+    ("verify", "--n", "2", "--only", "swap-identity"),
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert str(target) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n", "2", "--boundary", "open", "--block", "1..100000000000"),
+    ("branch-points", "--n", "2", "--block", "2", "--m", "0..100000000000"),
+])
+def test_huge_span_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert str(MAX_SPAN) in err
+    assert len(parse_span(f"5..{4 + MAX_SPAN}")) == MAX_SPAN
+    with pytest.raises(ValueError, match="limit"):
+        parse_span(f"5..{5 + MAX_SPAN}")
 
 
 def test_verify_single_check(capsys):

@@ -256,11 +256,43 @@ def test_split_agrees_with_whole_gram(monkeypatch):
     assert count > 100
 
 
+def test_split_of_ring_blocks_into_charge_sectors(monkeypatch):
+    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    psi = periodic_vbs_state(ChainSpec(3, 6, PERIODIC))
+    for block in (range(3), range(2, 5), range(3, 6)):  # the last holds the closing site
+        m = oracle._block_environment(psi, block)
+        sectors = list(oracle._sectors(psi, block, m))
+        assert len(sectors) == 9  # one per Z_3 x Z_3 charge
+        assert sum(np.count_nonzero(s) for s in sectors) == np.count_nonzero(psi.codes)
+        assert sum(s.size for s in sectors) < m.size / 4
+        d = psi.table[m]
+        reference = np.sort(np.linalg.eigvalsh(d @ d.conj().T))[::-1]
+        report = block_spectrum(psi, block)
+        assert report.eigenvalues.shape == (512,)  # min(d_block, d_env)
+        assert np.abs(report.eigenvalues - reference).max() < 1e-13
+
+
+def test_split_is_bit_identical_across_calls(monkeypatch):
+    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    psi = periodic_vbs_state(ChainSpec(3, 6, PERIODIC))
+    first, second = block_spectrum(psi, range(3)), block_spectrum(psi, range(3))
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert von_neumann(first) == von_neumann(second)
+
+
+def test_split_surfaces_convergence_error(monkeypatch):
+    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_SWEEPS", 0)
+    psi = periodic_vbs_state(ChainSpec(3, 6, PERIODIC))
+    with pytest.raises(ConvergenceError):
+        block_spectrum(psi, range(3))
+
+
 def permuted_block_state(seed=0):
     """n = 3 state whose (72, 72) block/environment code matrix is a permuted
     direct sum of dense random-phase blocks, a chained staircase block, and
-    all-zero rows and columns.  Returns the state, its decoded matrix and the
-    summed rank of the decoded blocks."""
+    all-zero rows and columns: its nonzeros break the charge law of the chain
+    states."""
     r = rng(seed)
     blocks = [r.integers(1, 4, size=shape) for shape in [(10, 5), (20, 12), (7, 7), (1, 3)]]
     blocks.append(np.eye(6, 7, dtype=int) + np.eye(6, 7, 1, dtype=int))  # rows linked only through a chain
@@ -270,39 +302,16 @@ def permuted_block_state(seed=0):
         m[i:i + b.shape[0], j:j + b.shape[1]] = b
         i, j = i + b.shape[0], j + b.shape[1]
     m = m[r.permutation(72)][:, r.permutation(72)]
-    psi = PureState(3, (9, 8) * 2, m.reshape(-1), 1 / np.sqrt(np.count_nonzero(m)))
-    rank = sum(np.linalg.matrix_rank(psi.table[b]) for b in blocks)
-    return psi, psi.table[m], rank
+    return PureState(3, (9, 8) * 2, m.reshape(-1), 1 / np.sqrt(np.count_nonzero(m)))
 
 
-def test_split_of_permuted_block_matrix(monkeypatch):
+def test_split_certificate_rejects_nonzeros_across_sectors(monkeypatch):
     monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
-    psi, m, rank = permuted_block_state()
-    parts = oracle._independent_blocks(oracle._block_environment(psi, range(2)))
-    assert sorted((len(rows), len(cols)) for rows, cols in parts) == [
-        (1, 3), (6, 7), (7, 7), (10, 5), (20, 12)]
-    report = block_spectrum(psi, range(2))
-    reference = np.sort(np.linalg.eigvalsh(m.conj().T @ m))[::-1]
-    assert report.eigenvalues.shape == (72,)  # min(d_block, d_env)
-    assert np.abs(report.eigenvalues - reference).max() < 1e-13
-    # one eigenvalue per unit of each block's rank, then exact zeros
-    assert np.count_nonzero(report.eigenvalues) == rank
-
-
-def test_split_is_bit_identical_across_calls(monkeypatch):
-    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
-    psi, _, _ = permuted_block_state(seed=3)
-    first, second = block_spectrum(psi, range(2)), block_spectrum(psi, range(2))
-    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
-    assert von_neumann(first) == von_neumann(second)
-
-
-def test_split_surfaces_convergence_error(monkeypatch):
-    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
-    monkeypatch.setattr(oracle, "DEFAULT_MAX_SWEEPS", 0)
-    psi, _, _ = permuted_block_state(seed=5)
-    with pytest.raises(ConvergenceError):
+    psi = permuted_block_state()
+    with pytest.raises(InvariantError, match="cross the Z_n x Z_n charge sectors"):
         block_spectrum(psi, range(2))
+    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", NO_SPLIT)  # the whole matrix needs no law
+    assert block_spectrum(psi, range(2)).eigenvalues.shape == (72,)
 
 
 # ------------------------------------------------- chunked real-view Gram
@@ -371,10 +380,8 @@ def test_real_view_gram_is_bit_identical_across_calls():
     assert first.tobytes() == second.tobytes()
 
 
-@pytest.mark.parametrize("block", [range(12), range(1, 12)])
-def test_block_spectrum_memory_stays_near_the_codes(block):
+def assert_block_spectrum_peak_near_codes(psi, block):
     # the codes are 1 byte per amplitude; no decoded array is as long as the state
-    psi = open_vbs_state(ChainSpec(2, 12, OPEN))
     m = oracle._block_environment(psi, block)
     gram_bytes = min(m.shape) ** 2 * 8
     del m
@@ -385,6 +392,16 @@ def test_block_spectrum_memory_stays_near_the_codes(block):
     finally:
         tracemalloc.stop()
     assert peak < 2 * psi.codes.nbytes + gram_bytes
+
+
+@pytest.mark.parametrize("block", [range(12), range(1, 12)])
+def test_block_spectrum_memory_stays_near_the_codes(block):
+    assert_block_spectrum_peak_near_codes(open_vbs_state(ChainSpec(2, 12, OPEN)), block)
+
+
+def test_split_block_spectrum_memory_stays_near_the_codes():
+    # a 729 x 2187 block, split into its four charge sectors
+    assert_block_spectrum_peak_near_codes(periodic_vbs_state(ChainSpec(2, 13, PERIODIC)), range(6))
 
 
 # ------------------------------------------------------------ invariant checks

@@ -14,6 +14,7 @@ from vbsent.states import (
     PERIODIC,
     ChainSpec,
     PureState,
+    charges,
     code_dtype,
     fold_tables,
     open_vbs_state,
@@ -240,6 +241,20 @@ def admitted_specs(limit):
                     break
                 specs.append(spec)
     return specs
+
+
+def test_charges_vanish_on_every_nonzero_amplitude():
+    # Z_n x Z_n conservation: the last slot holds the running product of the others
+    specs = admitted_specs(20000)
+    for spec in specs:
+        psi = (open_vbs_state if spec.boundary == OPEN else periodic_vbs_state)(spec)
+        total = charges(psi.n, psi.dims, range(len(psi.dims)))
+        assert total.shape == psi.codes.shape
+        assert not total[psi.codes != 0].any(), spec
+        assert total.any()  # zero amplitudes carry other charges
+    assert len(specs) > 20
+    suml, summ, _ = fold_tables(3, 3)  # a bulk run's charge is its running label
+    assert np.array_equal(charges(3, (8,) * 5, range(1, 4)), suml * 3 + summ)
 
 
 def test_smallest_states_the_blas_norm_rejected():
