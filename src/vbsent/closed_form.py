@@ -34,13 +34,10 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import BranchPointCondition, DegenerateSpectrumError
-from .weyl import _check_dimension, _check_order
+from .errors import DegenerateSpectrumError
+from .weyl import _check_dimension, _check_order, _log_power_sum
 
 Order = Union[float, complex]
-
-#: Power sums smaller than this (complex order only) count as a branch point.
-BRANCH_SUM_TOL = 1e-14
 
 #: Residual contract for returned branch points.
 BRANCH_RESIDUAL_TOL = 1e-8
@@ -135,16 +132,13 @@ class BlockSpectrum:
         """Renyi block entropy at real or complex order; a zero weight drops
         out of the power sum."""
         alpha = _check_order(alpha)
+        weights, counts = self.floats(), (1, self.multiplicity)
         total = 0.0
-        for w, mult in zip(self.floats(), (1, self.multiplicity)):
+        for w, mult in zip(weights, counts):
             if w != 0.0:
                 total += mult * (cmath.exp(alpha * math.log(w)) if isinstance(alpha, complex)
                                  else w ** alpha)
-        if isinstance(alpha, complex):
-            if abs(total) < BRANCH_SUM_TOL:
-                raise BranchPointCondition(f"power sum vanished at order {alpha!r}")
-            return cmath.log(total) / (1.0 - alpha)
-        return math.log(total) / (1.0 - alpha)
+        return _log_power_sum(total, alpha, weights, counts) / (1.0 - alpha)
 
 
 def open_spectrum(n: int, L: int) -> BlockSpectrum:

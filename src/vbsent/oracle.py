@@ -9,13 +9,14 @@ closed forms.
 Spectra of a block are computed, by default, on whichever side of the
 bipartition is smaller: for a unit vector reshaped to a (block, environment)
 matrix M, the nonzero eigenvalues of M M^dagger and M^dagger M coincide.
-When that smaller side exceeds SPLIT_MIN_SIDE, M is first split into its
-n^2 charge sectors (`_sectors`): every nonzero amplitude has Z_n x Z_n
-charge 0 (`states.charges`), so a nonzero entry links only a row and a
-column of equal charge, and the Gram is the sectors' direct sum up to a
-permutation.  Each is diagonalized on its own smaller side; the remaining
-eigenvalues are exact zeros.  Sectors holding fewer nonzeros than the state
-raise InvariantError.  The charges come from the slot encoding alone.
+When that side exceeds SPLIT_MIN_SIDE and M has more than SPLIT_MIN_ENTRIES
+entries, M is first split into its n^2 charge sectors (`_sector_spectra`):
+every nonzero amplitude has Z_n x Z_n charge 0 (`states.charges`), so a
+nonzero entry links only a row and a column of equal charge, and the Gram
+is the sectors' direct sum up to a permutation.  Each is diagonalized on
+its own smaller side; the remaining eigenvalues are exact zeros.  Sectors
+holding fewer nonzeros than the state raise InvariantError.  The charges
+come from the slot encoding alone.
 
 M itself holds the state's phase codes (see `states`), reshaped and
 transposed: one byte per entry.  Every Gram, and every reduced density
@@ -37,25 +38,26 @@ difference matrix.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import BranchPointCondition, BudgetError, ConvergenceError, InvariantError
+from .errors import BudgetError, ConvergenceError, InvariantError
 from .states import PureState, charges
-from .weyl import _check_order
+from .weyl import _check_order, _log_power_sum
 
 #: Default cap on the dimension of any materialized density/Gram matrix.
 DEFAULT_MATRIX_BUDGET = 4096
 
-#: Smaller (block, environment) side above which `block_spectrum` splits the
-#: matrix into its charge sectors.  Below it the larger side reaches 14.3M
-#: rows (n = 2 open, N = 15), where a charge and a sector index per row would
-#: outweigh the codes; above it that side is at most 2**26 / 361, about 186k.
-SPLIT_MIN_SIDE = 360
+#: `block_spectrum` splits a (block, environment) matrix into its charge
+#: sectors only if its smaller side exceeds SPLIT_MIN_SIDE and its entries
+#: exceed SPLIT_MIN_ENTRIES: on smaller ones (timed: sides 3-12, or up to 54k
+#: entries) the split's n^4 gathers and n^2 Jacobi calls cost more than they save.
+SPLIT_MIN_SIDE = 14
+SPLIT_MIN_ENTRIES = 1 << 16
 
 #: Eigenvalues in [-NEGATIVE_CLAMP, 0) are rounded to 0; anything below is an error.
 NEGATIVE_CLAMP = 1e-12
@@ -241,23 +243,39 @@ def reduced_density(
     return DensityMatrix(_gram(m, state.table, on_rows=True))
 
 
-def _sectors(state: PureState, block: Sequence[int], m: np.ndarray) -> Iterator[np.ndarray]:
-    """The nonempty charge sectors of m, the state's (block, environment)
-    code matrix, in charge order: a row's charge is its block slots'
-    `states.charges`, a column's the negated charge of its environment slots.
-    Raises InvariantError, after the last sector, if the sectors hold fewer
-    nonzeros than the state: some nonzero crossed sectors."""
-    n, dims = state.n, state.dims
-    row_charge = charges(n, dims, block)
-    col_charge = charges(n, dims, [i for i in range(len(dims)) if i not in block])
+def _sector_spectra(state: PureState, block: Sequence[int], m: np.ndarray) -> Iterator[np.ndarray]:
+    """Eigenvalues of the Gram of each charge sector of m, the state's (block,
+    environment) code matrix, on the sector's smaller side, one Gram held at
+    a time.  m's longer side is a head, its longest leading run of slots
+    with product H <= min(long / side, sqrt(long)), times a tail: sector c
+    gathers, per head charge a, the head and tail rows of charges a and
+    -(c + a) (`states.charges`), and sums these pieces' Grams, or joins them
+    if the Gram is on its longer part.  A square m has H = 1: one piece,
+    m[np.ix_(rows, cols)].  Raises InvariantError, after the last sector, if
+    the sectors hold fewer nonzeros than the state."""
+    n, dims, table = state.n, state.dims, state.table
+    env = [i for i in range(len(dims)) if i not in block]
+    tall = m.shape[0] > m.shape[1]
+    short, long, wide = (env, list(block), m.T) if tall else (list(block), env, m)
+    side, length = wide.shape
+    runs = np.cumprod([dims[i] for i in long])  # products of the leading runs
+    k = int(np.count_nonzero((side * runs <= length) & (runs * runs <= length)))
+    view = wide.reshape(side, int(runs[k - 1]) if k else 1, -1)  # a view, never a copy
+    groups = [charges(n, dims, slots) for slots in (short, long[:k], long[k:])]
+    sides, heads, tails = ([np.flatnonzero(q == c) for c in range(n * n)] for q in groups)
     nonzeros = 0
-    for c in range(n * n):
-        rows = np.flatnonzero(row_charge == c)
-        cols = np.flatnonzero(col_charge == (n - c // n) % n * n + (n - c % n) % n)
-        sector = m[np.ix_(rows, cols)]  # copies only the sector's codes
-        nonzeros += np.count_nonzero(sector)
-        if sector.size:
-            yield sector
+    for c, rows in enumerate(sides):
+        cols = [(h, t) for a, h in enumerate(heads)
+                for t in [tails[-(c // n + a // n) % n * n + -(c + a) % n]] if h.size and t.size]
+        if not rows.size or not cols:
+            continue
+        pieces = [view[rows[:, None, None], h[:, None], t].reshape(rows.size, -1) for h, t in cols]
+        nonzeros += sum(map(np.count_nonzero, pieces))
+        on_rows = rows.size <= sum(p.shape[1] for p in pieces)
+        if not on_rows and len(pieces) > 1:
+            pieces = [np.concatenate(pieces, axis=1)]
+        # no name holds the Gram, so it is freed before the next one is formed
+        yield jacobi_eigvalsh(functools.reduce(np.add, (_gram(p, table, on_rows) for p in pieces)))
     total = np.count_nonzero(state.codes)
     if nonzeros != total:
         raise InvariantError(f"{total - nonzeros} of {total} nonzero amplitudes cross "
@@ -312,9 +330,10 @@ def block_spectrum(
     """Spectrum of the block reduction, diagonalizing the smaller Gram side.
 
     When the smaller side of the (block, environment) matrix exceeds
-    SPLIT_MIN_SIDE, each charge sector (`_sectors`) is diagonalized on its
-    own smaller side; the eigenvalues are padded with exact zeros to the
-    smaller side of the whole matrix.
+    SPLIT_MIN_SIDE and the matrix has more than SPLIT_MIN_ENTRIES entries,
+    each charge sector (`_sector_spectra`) is diagonalized on its own smaller
+    side; the eigenvalues are padded with exact zeros to the smaller side of
+    the whole matrix.
     """
     m = _block_environment(state, block)
     d_block, d_env = m.shape
@@ -323,11 +342,10 @@ def block_spectrum(
         raise BudgetError(
             f"both sides ({d_block}, {d_env}) exceed matrix budget {matrix_budget}"
         )
-    table = state.table
-    blocks = _sectors(state, block, m) if side > SPLIT_MIN_SIDE else (m,)
-    found = np.concatenate([
-        jacobi_eigvalsh(_gram(b, table, on_rows=b.shape[0] <= b.shape[1]))
-        for b in blocks])
+    if side > SPLIT_MIN_SIDE and m.size > SPLIT_MIN_ENTRIES:
+        found = np.concatenate(list(_sector_spectra(state, block, m)))
+    else:
+        found = jacobi_eigvalsh(_gram(m, state.table, on_rows=d_block <= d_env))
     return spectrum_report(np.concatenate([found, np.zeros(side - found.size)]))
 
 
@@ -344,15 +362,14 @@ def renyi(report: SpectrumReport, alpha: Union[float, complex]) -> Union[float, 
     """Renyi entropy log(sum lambda**alpha) / (1 - alpha), natural log.
 
     alpha is validated by `weyl._check_order`.  Zero eigenvalues are excluded
-    from the power sum.  For complex alpha a vanishing power sum (within 1e-14)
-    raises BranchPointCondition: the entropy is undefined on a branch point.
+    from the power sum, whose log `weyl._log_power_sum` takes; a complex
+    alpha where it vanishes raises BranchPointCondition: the entropy is
+    undefined on a branch point.
     """
     alpha = _check_order(alpha)
     pos = report.eigenvalues[report.eigenvalues > 0.0]
     if isinstance(alpha, complex):
-        power_sum = complex(np.exp(alpha * np.log(pos)).sum())
-        if abs(power_sum) < 1e-14:
-            raise BranchPointCondition(f"power sum vanished at order {alpha!r}")
-        return cmath.log(power_sum) / (1.0 - alpha)
-    power_sum = float((pos ** alpha).sum())
-    return math.log(power_sum) / (1.0 - alpha)
+        total = complex(np.exp(alpha * np.log(pos)).sum())
+    else:
+        total = float((pos ** alpha).sum())
+    return _log_power_sum(total, alpha, pos) / (1.0 - alpha)

@@ -193,14 +193,15 @@ def charges(n: int, dims: Sequence[int], positions: Iterable[int]) -> np.ndarray
     slot holds the running product of the others, so every nonzero amplitude
     has charge 0 over all slots.  Bulk position p stands for label p + 1."""
     dtype = np.min_scalar_type(n * n - 1)
-    tables = (np.zeros(1, dtype=dtype),) * 3
+    suml = summ = np.zeros(1, dtype=dtype)
     for i in positions:
         labels = np.arange(n * n - dims[i], n * n, dtype=dtype)
         l, m = labels // n, labels % n
         if i == len(dims) - 1:
             l, m = (n - l) % n, (n - m) % n
-        tables = _join(tables, (l, m, np.zeros_like(l)), n)
-    return tables[0] * n + tables[1]  # at most n^2 - 1: stays in the dtype
+        suml = ((suml[:, None] + l) % n).reshape(-1)
+        summ = ((summ[:, None] + m) % n).reshape(-1)
+    return suml * n + summ  # at most n^2 - 1: stays in the dtype
 
 
 def _key(tables: Tables, n: int) -> np.ndarray:

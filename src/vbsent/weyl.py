@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Tuple, Union
 
 import numpy as np
+
+from .errors import BranchPointCondition
 
 #: Largest n for which the exponentially sized self-tests (antisymmetric
 #: embedding, four-qudit pair swap) are built; read at each call.
@@ -63,6 +66,31 @@ def _check_order(alpha: Union[float, complex]) -> Union[float, complex]:
     if not isinstance(alpha, complex) and alpha <= 0.0:
         raise ValueError(f"order must be positive, got {alpha!r}")
     return alpha
+
+
+#: A complex-order power sum below this is a branch point.
+BRANCH_SUM_TOL = 1e-14
+
+
+def _log_power_sum(total: Union[float, complex], alpha: Union[float, complex],
+                   weights: Iterable[float], counts: Iterable[int] = (1,)) -> Union[float, complex]:
+    """log of the power sum sum_i counts_i * weights_i**alpha over nonzero
+    weights, given its plain value `total`: log(total), unless `total`
+    underflowed (a real one below the smallest normal float, a complex one
+    below BRANCH_SUM_TOL).  There the largest term is factored out, with the
+    imaginary part kept in (-pi, pi], and a complex order whose scaled sum is
+    below BRANCH_SUM_TOL raises BranchPointCondition."""
+    complex_order = isinstance(alpha, complex)
+    if (BRANCH_SUM_TOL if complex_order else sys.float_info.min) <= abs(total) < math.inf:
+        return cmath.log(total) if complex_order else math.log(total)
+    weights, counts = np.broadcast_arrays(np.asarray(weights, dtype=float), counts)
+    logs = np.log(weights[weights > 0.0])
+    top = float(logs.max())
+    scaled = (counts[weights > 0.0] * np.exp(alpha * (logs - top))).sum()
+    if complex_order and abs(scaled) < BRANCH_SUM_TOL:
+        raise BranchPointCondition(f"power sum vanished at order {alpha!r}")
+    log = cmath.log(scaled) + alpha * top
+    return complex(log.real, math.remainder(log.imag, 2.0 * math.pi)) if complex_order else log.real
 
 
 @dataclass(frozen=True, order=True)

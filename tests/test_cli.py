@@ -128,6 +128,19 @@ def test_entropy_branch_point_row_flagged(capsys):
     assert "branch point" in err
 
 
+def test_entropy_at_orders_whose_power_sum_underflows(capsys):
+    # 700 raised "math domain error" (exit 2); 800+1i was reported as a branch point
+    code, out, err = run_cli(capsys, "entropy", "--n", "2", "--boundary", "open",
+                             "--block", "2", "--alpha", "700,800+1i")
+    assert (code, err) == (0, "")
+    real, complex_ = read_csv(out)
+    assert float(real["S_alpha_re"]) == pytest.approx(700 * math.log(3) / 699, abs=1e-14)
+    assert float(real["S_alpha_im"]) == 0.0
+    # the principal log of the power sum, to 50 digits
+    assert float(complex_["S_alpha_re"]) == pytest.approx(1.0999872706052682, abs=1e-14)
+    assert float(complex_["S_alpha_im"]) == pytest.approx(-1.7208785195974081e-06, abs=1e-14)
+
+
 def test_entropy_rejects_order_one(capsys):
     code, _, err = run_cli(capsys, "entropy", "--n", "2", "--boundary", "open",
                            "--block", "2", "--alpha", "1")

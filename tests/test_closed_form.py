@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -91,6 +92,43 @@ def test_open_renyi_matches_oracle_renyi():
         a = open_renyi(2, 2, alpha)
         b = renyi(report, alpha)
         assert abs(a - b) < 1e-12
+
+
+def large_order_renyi(weights, alpha):
+    """log(sum w**alpha) / (1 - alpha) over (weight, multiplicity) pairs, with
+    the largest weight's power factored out by hand."""
+    top = max(w for w, _ in weights)
+    scaled = sum(mult * cmath.exp(alpha * math.log(w / top)) for w, mult in weights)
+    log = cmath.log(scaled) + alpha * math.log(top)
+    log = complex(log.real, math.remainder(log.imag, 2 * math.pi))  # principal branch
+    return (log if isinstance(alpha, complex) else log.real) / (1 - alpha)
+
+
+@pytest.mark.parametrize("n,L,alpha", [(2, 2, 700), (4, 2, 300), (2, 2, 800 + 1j),
+                                       (2, 2, 40 + 1j), (3, 5, 2000.5 - 3j)])
+def test_renyi_at_orders_whose_power_sum_underflows(n, L, alpha):
+    # the plain power sum rounds to 0 (or, for a complex order, to below the
+    # branch-point tolerance) although no term cancels another
+    spec = open_spectrum(n, L)
+    singlet, adjoint = spec.floats()
+    want = large_order_renyi([(singlet, 1), (adjoint, n * n - 1)], alpha)
+    got = open_renyi(n, L, alpha)
+    assert abs(got - want) < 1e-13
+    report = spectrum_report([singlet] + [adjoint] * (n * n - 1))
+    assert abs(renyi(report, alpha) - want) < 1e-13
+
+
+def test_renyi_plain_sum_is_kept_where_it_does_not_underflow():
+    # bit-identical to the plain log(sum w**alpha) / (1 - alpha)
+    for n, L, alpha in [(2, 2, 2.0), (3, 7, 5.0), (2, 9, complex(2.0, 0.25)), (4, 3, 0.5)]:
+        singlet, adjoint = open_spectrum(n, L).floats()
+        if isinstance(alpha, complex):
+            total = (cmath.exp(alpha * math.log(singlet))
+                     + (n * n - 1) * cmath.exp(alpha * math.log(adjoint)))
+            assert open_renyi(n, L, alpha) == cmath.log(total) / (1 - alpha)
+        else:
+            total = singlet ** alpha + (n * n - 1) * adjoint ** alpha
+            assert open_renyi(n, L, alpha) == math.log(total) / (1 - alpha)
 
 
 @pytest.mark.parametrize("n", (2, 3))

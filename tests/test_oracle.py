@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from vbsent.states import (
     PERIODIC,
     ChainSpec,
     PureState,
+    charges,
     open_vbs_state,
     periodic_vbs_state,
 )
@@ -184,6 +186,12 @@ def test_block_start_and_length_independence():
 NO_SPLIT = 10 ** 9
 
 
+def split_every_block(monkeypatch):
+    """Split every block matrix into its charge sectors, however small."""
+    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    monkeypatch.setattr(oracle, "SPLIT_MIN_ENTRIES", 0)
+
+
 def verify_grid_blocks():
     """(state, block) for every block of the open and periodic verify grids."""
     for n, grid in OPEN_GRID.items():
@@ -248,7 +256,7 @@ def test_split_agrees_with_whole_gram(monkeypatch):
     for psi, block in verify_grid_blocks():
         monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", NO_SPLIT)
         whole = block_spectrum(psi, block).eigenvalues
-        monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+        split_every_block(monkeypatch)
         split = block_spectrum(psi, block).eigenvalues
         assert split.shape == whole.shape
         assert np.abs(split - whole).max() < 1e-13
@@ -257,14 +265,14 @@ def test_split_agrees_with_whole_gram(monkeypatch):
 
 
 def test_split_of_ring_blocks_into_charge_sectors(monkeypatch):
-    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    split_every_block(monkeypatch)
     psi = periodic_vbs_state(ChainSpec(3, 6, PERIODIC))
     for block in (range(3), range(2, 5), range(3, 6)):  # the last holds the closing site
         m = oracle._block_environment(psi, block)
-        sectors = list(oracle._sectors(psi, block, m))
-        assert len(sectors) == 9  # one per Z_3 x Z_3 charge
-        assert sum(np.count_nonzero(s) for s in sectors) == np.count_nonzero(psi.codes)
-        assert sum(s.size for s in sectors) < m.size / 4
+        spectra = list(oracle._sector_spectra(psi, block, m))  # certified: no nonzero is left out
+        assert len(spectra) == 9  # one per Z_3 x Z_3 charge
+        assert sum(e.size for e in spectra) <= 512
+        assert abs(sum(e.sum() for e in spectra) - 1.0) < 1e-13
         d = psi.table[m]
         reference = np.sort(np.linalg.eigvalsh(d @ d.conj().T))[::-1]
         report = block_spectrum(psi, block)
@@ -272,8 +280,66 @@ def test_split_of_ring_blocks_into_charge_sectors(monkeypatch):
         assert np.abs(report.eigenvalues - reference).max() < 1e-13
 
 
+def whole_sector_spectrum(psi, block):
+    """Block spectrum from sectors gathered whole, with a charge for every row
+    and column of the (block, environment) matrix."""
+    m = oracle._block_environment(psi, block)
+    n, dims = psi.n, psi.dims
+    row_charge = charges(n, dims, block)
+    col_charge = charges(n, dims, [i for i in range(len(dims)) if i not in block])
+    found = []
+    for c in range(n * n):
+        rows = np.flatnonzero(row_charge == c)
+        cols = np.flatnonzero(col_charge == (n - c // n) % n * n + (n - c % n) % n)
+        sector = m[np.ix_(rows, cols)]
+        if sector.size:
+            gram = oracle._gram(sector, psi.table, on_rows=sector.shape[0] <= sector.shape[1])
+            found.append(jacobi_eigvalsh(gram))
+    found = np.concatenate(found)
+    return spectrum_report(np.concatenate([found, np.zeros(min(m.shape) - found.size)])).eigenvalues
+
+
+def test_square_split_blocks_gather_their_sectors_whole():
+    # a square block matrix has a head of one row: each sector is one gather,
+    # and the eigenvalues are bit-identical to sectors gathered whole
+    psi = periodic_vbs_state(ChainSpec(3, 6, PERIODIC))
+    for block in (range(3), range(3, 6)):
+        assert oracle._block_environment(psi, block).shape == (512, 512)
+        assert (block_spectrum(psi, block).eigenvalues.tobytes()
+                == whole_sector_spectrum(psi, block).tobytes())
+
+
+def dense_spectrum_blocks():
+    """(state, block) for every block of the dense spectrum requests near the
+    amplitude budget (the benchmark's dense-states list), state by state."""
+    for n, L in [(2, L) for L in range(8, 16)] + [(4, L) for L in range(1, 6)]:
+        yield open_vbs_state(ChainSpec(n, L, OPEN)), range(L)
+    for n, N in ((2, 13), (4, 6)):
+        psi = periodic_vbs_state(ChainSpec(n, N, PERIODIC))
+        for L in range(1, N):
+            yield psi, range(L)
+        del psi
+
+
+def test_split_blocks_of_sides_up_to_360_agree_with_the_whole_gram(monkeypatch):
+    # every block with a smaller side between the gate and 360, split however
+    # few its entries
+    count = 0
+    for psi, block in itertools.chain(verify_grid_blocks(), dense_spectrum_blocks()):
+        if not oracle.SPLIT_MIN_SIDE < min(oracle._block_environment(psi, block).shape) <= 360:
+            continue
+        monkeypatch.setattr(oracle, "SPLIT_MIN_ENTRIES", 0)
+        split = block_spectrum(psi, block).eigenvalues
+        monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", NO_SPLIT)
+        whole = block_spectrum(psi, block).eigenvalues
+        monkeypatch.undo()
+        assert np.abs(split - whole).max() <= 1e-15, (psi.n, psi.dims, block)
+        count += 1
+    assert count == 24 + 15  # verify-grid blocks, dense spectrum blocks
+
+
 def test_split_is_bit_identical_across_calls(monkeypatch):
-    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    split_every_block(monkeypatch)
     psi = periodic_vbs_state(ChainSpec(3, 6, PERIODIC))
     first, second = block_spectrum(psi, range(3)), block_spectrum(psi, range(3))
     assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
@@ -281,7 +347,7 @@ def test_split_is_bit_identical_across_calls(monkeypatch):
 
 
 def test_split_surfaces_convergence_error(monkeypatch):
-    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    split_every_block(monkeypatch)
     monkeypatch.setattr(oracle, "DEFAULT_MAX_SWEEPS", 0)
     psi = periodic_vbs_state(ChainSpec(3, 6, PERIODIC))
     with pytest.raises(ConvergenceError):
@@ -305,8 +371,25 @@ def permuted_block_state(seed=0):
     return PureState(3, (9, 8) * 2, m.reshape(-1), 1 / np.sqrt(np.count_nonzero(m)))
 
 
+def test_split_certificate_sees_a_nonzero_under_a_head_and_tail(monkeypatch):
+    # the 9 x 729 block matrix of an n = 2 ring of 8 is split with a head of
+    # 27 environment rows and a tail of 27; one stray amplitude of nonzero
+    # charge sits in a column with both
+    psi = periodic_vbs_state(ChainSpec(2, 8, PERIODIC))
+    split_every_block(monkeypatch)
+    assert oracle._block_environment(psi, range(2)).shape == (9, 729)
+    codes = psi.codes.copy()
+    stray = np.flatnonzero(charges(2, psi.dims, range(8)) != 0)[4000]
+    codes[stray] = 1
+    bad = PureState(2, psi.dims, codes, 1 / np.sqrt(np.count_nonzero(codes)))
+    with pytest.raises(InvariantError, match="1 of .* cross the Z_n x Z_n charge sectors"):
+        block_spectrum(bad, range(2))
+    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", NO_SPLIT)
+    assert block_spectrum(bad, range(2)).eigenvalues.shape == (9,)
+
+
 def test_split_certificate_rejects_nonzeros_across_sectors(monkeypatch):
-    monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", 0)
+    split_every_block(monkeypatch)
     psi = permuted_block_state()
     with pytest.raises(InvariantError, match="cross the Z_n x Z_n charge sectors"):
         block_spectrum(psi, range(2))
@@ -402,6 +485,20 @@ def test_block_spectrum_memory_stays_near_the_codes(block):
 def test_split_block_spectrum_memory_stays_near_the_codes():
     # a 729 x 2187 block, split into its four charge sectors
     assert_block_spectrum_peak_near_codes(periodic_vbs_state(ChainSpec(2, 13, PERIODIC)), range(6))
+
+
+def test_split_holds_no_array_over_a_long_side():
+    # a 27 x 1,594,323 block: the split gathers its sectors piece by piece
+    # through charges of two runs of environment slots
+    psi = periodic_vbs_state(ChainSpec(2, 16, PERIODIC))
+    assert oracle.SPLIT_MIN_SIDE < 27 and oracle.SPLIT_MIN_ENTRIES < psi.codes.size
+    tracemalloc.start()
+    try:
+        block_spectrum(psi, range(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * psi.codes.nbytes
 
 
 # ------------------------------------------------------------ invariant checks
