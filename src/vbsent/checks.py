@@ -211,15 +211,17 @@ def check_edge_states(n: int, run: CheckRun) -> Iterator[Point]:
     d = n * n - 1
     for L in EDGE_GRID[n]:
         basis = edges.edge_basis(n, L, run.amp_budget)
-        overlaps = basis.vectors.conj() @ basis.vectors.T
-        yield (float(np.abs(overlaps - np.eye(len(basis.labels))).max()), 1e-10,
+        gram = edges.edge_gram(basis)
+        norms = np.sqrt(np.diagonal(gram).real)
+        keep = np.flatnonzero(norms > 0)  # the singlet's state is zero at L = 1
+        overlaps = gram[np.ix_(keep, keep)] / np.outer(norms[keep], norms[keep])
+        yield (float(np.abs(overlaps - np.eye(keep.size)).max()), 1e-10,
                dict(n=n, L=L, part="orthonormality"))
 
-        gram = edges.edge_gram(basis)
         spec = closed_form.open_spectrum(n, L)
         for k in range(n * n):
-            label = weyl.BellIndex(n, k // n, k % n)
-            want = float(d ** L * (spec.singlet if (-label).is_singlet else spec.adjoint))
+            # label 0, (0, 0), is the only one whose negation is the singlet
+            want = float(d ** L * (spec.singlet if k == 0 else spec.adjoint))
             dev = abs(gram[k, k].real - want)
             yield (dev / want if want else dev), 1e-9, dict(n=n, L=L, part="gram-diagonal", label=k)
         off = gram - np.diag(np.diagonal(gram))

@@ -294,26 +294,33 @@ def _gram(codes: np.ndarray, table: np.ndarray, on_rows: bool) -> np.ndarray:
     real table; for a complex one, R's columns hold the real and imaginary
     parts of E's in turn), and the chunk products are summed in order.  The
     complex Gram is (S_rr + S_ii) + i (S_ri - S_ir) in the even/odd blocks
-    of that sum S, exactly Hermitian.  An E that is one chunk, or that has
-    fewer rows than columns (a Gram larger than E), is decoded whole and
-    multiplied once.
+    of that sum S, exactly Hermitian.  An E that fits one chunk is decoded
+    whole and makes one such product.  Only an E whose float64 view R has
+    fewer rows than columns, so that R^T R would be larger than R, is
+    multiplied as decoded, D D^dagger or D^dagger D: as in the edge states'
+    reduction to their bulk slots, or a square complex E.
     """
     e, values = (codes.T, table.conj()) if on_rows else (codes, table)
     length, side = e.shape
-    step = min(length, max(GRAM_CHUNK // side, min(8 * side, 8 * GRAM_CHUNK // side)))
-    if step == length or length < side:
+    width = side * values.itemsize // 8  # columns of R
+    if length < width:
         d = values[e]
         return d.conj().T @ d  # d.T @ d for a real table: conj() returns d itself
-    index = np.empty((step, side), dtype=np.intp)  # else np.take allocates one per chunk
-    buf = np.empty((step, side), dtype=values.dtype)
-    width = buf.view(np.float64).shape[1]
-    total, product = np.zeros((width, width)), np.empty((width, width))
-    for lo in range(0, length, step):
-        rows = min(step, length - lo)
-        index[:rows] = e[lo:lo + rows]
-        # mode="clip" writes into `buf` directly; the default mode buffers a copy
-        r = np.take(values, index[:rows], out=buf[:rows], mode="clip").view(np.float64)
-        total += np.matmul(r.T, r, out=product)
+    step = min(length, max(GRAM_CHUNK // side, min(8 * side, 8 * GRAM_CHUNK // side)))
+    if step == length:
+        r = values[np.ascontiguousarray(e)].view(np.float64)  # the view needs C order
+        total = r.T @ r
+        del r  # the decoded E is freed before the complex Gram is assembled
+    else:
+        index = np.empty((step, side), dtype=np.intp)  # else np.take allocates one per chunk
+        buf = np.empty((step, side), dtype=values.dtype)
+        total, product = np.zeros((width, width)), np.empty((width, width))
+        for lo in range(0, length, step):
+            rows = min(step, length - lo)
+            index[:rows] = e[lo:lo + rows]
+            # mode="clip" writes into `buf` directly; the default mode buffers a copy
+            r = np.take(values, index[:rows], out=buf[:rows], mode="clip").view(np.float64)
+            total += np.matmul(r.T, r, out=product)
     if not np.iscomplexobj(values):
         return total
     gram = np.empty((side, side), dtype=complex)

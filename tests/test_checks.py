@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vbsent import closed_form, oracle, states
+from vbsent import closed_form, edges, oracle, states
 from vbsent.checks import (
     CHECKS,
     OPEN_GRID,
@@ -106,6 +106,25 @@ def test_nan_entropies_fail_their_checks(monkeypatch):
     results = run_checks(only=names, ns=(2, 3))
     assert [r.status for r in results] == ["FAIL"] * 3
     assert all(math.isnan(r.max_dev) for r in results)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_edge_states_fail_on_one_changed_phase(monkeypatch, n):
+    # one nonzero code of one boundary row moved to another phase keeps the
+    # norm, so the state's norm check passes: the check must catch the fault
+    built = edges.edge_basis
+
+    def faulty(n, L, amp_budget):
+        basis = built(n, L, amp_budget)
+        codes = basis.codes.copy()
+        row = codes.reshape(n * n, -1)[n * n - 1]
+        i = np.flatnonzero(row)[0]
+        row[i] = row[i] % n + 1
+        return states.PureState(n, basis.dims, codes, basis.scale)
+
+    monkeypatch.setattr(edges, "edge_basis", faulty)
+    result = run_checks(only=["edge-states"], ns=(n,))[0]
+    assert result.status == "FAIL" and result.worst_at["part"] == "reconstruction"
 
 
 # ------------------------------------------------------------ one run's sharing

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,35 +15,54 @@ from vbsent.weyl import BellIndex
 GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
 
 
+def unit_rows(basis):
+    """The labels k = p*n + q whose boundary state is nonzero, and those
+    states as unit rows: the basis's rows normalized by the Gram diagonal."""
+    n, L = basis.n, len(basis.dims) - 1
+    rows = basis.amplitudes().reshape(n * n, -1)
+    # a row of the unit vector is its boundary state times (n^2-1)**(-L/2)
+    norms = np.sqrt(np.diagonal(edge_gram(basis)).real / (n * n - 1) ** L)
+    keep = np.flatnonzero(norms)
+    return keep, rows[keep] / norms[keep, None]
+
+
+def weight(n, L, k):
+    """w(-p,-q) of label k = p*n + q: the singlet branch at (0,0) only."""
+    singlet, adjoint = open_spectrum(n, L).floats()
+    return singlet if (-BellIndex(n, k // n, k % n)).is_singlet else adjoint
+
+
 @pytest.mark.parametrize("n,L", GRID)
 def test_edge_states_normalized(n, L):
     basis = edge_basis(n, L)
-    want = [(p, q) for p in range(n) for q in range(n) if (p, q) != (0, 0) or L > 1]
-    assert [(label.l, label.m) for label in basis.labels] == want
-    for vec in basis.vectors:
+    assert basis.dims == (n * n,) + (n * n - 1,) * L
+    keep, vectors = unit_rows(basis)
+    assert keep.tolist() == [k for k in range(n * n) if k or L > 1]
+    for vec in vectors:
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-11
 
 
 def test_zero_norm_edge_state_rejected():
-    # the singlet boundary state at L = 1 has weight 0: it is left out of the
-    # basis, and its raw vector is zero
+    # the singlet boundary state at L = 1 has weight 0: its row is zero, and
+    # it is left out of the normalized states
     basis = edge_basis(2, 1)
-    assert BellIndex(2, 0, 0) not in basis.labels
-    assert np.abs(basis.raw[0]).max() == 0.0
+    assert np.count_nonzero(basis.codes.reshape(4, -1)[0]) == 0
+    assert edge_gram(basis)[0, 0] == 0.0
+    assert 0 not in unit_rows(basis)[0]
 
 
 def test_length_one_basis_is_the_adjoint():
-    basis = edge_basis(2, 1)
-    assert len(basis.labels) == 3
-    gram = basis.vectors.conj() @ basis.vectors.T
+    keep, vectors = unit_rows(edge_basis(2, 1))
+    assert keep.size == 3
+    gram = vectors.conj() @ vectors.T
     assert np.abs(gram - np.eye(3)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,L", GRID)
 def test_edge_basis_orthonormal(n, L):
-    basis = edge_basis(n, L)
-    gram = basis.vectors.conj() @ basis.vectors.T
-    assert np.abs(gram - np.eye(len(basis.labels))).max() < 1e-10
+    keep, vectors = unit_rows(edge_basis(n, L))
+    gram = vectors.conj() @ vectors.T
+    assert np.abs(gram - np.eye(keep.size)).max() < 1e-10
 
 
 def test_gram_diagonal_frozen_values():
@@ -57,16 +77,10 @@ def test_gram_diagonal_frozen_values():
 @pytest.mark.parametrize("n,L", GRID)
 def test_gram_matches_weights(n, L):
     gram = edge_gram(edge_basis(n, L))
-    spec = open_spectrum(n, L)
-    d = n * n - 1
-    for p in range(n):
-        for q in range(n):
-            k = p * n + q
-            label = BellIndex(n, p, q)
-            weight = spec.singlet if (-label).is_singlet else spec.adjoint
-            want = float(d ** L * weight)
-            dev = abs(gram[k, k].real - want)
-            assert dev <= 1e-9 * max(want, 1e-9)
+    for k in range(n * n):
+        want = (n * n - 1) ** L * weight(n, L, k)
+        dev = abs(gram[k, k].real - want)
+        assert dev <= 1e-9 * max(want, 1e-9)
     off = gram - np.diag(np.diagonal(gram))
     assert np.abs(off).max() < 1e-10
 
@@ -80,27 +94,46 @@ def test_reconstruction_matches_oracle(n, L, chain):
     assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n,L", GRID + [(4, 2)])
+def test_reconstruction_is_the_weighted_sum_of_boundary_projectors(n, L):
+    # the block matrix sum_(p,q) w(-p,-q) |p,q><p,q|, weights in closed form
+    basis = edge_basis(n, L)
+    keep, vectors = unit_rows(basis)
+    weights = np.array([weight(n, L, k) for k in keep])
+    want = (vectors.T * weights) @ vectors.conj()
+    assert np.abs(reconstruct_rho(basis).matrix - want).max() < 1e-12
+
+
+def test_edge_basis_memory_stays_near_the_codes():
+    tracemalloc.start()
+    try:
+        basis = edge_basis(2, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * basis.codes.nbytes
+
+
 @pytest.mark.parametrize("n,L", [(2, 2), (2, 3), (3, 2)])
 def test_oracle_projects_to_weights(n, L):
     """<p,q| rho |p,q> recovers the weight with the negated label: the singlet
     branch sits exactly on the (0,0) boundary state."""
     psi = open_vbs_state(ChainSpec(n, L, OPEN))
     rho = reduced_density(psi, range(L)).matrix
-    spec = open_spectrum(n, L)
-    basis = edge_basis(n, L)
-    assert len(basis.labels) == n * n
-    for label, vec in zip(basis.labels, basis.vectors):
-        weight = vec.conj() @ rho @ vec
-        want = float(spec.singlet if (-label).is_singlet else spec.adjoint)
-        assert abs(weight.real - want) < 1e-10
-        assert abs(weight.imag) < 1e-12
+    keep, vectors = unit_rows(edge_basis(n, L))
+    assert keep.size == n * n
+    for k, vec in zip(keep, vectors):
+        found = vec.conj() @ rho @ vec
+        assert abs(found.real - weight(n, L, k)) < 1e-10
+        assert abs(found.imag) < 1e-12
 
 
 def projector_limit_residual(n, L):
     """Frobenius distance between the block matrix and the flat projector
     that weighs every boundary state by 1/n^2."""
     basis = edge_basis(n, L)
-    flat = basis.vectors.T @ basis.vectors.conj() / (n * n)
+    _, vectors = unit_rows(basis)
+    flat = vectors.T @ vectors.conj() / (n * n)
     return float(np.linalg.norm(reconstruct_rho(basis).matrix - flat))
 
 
@@ -120,8 +153,8 @@ def test_projector_limit_decay():
 def test_su2_boundary_states_are_exactly_real(L):
     # omega = -1 at n = 2: the chain states' exact table, with no rounding of exp(i pi)
     basis = edge_basis(2, L)
-    assert basis.raw.dtype == np.float64
-    assert set(np.unique(basis.raw).tolist()) <= {-1.0, 0.0, 1.0}
+    assert basis.table.dtype == np.float64
+    assert set(np.unique(basis.amplitudes() / basis.scale).tolist()) <= {-1.0, 0.0, 1.0}
     assert edge_gram(basis).dtype == np.float64
     rho = reconstruct_rho(basis).matrix
     assert rho.dtype == np.float64
@@ -149,4 +182,4 @@ def test_edge_budget_is_the_open_chain_budget(n, L):
     with pytest.raises(BudgetError, match=f"state would need {need} amplitudes"):
         edge_basis(n, L, amp_budget=need - 1)
     ChainSpec(n, L, OPEN, need)
-    assert edge_basis(n, L, amp_budget=need).raw.size == need
+    assert edge_basis(n, L, amp_budget=need).codes.size == need

@@ -28,6 +28,7 @@ from vbsent.states import (
     charges,
     open_vbs_state,
     periodic_vbs_state,
+    phase_table,
 )
 
 
@@ -447,13 +448,24 @@ def test_real_view_gram_on_random_and_strided_input(monkeypatch):
                 gram = oracle._gram(m, table, on_rows)
                 assert np.abs(gram - want).max() < 1e-13
                 side, length = m.shape if on_rows else m.shape[::-1]
-                if chunk <= 200 and length >= side:  # summed from chunks: exactly Hermitian
+                if length >= side * table.itemsize // 8:  # through the float64 view: exactly Hermitian
                     assert np.array_equal(gram, gram.conj().T)
         for on_rows in (True, False):
             gram = oracle._gram(real_codes, real, on_rows)
             d = real[real_codes]
             assert gram.dtype == np.float64
             assert np.abs(gram - (d @ d.T if on_rows else d.T @ d)).max() < 1e-13
+
+
+def test_one_chunk_complex_gram_sums_through_the_real_view():
+    # a charge sector of the n = 4 open L = 5 state: one column of 47461
+    # nonzero codes, which fits one chunk; its 1 x 1 Gram is its weight 1/16
+    codes = rng(7).integers(1, 5, size=(47461, 1)).astype(np.uint8)
+    table = np.concatenate(([0.0], phase_table(4) * 15 ** -2.5))
+    d = table[codes[:, 0]]
+    exact = math.fsum(np.concatenate([d.real ** 2, d.imag ** 2]).tolist())
+    for m, on_rows in ((codes, False), (codes.T, True)):
+        assert abs(complex(oracle._gram(m, table, on_rows)[0, 0]) - exact) <= 4e-16
 
 
 def test_real_view_gram_is_bit_identical_across_calls():
