@@ -37,6 +37,7 @@ from typing import Callable, List, Optional, Sequence, Union
 from . import closed_form, oracle, states
 from .checks import CHECKS, run_checks, spectrum_deviation
 from .errors import BranchPointCondition, BudgetError, InvariantError
+from .weyl import _check_dimension
 
 CSV_HEADER = ["n", "N", "L", "boundary", "lambda_singlet", "lambda_adjoint",
               "S", "alpha", "S_alpha_re", "S_alpha_im", "verified", "max_dev"]
@@ -191,6 +192,7 @@ def cmd_entropy(args) -> int:
     if args.log_base == "2":
         base_scale = 1.0 / math.log(2.0)
     elif args.log_base == "n":
+        _check_dimension(args.n)  # before log(n), which fails for n < 2 without naming n
         base_scale = 1.0 / math.log(args.n)
     state_for = _oracle_states(args)
     rows = []

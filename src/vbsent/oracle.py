@@ -6,26 +6,28 @@ eigenvalue lists.  No analytic shortcut from elsewhere in the package is
 used here, so results from this module serve as ground truth against the
 closed forms.
 
-Spectra of a block are computed, by default, on whichever side of the
-bipartition is smaller: for a unit vector reshaped to a (block, environment)
-matrix M, the nonzero eigenvalues of M M^dagger and M^dagger M coincide.
-When that side exceeds SPLIT_MIN_SIDE and M has more than SPLIT_MIN_ENTRIES
-entries, M is first split into its n^2 charge sectors (`_sector_spectra`):
-every nonzero amplitude has Z_n x Z_n charge 0 (`states.charges`), so a
-nonzero entry links only a row and a column of equal charge, and the Gram
-is the sectors' direct sum up to a permutation.  Each is diagonalized on
-its own smaller side; the remaining eigenvalues are exact zeros.  Sectors
-holding fewer nonzeros than the state raise InvariantError.  The charges
-come from the slot encoding alone.
+Spectra of a block are computed on whichever side of the bipartition is
+smaller: for a unit vector reshaped to a (block, environment) matrix M, the
+nonzero eigenvalues of M M^dagger and M^dagger M coincide.  `block_spectrum`
+turns M once (to M^T if the environment is smaller) so that its smaller side
+is on the rows, and every Gram formed is a row Gram D D^dagger.  When that
+side exceeds SPLIT_MIN_SIDE and M has more than SPLIT_MIN_ENTRIES entries,
+the turned matrix is first split into its n^2 charge sectors
+(`_sector_spectra`): every nonzero amplitude has Z_n x Z_n charge 0
+(`states.charges`), so a nonzero entry links only a row and a column of
+equal charge, and the Gram is the sectors' direct sum up to a permutation.
+Each is diagonalized on its own; the remaining eigenvalues are exact zeros.
+Sectors holding fewer nonzeros than the state raise InvariantError.  The
+charges come from the slot encoding alone.
 
 M itself holds the state's phase codes (see `states`), reshaped and
 transposed: one byte per entry.  Every Gram, and every reduced density
-matrix, decodes M in chunks of whole rows or columns into one reused buffer
-through the state's table of n + 1 amplitudes (real at n = 2, so an n = 2
-Gram is real) and sums the chunk Grams (`_gram`).  A decoded array is one
-chunk, or a whole M smaller than its Gram, never a whole state near the
-budget; and each chunk sum is short, so the Gram's rounding does not grow
-with the state.  All reductions use a fixed chunking and numpy
+matrix, decodes its code matrix in chunks of whole columns into one reused
+buffer through the state's table of n + 1 amplitudes (real at n = 2, so
+an n = 2 Gram is real) and sums the chunk Grams (`_gram`).  A decoded array
+is one chunk, or a whole M smaller than its Gram, never a whole state near
+the budget; and each chunk sum is short, so the Gram's rounding does not
+grow with the state.  All reductions use a fixed chunking and numpy
 contraction order, so repeated runs are bit-identical.
 
 The invariant checks (Hermiticity and unit trace of a density matrix; no
@@ -56,6 +58,8 @@ DEFAULT_MATRIX_BUDGET = 4096
 #: sectors only if its smaller side exceeds SPLIT_MIN_SIDE and its entries
 #: exceed SPLIT_MIN_ENTRIES: on smaller ones (timed: sides 3-12, or up to 54k
 #: entries) the split's n^4 gathers and n^2 Jacobi calls cost more than they save.
+#: Larger ones of side <= 14 stay whole, where the split is faster: at n = 2, side 4,
+#: a sector's pieces hold a quarter of the state, and gathered one by one they are slower.
 SPLIT_MIN_SIDE = 14
 SPLIT_MIN_ENTRIES = 1 << 16
 
@@ -240,23 +244,21 @@ def reduced_density(
     m = _block_environment(state, block)
     if m.shape[0] > matrix_budget:
         raise BudgetError(f"block dimension {m.shape[0]} exceeds matrix budget {matrix_budget}")
-    return DensityMatrix(_gram(m, state.table, on_rows=True))
+    return DensityMatrix(_gram(m, state.table))
 
 
-def _sector_spectra(state: PureState, block: Sequence[int], m: np.ndarray) -> Iterator[np.ndarray]:
-    """Eigenvalues of the Gram of each charge sector of m, the state's (block,
-    environment) code matrix, on the sector's smaller side, one Gram held at
-    a time.  m's longer side is a head, its longest leading run of slots
-    with product H <= min(long / side, sqrt(long)), times a tail: sector c
-    gathers, per head charge a, the head and tail rows of charges a and
-    -(c + a) (`states.charges`), and sums these pieces' Grams, or joins them
-    if the Gram is on its longer part.  A square m has H = 1: one piece,
-    m[np.ix_(rows, cols)].  Raises InvariantError, after the last sector, if
-    the sectors hold fewer nonzeros than the state."""
+def _sector_spectra(state: PureState, short: Sequence[int], long: Sequence[int],
+                    wide: np.ndarray) -> Iterator[np.ndarray]:
+    """Eigenvalues of the row Gram of each charge sector of `wide`, the state's
+    code matrix with the slots `short` on its rows, its smaller side, and
+    `long` on its columns, one Gram held at a time.  The columns are a head,
+    their longest leading run of slots with product H <= min(length / side,
+    sqrt(length)), times a tail: sector c gathers, per head charge a, the head
+    and tail rows of charges a and -(c + a) (`states.charges`), and sums these
+    pieces' row Grams.  A square `wide` has H = 1: one piece,
+    wide[np.ix_(rows, cols)].  Raises InvariantError, after the last sector,
+    if the sectors hold fewer nonzeros than the state."""
     n, dims, table = state.n, state.dims, state.table
-    env = [i for i in range(len(dims)) if i not in block]
-    tall = m.shape[0] > m.shape[1]
-    short, long, wide = (env, list(block), m.T) if tall else (list(block), env, m)
     side, length = wide.shape
     runs = np.cumprod([dims[i] for i in long])  # products of the leading runs
     k = int(np.count_nonzero((side * runs <= length) & (runs * runs <= length)))
@@ -271,36 +273,32 @@ def _sector_spectra(state: PureState, block: Sequence[int], m: np.ndarray) -> It
             continue
         pieces = [view[rows[:, None, None], h[:, None], t].reshape(rows.size, -1) for h, t in cols]
         nonzeros += sum(map(np.count_nonzero, pieces))
-        on_rows = rows.size <= sum(p.shape[1] for p in pieces)
-        if not on_rows and len(pieces) > 1:
-            pieces = [np.concatenate(pieces, axis=1)]
         # no name holds the Gram, so it is freed before the next one is formed
-        yield jacobi_eigvalsh(functools.reduce(np.add, (_gram(p, table, on_rows) for p in pieces)))
+        yield jacobi_eigvalsh(functools.reduce(np.add, (_gram(p, table) for p in pieces)))
     total = np.count_nonzero(state.codes)
     if nonzeros != total:
         raise InvariantError(f"{total - nonzeros} of {total} nonzero amplitudes cross "
                              f"the Z_n x Z_n charge sectors")
 
 
-def _gram(codes: np.ndarray, table: np.ndarray, on_rows: bool) -> np.ndarray:
-    """Gram matrix of the decoded matrix D = table[codes]: D D^dagger if
-    `on_rows`, else D^dagger D.
+def _gram(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row Gram matrix D D^dagger of the decoded matrix D = table[codes].
 
-    Both are E^dagger E for E = D, or E = conj(D^T) read through the
-    conjugate table, with the Gram side as E's columns.  E is decoded in
-    chunks of whole rows into one reused buffer: GRAM_CHUNK entries, or 8
-    Gram sides if longer, up to 8 * GRAM_CHUNK entries.  A chunk's Gram is
-    one real symmetric product R^T R of its float64 view R (E itself for a
-    real table; for a complex one, R's columns hold the real and imaginary
-    parts of E's in turn), and the chunk products are summed in order.  The
-    complex Gram is (S_rr + S_ii) + i (S_ri - S_ir) in the even/odd blocks
-    of that sum S, exactly Hermitian.  An E that fits one chunk is decoded
-    whole and makes one such product.  Only an E whose float64 view R has
-    fewer rows than columns, so that R^T R would be larger than R, is
-    multiplied as decoded, D D^dagger or D^dagger D: as in the edge states'
-    reduction to their bulk slots, or a square complex E.
+    It is E^dagger E for E = conj(D^T), read through the conjugate table,
+    with the Gram side as E's columns.  E is decoded in chunks of whole rows
+    into one reused buffer: GRAM_CHUNK entries, or 8 Gram sides if longer, up
+    to 8 * GRAM_CHUNK entries.  A chunk's Gram is one real symmetric product
+    R^T R of its float64 view R (E itself for a real table; for a complex
+    one, R's columns hold the real and imaginary parts of E's in turn), and
+    the chunk products are summed in order.  The complex Gram is
+    (S_rr + S_ii) + i (S_ri - S_ir) in the even/odd blocks of that sum S,
+    exactly Hermitian.  An E that fits one chunk is decoded whole and makes
+    one such product.  Only an E whose float64 view R has fewer rows than
+    columns, so that R^T R would be larger than R, is multiplied as decoded:
+    as in the edge states' reduction to their bulk slots, or a square
+    complex E.
     """
-    e, values = (codes.T, table.conj()) if on_rows else (codes, table)
+    e, values = codes.T, table.conj()
     length, side = e.shape
     width = side * values.itemsize // 8  # columns of R
     if length < width:
@@ -334,25 +332,24 @@ def block_spectrum(
     block: Sequence[int],
     matrix_budget: int = DEFAULT_MATRIX_BUDGET,
 ) -> SpectrumReport:
-    """Spectrum of the block reduction, diagonalizing the smaller Gram side.
-
-    When the smaller side of the (block, environment) matrix exceeds
-    SPLIT_MIN_SIDE and the matrix has more than SPLIT_MIN_ENTRIES entries,
-    each charge sector (`_sector_spectra`) is diagonalized on its own smaller
-    side; the eigenvalues are padded with exact zeros to the smaller side of
-    the whole matrix.
+    """Spectrum of the block reduction from the row Gram of the (block,
+    environment) code matrix M, turned once (to M^T if the environment is
+    smaller) so that its smaller side is on the rows.  When that side exceeds
+    SPLIT_MIN_SIDE and M has more than SPLIT_MIN_ENTRIES entries, each charge
+    sector (`_sector_spectra`) is diagonalized on its own; the eigenvalues are
+    padded with exact zeros to that side.
     """
     m = _block_environment(state, block)
-    d_block, d_env = m.shape
-    side = min(d_block, d_env)
+    env = [i for i in range(len(state.dims)) if i not in block]
+    tall = m.shape[0] > m.shape[1]
+    short, long, wide = (env, list(block), m.T) if tall else (list(block), env, m)
+    side = wide.shape[0]
     if side > matrix_budget:
-        raise BudgetError(
-            f"both sides ({d_block}, {d_env}) exceed matrix budget {matrix_budget}"
-        )
+        raise BudgetError(f"both sides {m.shape} exceed matrix budget {matrix_budget}")
     if side > SPLIT_MIN_SIDE and m.size > SPLIT_MIN_ENTRIES:
-        found = np.concatenate(list(_sector_spectra(state, block, m)))
+        found = np.concatenate(list(_sector_spectra(state, short, long, wide)))
     else:
-        found = jacobi_eigvalsh(_gram(m, state.table, on_rows=d_block <= d_env))
+        found = jacobi_eigvalsh(_gram(wide, state.table))
     return spectrum_report(np.concatenate([found, np.zeros(side - found.size)]))
 
 

@@ -117,6 +117,16 @@ def test_entropy_log_base_display(capsys):
     assert s_bits == pytest.approx(s_nats / math.log(2), abs=1e-14)
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_entropy_log_base_n_rejects_small_n(capsys, n):
+    # 1 / log(n) gave "float division by zero" or "math domain error"
+    code, out, err = run_cli(capsys, "entropy", "--n", n, "--boundary", "open", "--block", "1",
+                             "--log-base", "n")
+    assert code == 2
+    assert out == ""
+    assert "qudit dimension" in err
+
+
 def test_entropy_branch_point_row_flagged(capsys):
     alpha = complex(math.log(3), math.pi) / math.log(1.5)
     literal = f"{alpha.real:.17g}{alpha.imag:+.17g}i"

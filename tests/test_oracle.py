@@ -70,6 +70,14 @@ def test_jacobi_agrees_with_lapack(dim, seed):
     assert np.abs(ours - reference).max() < 1e-11
 
 
+@given(st.integers(1, 10), st.integers(0, 1000))
+def test_jacobi_is_bit_identical_on_the_conjugate(dim, seed):
+    # block_spectrum takes a column Gram as the row Gram of the transpose,
+    # its exact conjugate
+    h = random_hermitian(dim, seed)
+    assert jacobi_eigvalsh(h.conj()).tobytes() == jacobi_eigvalsh(h).tobytes()
+
+
 def test_jacobi_rejects_non_hermitian():
     with pytest.raises(ValueError):
         jacobi_eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -223,13 +231,13 @@ def test_real_states_match_their_complex_copies():
         if psi.n != 2:
             continue
         m = oracle._block_environment(psi, block)
-        on_rows = m.shape[0] <= m.shape[1]
-        real = oracle._gram(m, psi.table, on_rows)
+        wide = m if m.shape[0] <= m.shape[1] else m.T  # the smaller side on the rows
+        real = oracle._gram(wide, psi.table)
         assert real.dtype == np.float64
-        assert np.abs(real - oracle._gram(m, psi.table.astype(complex), on_rows)).max() <= 1e-15
+        assert np.abs(real - oracle._gram(wide, psi.table.astype(complex))).max() <= 1e-15
         rho = reduced_density(psi, block).matrix
         assert rho.dtype == np.float64
-        assert np.abs(rho - oracle._gram(m, psi.table.astype(complex), True)).max() <= 1e-15
+        assert np.abs(rho - oracle._gram(m, psi.table.astype(complex))).max() <= 1e-15
         count += 1
     assert count == 55 + 27 + 1  # open grid, ring grid, the N=13 ring
 
@@ -245,11 +253,24 @@ def test_chunked_grams_match_the_whole_decoded_product(monkeypatch, chunk):
         rho = reduced_density(psi, block).matrix
         assert rho.dtype == psi.table.dtype  # real at n = 2
         assert np.abs(rho - d @ d.conj().T).max() <= 1e-15
-        if m.shape[0] > m.shape[1]:  # the smaller side, as block_spectrum takes it
-            gram = oracle._gram(m, psi.table, on_rows=False)
-            assert np.abs(gram - d.conj().T @ d).max() <= 1e-15
+        if m.shape[0] > m.shape[1]:  # turned to its smaller side, as block_spectrum takes it
+            gram = oracle._gram(m.T, psi.table)
+            assert np.abs(gram - (d.conj().T @ d).conj()).max() <= 1e-15
         count += 1
     assert count == 55 + 19 + 27 + 5 + 2  # open grids, ring grids, the N=6 and N=13 rings
+
+
+def test_jacobi_is_bit_identical_on_conjugate_grams():
+    count = 0
+    for psi, block in verify_grid_blocks():
+        m = oracle._block_environment(psi, block)
+        if psi.n != 3 or min(m.shape) == 512:  # the n = 3 grids, not the N = 6 ring's 512 x 512
+            continue
+        gram = oracle._gram(m if m.shape[0] <= m.shape[1] else m.T, psi.table)
+        assert gram.dtype == complex
+        assert jacobi_eigvalsh(gram.conj()).tobytes() == jacobi_eigvalsh(gram).tobytes()
+        count += 1
+    assert count == 19 + 5  # open grid, ring grid
 
 
 def test_split_agrees_with_whole_gram(monkeypatch):
@@ -270,7 +291,10 @@ def test_split_of_ring_blocks_into_charge_sectors(monkeypatch):
     psi = periodic_vbs_state(ChainSpec(3, 6, PERIODIC))
     for block in (range(3), range(2, 5), range(3, 6)):  # the last holds the closing site
         m = oracle._block_environment(psi, block)
-        spectra = list(oracle._sector_spectra(psi, block, m))  # certified: no nonzero is left out
+        assert m.shape == (512, 512)  # not turned: the block's slots stay on the rows
+        env = [i for i in range(len(psi.dims)) if i not in block]
+        # certified: no nonzero is left out
+        spectra = list(oracle._sector_spectra(psi, list(block), env, m))
         assert len(spectra) == 9  # one per Z_3 x Z_3 charge
         assert sum(e.size for e in spectra) <= 512
         assert abs(sum(e.sum() for e in spectra) - 1.0) < 1e-13
@@ -294,8 +318,8 @@ def whole_sector_spectrum(psi, block):
         cols = np.flatnonzero(col_charge == (n - c // n) % n * n + (n - c % n) % n)
         sector = m[np.ix_(rows, cols)]
         if sector.size:
-            gram = oracle._gram(sector, psi.table, on_rows=sector.shape[0] <= sector.shape[1])
-            found.append(jacobi_eigvalsh(gram))
+            wide = sector if sector.shape[0] <= sector.shape[1] else sector.T
+            found.append(jacobi_eigvalsh(oracle._gram(wide, psi.table)))
     found = np.concatenate(found)
     return spectrum_report(np.concatenate([found, np.zeros(min(m.shape) - found.size)])).eigenvalues
 
@@ -418,13 +442,14 @@ def test_real_view_gram_matches_conjugate_product():
     count = 0
     for n, N, L, start, psi, m in tall_open_blocks():
         d = psi.table[m]
-        assert np.abs(oracle._gram(m, psi.table, False) - d.conj().T @ d).max() < 1e-13, (n, N, L, start)
+        gram = oracle._gram(m.T, psi.table)  # the conjugate of m's column Gram
+        assert np.abs(gram - (d.conj().T @ d).conj()).max() < 1e-13, (n, N, L, start)
         count += 1
     assert count == 17
     psi = open_vbs_state(ChainSpec(4, 5, OPEN))
     m = oracle._block_environment(psi, range(5))  # 759375 x 16, many chunks
     d = psi.table[m]
-    assert np.abs(oracle._gram(m, psi.table, False) - d.conj().T @ d).max() < 1e-13
+    assert np.abs(oracle._gram(m.T, psi.table) - (d.conj().T @ d).conj()).max() < 1e-13
 
 
 def random_codes(shape, n=3, seed=7):
@@ -444,17 +469,18 @@ def test_real_view_gram_on_random_and_strided_input(monkeypatch):
         # C order, strided columns, transposed, strided rows and Fortran order
         for m in (a, a[:, ::3], a.T, a[::2], np.asfortranarray(a)):
             d = table[m]
-            for on_rows, want in ((True, d @ d.conj().T), (False, d.conj().T @ d)):
-                gram = oracle._gram(m, table, on_rows)
+            # the row Gram of m, and of m^T: the conjugate of m's column Gram
+            for codes, want in ((m, d @ d.conj().T), (m.T, (d.conj().T @ d).conj())):
+                gram = oracle._gram(codes, table)
                 assert np.abs(gram - want).max() < 1e-13
-                side, length = m.shape if on_rows else m.shape[::-1]
+                side, length = codes.shape
                 if length >= side * table.itemsize // 8:  # through the float64 view: exactly Hermitian
                     assert np.array_equal(gram, gram.conj().T)
-        for on_rows in (True, False):
-            gram = oracle._gram(real_codes, real, on_rows)
-            d = real[real_codes]
+        for codes in (real_codes, real_codes.T):
+            gram = oracle._gram(codes, real)
+            d = real[codes]
             assert gram.dtype == np.float64
-            assert np.abs(gram - (d @ d.T if on_rows else d.T @ d)).max() < 1e-13
+            assert np.abs(gram - d @ d.T).max() < 1e-13
 
 
 def test_one_chunk_complex_gram_sums_through_the_real_view():
@@ -464,14 +490,13 @@ def test_one_chunk_complex_gram_sums_through_the_real_view():
     table = np.concatenate(([0.0], phase_table(4) * 15 ** -2.5))
     d = table[codes[:, 0]]
     exact = math.fsum(np.concatenate([d.real ** 2, d.imag ** 2]).tolist())
-    for m, on_rows in ((codes, False), (codes.T, True)):
-        assert abs(complex(oracle._gram(m, table, on_rows)[0, 0]) - exact) <= 4e-16
+    assert abs(complex(oracle._gram(codes.T, table)[0, 0]) - exact) <= 4e-16
 
 
 def test_real_view_gram_is_bit_identical_across_calls():
     psi = open_vbs_state(ChainSpec(3, 4, OPEN))
     m = oracle._block_environment(psi, range(1, 3))  # 64 x 576, chunked
-    first, second = (oracle._gram(m, psi.table, on_rows) for on_rows in (True, True))
+    first, second = oracle._gram(m, psi.table), oracle._gram(m, psi.table)
     assert first.tobytes() == second.tobytes()
 
 
@@ -557,7 +582,7 @@ def test_hermiticity_measured_without_full_size_temporaries():
     # temporaries of that size
     psi = open_vbs_state(ChainSpec(3, 4, OPEN))
     m = oracle._block_environment(psi, range(4))
-    rho = oracle._gram(m, psi.table, on_rows=True)
+    rho = oracle._gram(m, psi.table)
     del psi, m
     # an anti-Hermitian 1e-11 perturbation in the last row block still fails
     saved = rho[4000, 10], rho[10, 4000]
