@@ -17,8 +17,9 @@ deviation/tolerance ratio (`max_dev`, `tolerance`, the `worst_at` fields and
 a `detail` text formed from them); SKIP marks a check that evaluated no grid
 point for the requested n (`"evaluated": 0`, `"worst_at": null`, empty
 detail) and, like FAIL, makes `all_passed` false.
-Exit codes: 0 success, 1 verification failure (a FAIL or SKIP check),
-2 usage/config error, 3 resource-budget error, 4 broken internal invariant
+Exit codes: 0 success, 1 verification failure (a FAIL or SKIP check, or a
+`spectrum`/`entropy --verify` row with `verified` false, after every row is
+printed), 2 usage/config error, 3 resource-budget error, 4 broken internal invariant
 (a computed state or matrix failed its norm, Hermiticity, trace or spectrum
 check: a fault in the computation, not in the request).
 """
@@ -108,8 +109,9 @@ def _cell(key: str, value) -> str:
     return f"{value:+d}" if key == "sign" else str(value)
 
 
-def _emit(objs: List[dict], header: List[str], args) -> None:
-    """Write JSON objects (keys in `header` order) in the requested format only."""
+def _emit(objs: List[dict], header: List[str], args) -> int:
+    """Write JSON objects (keys in `header` order) in the requested format
+    only; return the exit code, 1 if a --verify row failed its tolerance."""
     if args.format == "json":
         text = json.dumps(objs, indent=2) + "\n"
     else:
@@ -122,6 +124,7 @@ def _emit(objs: List[dict], header: List[str], args) -> None:
         _write(args.out, text)
     else:
         sys.stdout.write(text)
+    return 1 if any(obj.get("verified") is False for obj in objs) else 0
 
 
 def _write(path: str, text: str) -> None:
@@ -180,9 +183,8 @@ def _row(args, spec: closed_form.BlockSpectrum, state_for: StateSource) -> dict:
 
 def cmd_spectrum(args) -> int:
     state_for = _oracle_states(args)
-    _emit([_row(args, _spectrum_for(args, L), state_for) for L in sorted(parse_span(args.block))],
-          CSV_HEADER, args)
-    return 0
+    return _emit([_row(args, _spectrum_for(args, L), state_for)
+                  for L in sorted(parse_span(args.block))], CSV_HEADER, args)
 
 
 def cmd_entropy(args) -> int:
@@ -212,8 +214,7 @@ def cmd_entropy(args) -> int:
                       file=sys.stderr)
             rows.append({**base, "alpha": alpha_literal(alpha),
                          "S_alpha_re": s_re, "S_alpha_im": s_im})
-    _emit(rows, CSV_HEADER, args)
-    return 0
+    return _emit(rows, CSV_HEADER, args)
 
 
 def cmd_branch_points(args) -> int:
@@ -225,8 +226,7 @@ def cmd_branch_points(args) -> int:
                          "alpha_re": point.alpha.real, "alpha_im": point.alpha.imag,
                          "residual": point.residual,
                          "parity": "even" if point.even_block else "odd"})
-    _emit(objs, BRANCH_HEADER, args)
-    return 0
+    return _emit(objs, BRANCH_HEADER, args)
 
 
 def cmd_verify(args) -> int:

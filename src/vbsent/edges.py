@@ -26,10 +26,6 @@ holds exactly.  Its reduction to slot 0 is the edge Gram over (n^2-1)**L;
 its partial trace over slot 0 is the block matrix, sum_(p,q) w(-p,-q)
 |p,q><p,q| of the normalized states.  At L = 1 the singlet weight vanishes:
 the (0,0) row is zero and the block matrix has rank n^2 - 1.
-
-The last slot holds the closure label -b where `states.charges` expects b,
-so the charges do not vanish on this state at n >= 3: it is read only
-through `oracle.reduced_density`, which never splits by charge.
 """
 
 from __future__ import annotations

@@ -145,9 +145,6 @@ def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     if not herm <= HERMITIAN_TOL:  # NaN fails too
         raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL:g}: deviation {herm:.3e}")
     dim = a.shape[0]
-    if dim == 1:
-        return np.array([a[0, 0].real])
-
     w = (a + a.conj().T) / 2.0
     # pivots below this cannot collectively push the off-norm above target
     skip = OFF_DIAGONAL_TARGET / (4.0 * dim)
@@ -260,9 +257,9 @@ def _sector_spectra(state: PureState, short: Sequence[int], long: Sequence[int],
     if the sectors hold fewer nonzeros than the state."""
     n, dims, table = state.n, state.dims, state.table
     side, length = wide.shape
-    runs = np.cumprod([dims[i] for i in long])  # products of the leading runs
-    k = int(np.count_nonzero((side * runs <= length) & (runs * runs <= length)))
-    view = wide.reshape(side, int(runs[k - 1]) if k else 1, -1)  # a view, never a copy
+    runs = np.cumprod([1] + [dims[i] for i in long])  # products of the leading runs
+    k = int(np.count_nonzero((side * runs <= length) & (runs * runs <= length))) - 1
+    view = wide.reshape(side, int(runs[k]), -1)  # a view, never a copy
     groups = [charges(n, dims, slots) for slots in (short, long[:k], long[k:])]
     sides, heads, tails = ([np.flatnonzero(q == c) for c in range(n * n)] for q in groups)
     nonzeros = 0
@@ -292,11 +289,10 @@ def _gram(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
     one, R's columns hold the real and imaginary parts of E's in turn), and
     the chunk products are summed in order.  The complex Gram is
     (S_rr + S_ii) + i (S_ri - S_ir) in the even/odd blocks of that sum S,
-    exactly Hermitian.  An E that fits one chunk is decoded whole and makes
-    one such product.  Only an E whose float64 view R has fewer rows than
-    columns, so that R^T R would be larger than R, is multiplied as decoded:
-    as in the edge states' reduction to their bulk slots, or a square
-    complex E.
+    exactly Hermitian.  An E that fits one chunk is the loop run once.  Only
+    an E whose float64 view R has fewer rows than columns, so that R^T R
+    would be larger than R, is multiplied as decoded: as in the edge states'
+    reduction to their bulk slots, or a square complex E.
     """
     e, values = codes.T, table.conj()
     length, side = e.shape
@@ -305,20 +301,16 @@ def _gram(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
         d = values[e]
         return d.conj().T @ d  # d.T @ d for a real table: conj() returns d itself
     step = min(length, max(GRAM_CHUNK // side, min(8 * side, 8 * GRAM_CHUNK // side)))
-    if step == length:
-        r = values[np.ascontiguousarray(e)].view(np.float64)  # the view needs C order
-        total = r.T @ r
-        del r  # the decoded E is freed before the complex Gram is assembled
-    else:
-        index = np.empty((step, side), dtype=np.intp)  # else np.take allocates one per chunk
-        buf = np.empty((step, side), dtype=values.dtype)
-        total, product = np.zeros((width, width)), np.empty((width, width))
-        for lo in range(0, length, step):
-            rows = min(step, length - lo)
-            index[:rows] = e[lo:lo + rows]
-            # mode="clip" writes into `buf` directly; the default mode buffers a copy
-            r = np.take(values, index[:rows], out=buf[:rows], mode="clip").view(np.float64)
-            total += np.matmul(r.T, r, out=product)
+    index = np.empty((step, side), dtype=np.intp)  # else np.take allocates one per chunk
+    buf = np.empty((step, side), dtype=values.dtype)
+    total, product = np.zeros((width, width)), np.empty((width, width))
+    for lo in range(0, length, step):
+        rows = min(step, length - lo)
+        index[:rows] = e[lo:lo + rows]
+        # mode="clip" writes into `buf` directly; the default mode buffers a copy
+        r = np.take(values, index[:rows], out=buf[:rows], mode="clip").view(np.float64)
+        total += np.matmul(r.T, r, out=product)
+    del index, buf, r, product  # freed before the complex Gram is assembled
     if not np.iscomplexobj(values):
         return total
     gram = np.empty((side, side), dtype=complex)

@@ -177,30 +177,31 @@ def fold_tables(n: int, sites: int) -> Tables:
     vectorized form of `weyl.phase_fold` over every string at once.
     """
     dtype = np.min_scalar_type(n * n - 1)
-    if sites == 0:  # the empty string: identity label, no phase
-        return tuple(np.zeros(1, dtype=dtype) for _ in range(3))
     codes = np.arange(1, n * n, dtype=dtype)
-    tables = site = (codes // n, codes % n, np.zeros_like(codes))
-    for _ in range(sites - 1):
+    site = (codes // n, codes % n, np.zeros_like(codes))
+    tables = (np.zeros(1, dtype=dtype),) * 3  # the empty string: identity label, no phase
+    for _ in range(sites):
         tables = _join(tables, site, n)
     return tables
 
 
 def charges(n: int, dims: Sequence[int], positions: Iterable[int]) -> np.ndarray:
     """Z_n x Z_n charge l*n + m of every label string over the slots at
-    `positions`, in C order: their pair labels summed mod n, the chain's last
-    slot (the boundary pair, or the ring's closing site) negated.  The last
-    slot holds the running product of the others, so every nonzero amplitude
-    has charge 0 over all slots.  Bulk position p stands for label p + 1."""
+    `positions`, in C order: their pair labels summed mod n (`_join`), the
+    chain's last slot (the boundary pair, or the ring's closing site) negated.
+    The last slot holds the running product of the others, so every nonzero
+    amplitude has charge 0 over all slots.  An `edges` basis, which opens
+    with a label slot of dim n^2, holds the product negated: none is negated.
+    Bulk position p stands for label p + 1."""
     dtype = np.min_scalar_type(n * n - 1)
-    suml = summ = np.zeros(1, dtype=dtype)
+    tables = (np.zeros(1, dtype=dtype),) * 3
     for i in positions:
         labels = np.arange(n * n - dims[i], n * n, dtype=dtype)
         l, m = labels // n, labels % n
-        if i == len(dims) - 1:
+        if i == len(dims) - 1 and dims[0] != n * n:
             l, m = (n - l) % n, (n - m) % n
-        suml = ((suml[:, None] + l) % n).reshape(-1)
-        summ = ((summ[:, None] + m) % n).reshape(-1)
+        tables = _join(tables, (l, m, np.zeros_like(labels)), n)
+    suml, summ, _ = tables
     return suml * n + summ  # at most n^2 - 1: stays in the dtype
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from vbsent import closed_form, states
+from vbsent import cli, closed_form, states
 from vbsent.cli import MAX_SPAN, main, parse_alpha, parse_span
 
 
@@ -419,6 +419,21 @@ def test_ring_state_built_once_per_command(capsys, monkeypatch):
                                "--chain", "6", "--block", "1..5", "--verify")
         assert code == 0 and len(read_csv(out)) == 5
         assert built == [states.ChainSpec(2, 6, states.PERIODIC)]
+
+
+@pytest.mark.parametrize("argv,per_block", [(["spectrum"], 1), (["entropy"], 1),
+                                            (["entropy", "--alpha", "2,3"], 2)])
+def test_failed_verify_row_exits_1_after_every_row(capsys, monkeypatch, argv, per_block):
+    # only the block of length 2 (the 9 x 9 Gram of the n=2 ring of 6) deviates
+    original = cli.spectrum_deviation
+    monkeypatch.setattr(cli, "spectrum_deviation",
+                        lambda eigs, weights: 1.0 if eigs.size == 9 else original(eigs, weights))
+    code, out, _ = run_cli(capsys, argv[0], "--n", "2", "--boundary", "periodic",
+                           "--chain", "6", "--block", "1..3", "--verify", *argv[1:])
+    rows = read_csv(out)
+    assert code == 1
+    assert [row["L"] for row in rows] == [L for L in "123" for _ in range(per_block)]
+    assert all((row["verified"] == "false") == (row["L"] == "2") for row in rows)
 
 
 def test_module_entry_point():

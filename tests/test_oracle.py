@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vbsent import oracle
 from vbsent.checks import OPEN_GRID, PERIODIC_GRID
+from vbsent.edges import edge_basis
 from vbsent.errors import BranchPointCondition, BudgetError, ConvergenceError, InvariantError
 from vbsent.oracle import (
     DensityMatrix,
@@ -76,6 +77,17 @@ def test_jacobi_is_bit_identical_on_the_conjugate(dim, seed):
     # its exact conjugate
     h = random_hermitian(dim, seed)
     assert jacobi_eigvalsh(h.conj()).tobytes() == jacobi_eigvalsh(h).tobytes()
+
+
+@given(st.floats(-1e300, 1e300),
+       st.floats(-oracle.HERMITIAN_TOL / 4, oracle.HERMITIAN_TOL / 4))
+def test_jacobi_of_a_1x1_matrix_is_its_real_part(real, imag):
+    # already diagonal: the general loop returns it after zero sweeps, exactly
+    # (a -0.0 comes back as 0.0: the halving is a complex division; a Gram's
+    # diagonal, a sum of squares, is never -0.0)
+    a00 = complex(real, imag)
+    eigs = jacobi_eigvalsh(np.array([[a00]]))
+    assert eigs.dtype == np.float64 and eigs.tolist() == [a00.real]
 
 
 def test_jacobi_rejects_non_hermitian():
@@ -273,9 +285,19 @@ def test_jacobi_is_bit_identical_on_conjugate_grams():
     assert count == 19 + 5  # open grid, ring grid
 
 
+def edge_basis_blocks():
+    """(basis, block) for every contiguous block of the edge bases of n = 2,
+    L <= 8; n = 3, L <= 5; n = 4, L <= 3; n = 5, L <= 2."""
+    for n, top in ((2, 8), (3, 5), (4, 3), (5, 2)):
+        for L in range(1, top + 1):
+            basis = edge_basis(n, L)
+            for start, stop in itertools.combinations(range(L + 2), 2):
+                yield basis, range(start, stop)
+
+
 def test_split_agrees_with_whole_gram(monkeypatch):
     count = 0
-    for psi, block in verify_grid_blocks():
+    for psi, block in itertools.chain(verify_grid_blocks(), edge_basis_blocks()):
         monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", NO_SPLIT)
         whole = block_spectrum(psi, block).eigenvalues
         split_every_block(monkeypatch)
@@ -491,6 +513,35 @@ def test_one_chunk_complex_gram_sums_through_the_real_view():
     d = table[codes[:, 0]]
     exact = math.fsum(np.concatenate([d.real ** 2, d.imag ** 2]).tolist())
     assert abs(complex(oracle._gram(codes.T, table)[0, 0]) - exact) <= 4e-16
+
+
+def one_chunk_gram(codes, table):
+    """The row Gram of an E that fits one chunk, decoded whole and multiplied
+    once: R^T R of its float64 view R, assembled as `oracle._gram` does."""
+    e, values = codes.T, table.conj()
+    r = values[np.ascontiguousarray(e)].view(np.float64)
+    total = r.T @ r
+    if not np.iscomplexobj(values):
+        return total
+    gram = np.empty((codes.shape[0],) * 2, dtype=complex)
+    gram.real = total[0::2, 0::2] + total[1::2, 1::2]
+    gram.imag = total[0::2, 1::2] - total[1::2, 0::2]
+    return gram
+
+
+def test_one_chunk_grams_are_the_loop_run_once():
+    count = 0
+    inputs = [random_codes((24, 500)), random_codes((10, 300), n=2), random_codes((1, 47461), n=4)]
+    inputs += [(oracle._block_environment(psi, block), psi.table)
+               for psi, block in itertools.chain(verify_grid_blocks(), edge_basis_blocks())]
+    for m, table in inputs:
+        wide = m if m.shape[0] <= m.shape[1] else m.T
+        side, length = wide.shape
+        chunk = max(oracle.GRAM_CHUNK // side, min(8 * side, 8 * oracle.GRAM_CHUNK // side))
+        if side * table.itemsize // 8 <= length <= chunk:
+            assert oracle._gram(wide, table).tobytes() == one_chunk_gram(wide, table).tobytes()
+            count += 1
+    assert count > 100
 
 
 def test_real_view_gram_is_bit_identical_across_calls():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vbsent.edges import edge_basis
 from vbsent.errors import BudgetError, InvariantError
 from vbsent.oracle import block_spectrum
 from vbsent.states import (
@@ -14,6 +15,7 @@ from vbsent.states import (
     PERIODIC,
     ChainSpec,
     PureState,
+    _join,
     charges,
     code_dtype,
     fold_tables,
@@ -204,6 +206,15 @@ def test_fold_tables_against_scalar_fold():
         )
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fold_tables_of_the_empty_string_are_the_identity_of_the_join(n):
+    empty, tables = fold_tables(n, 0), fold_tables(n, 2)
+    assert [t.tolist() for t in empty] == [[0]] * 3
+    for joined in (_join(empty, tables, n), _join(tables, empty, n)):
+        for got, want in zip(joined, tables):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 # ------------------------------------------- build and norm at budget scale
 
 
@@ -246,11 +257,14 @@ def admitted_specs(limit):
 def test_charges_vanish_on_every_nonzero_amplitude():
     # Z_n x Z_n conservation: the last slot holds the running product of the others
     specs = admitted_specs(20000)
-    for spec in specs:
-        psi = (open_vbs_state if spec.boundary == OPEN else periodic_vbs_state)(spec)
+    chains = ((open_vbs_state if spec.boundary == OPEN else periodic_vbs_state)(spec)
+              for spec in specs)
+    # an edge basis opens with its boundary label and closes on the negated product
+    bases = (edge_basis(n, L) for n, L in ((2, 6), (3, 4), (4, 3), (5, 2), (6, 1)))
+    for psi in itertools.chain(chains, bases):
         total = charges(psi.n, psi.dims, range(len(psi.dims)))
         assert total.shape == psi.codes.shape
-        assert not total[psi.codes != 0].any(), spec
+        assert not total[psi.codes != 0].any(), (psi.n, psi.dims)
         assert total.any()  # zero amplitudes carry other charges
     assert len(specs) > 20
     suml, summ, _ = fold_tables(3, 3)  # a bulk run's charge is its running label
