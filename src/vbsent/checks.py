@@ -120,9 +120,10 @@ class CheckRun:
 
 
 def spectrum_deviation(eigenvalues: np.ndarray, expected: Iterable[float]) -> float:
-    """Worst absolute gap between the oracle eigenvalues above 1e-12 and an
-    expected nonzero spectrum, descending; infinite if their counts differ."""
-    found = [float(v) for v in eigenvalues if v > 1e-12]
+    """Worst absolute gap between the oracle eigenvalues above
+    `oracle.RANK_CUTOFF` and an expected nonzero spectrum, descending;
+    infinite if their counts differ."""
+    found = [float(v) for v in eigenvalues if v > oracle.RANK_CUTOFF]
     want = sorted((float(v) for v in expected), reverse=True)
     if len(found) != len(want):
         return float("inf")
@@ -279,7 +280,7 @@ def check_independence(n: int, run: CheckRun) -> Iterator[Point]:
             for start in range(N - L + 1):
                 eigenvalues = run.open_eigenvalues(n, N, L, start)
                 if reference is None:
-                    reference = eigenvalues[eigenvalues > 1e-12]
+                    reference = eigenvalues[eigenvalues > oracle.RANK_CUTOFF]
                 yield (spectrum_deviation(eigenvalues, reference), 1e-11,
                        dict(n=n, N=N, L=L, start=start + 1))
 

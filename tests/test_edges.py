@@ -8,7 +8,7 @@ import pytest
 from vbsent.closed_form import open_spectrum
 from vbsent.edges import edge_basis, edge_gram, reconstruct_rho
 from vbsent.errors import BudgetError
-from vbsent.oracle import reduced_density
+from vbsent.oracle import block_spectrum, reduced_density
 from vbsent.states import OPEN, ChainSpec, open_vbs_state
 from vbsent.weyl import BellIndex
 
@@ -160,6 +160,11 @@ def test_su2_boundary_states_are_exactly_real(L):
     assert rho.dtype == np.float64
     psi = open_vbs_state(ChainSpec(2, L, OPEN))
     assert np.abs(rho - reduced_density(psi, range(L)).matrix).max() < 1e-15
+
+
+def test_block_spectrum_reads_an_edge_basis():
+    assert np.allclose(block_spectrum(edge_basis(3, 5), [1, 2]).eigenvalues[:3],
+                       [0.125, 0.109375, 0.109375], rtol=0, atol=1e-15)
 
 
 def test_edge_budget_guards():

@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbsent import oracle
-from vbsent.checks import OPEN_GRID, PERIODIC_GRID
+from vbsent import closed_form, oracle
+from vbsent.checks import OPEN_GRID, PERIODIC_GRID, run_checks
 from vbsent.edges import edge_basis
 from vbsent.errors import BranchPointCondition, BudgetError, ConvergenceError, InvariantError
 from vbsent.oracle import (
@@ -104,6 +104,94 @@ def test_jacobi_sweep_limit(monkeypatch):
         jacobi_eigvalsh(h)
     # an already diagonal matrix needs no sweeps at all
     jacobi_eigvalsh(np.diag([0.5, 0.5]))
+
+
+def per_pivot_jacobi(matrix):
+    """The cyclic sweep visiting every pivot and updating two columns and two
+    rows per rotation: the reference the row scan and the row-only update
+    must reproduce bit for bit."""
+    w = np.asarray(matrix, dtype=complex)
+    w = (w + w.conj().T) / 2.0
+    dim = w.shape[0]
+    skip = oracle.OFF_DIAGONAL_TARGET / (4.0 * dim)
+
+    def off_norm():
+        off = w.copy()
+        np.fill_diagonal(off, 0.0)
+        return float(np.linalg.norm(off))
+
+    converged = off_norm() < oracle.OFF_DIAGONAL_TARGET
+    for _ in range(oracle.DEFAULT_MAX_SWEEPS):
+        if converged:
+            break
+        for p in range(dim - 1):
+            for q in range(p + 1, dim):
+                b = w[p, q]
+                absb = abs(b)
+                if absb <= skip:
+                    continue
+                eip = b / absb
+                tau = (w[q, q].real - w[p, p].real) / (2.0 * absb)
+                if tau == 0.0:
+                    t = 1.0
+                else:
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                app = w[p, p].real
+                aqq = w[q, q].real
+                colp = w[:, p].copy()
+                colq = w[:, q].copy()
+                w[:, p] = c * eip * colp - s * colq
+                w[:, q] = s * eip * colp + c * colq
+                rowp = w[p, :].copy()
+                rowq = w[q, :].copy()
+                w[p, :] = c * np.conj(eip) * rowp - s * rowq
+                w[q, :] = s * np.conj(eip) * rowp + c * rowq
+                w[p, p] = app - t * absb
+                w[q, q] = aqq + t * absb
+                w[p, q] = 0.0
+                w[q, p] = 0.0
+        converged = off_norm() < oracle.OFF_DIAGONAL_TARGET
+    assert converged
+    return np.sort(np.diagonal(w).real)[::-1]
+
+
+@settings(max_examples=16)
+@given(st.one_of(st.integers(2, 8), st.integers(oracle.SCAN_MIN_DIM - 1, oracle.SCAN_MIN_DIM + 2)),
+       st.integers(1, oracle.SCAN_MIN_DIM + 2), st.booleans(),
+       st.sampled_from([1.0, 0.3, 0.03]), st.integers(0, 2**16))
+def test_jacobi_is_bit_identical_to_the_per_pivot_loop(dim, rank, is_complex, density, seed):
+    # a Gram of the drawn rank, kept on a random symmetric pattern of the
+    # drawn density: dense rows run the per-pivot loop, sparse ones the scan
+    r = rng(seed)
+    x = r.normal(size=(dim, min(rank, dim)))
+    if is_complex:
+        x = x + 1j * r.normal(size=x.shape)
+    mask = r.random((dim, dim)) < density
+    h = (x @ x.conj().T) * (mask | mask.T | np.eye(dim, dtype=bool))
+    assert jacobi_eigvalsh(h).tobytes() == per_pivot_jacobi(h).tobytes()
+
+
+def test_jacobi_is_bit_identical_to_the_per_pivot_loop_on_a_rank_1_gram():
+    # the shape of dense-gram's sector Grams: row 0 is all live, the rest clean
+    v = rng(7).normal(size=456) + 1j * rng(8).normal(size=456)
+    h = np.outer(v, v.conj()) / np.vdot(v, v).real
+    assert jacobi_eigvalsh(h).tobytes() == per_pivot_jacobi(h).tobytes()
+
+
+def test_jacobi_is_bit_identical_to_the_per_pivot_loop_on_the_verify_grid(monkeypatch):
+    dims = []
+
+    def compared(matrix):
+        eigs = jacobi_eigvalsh(matrix)
+        assert eigs.tobytes() == per_pivot_jacobi(matrix).tobytes()
+        dims.append(matrix.shape[0])
+        return eigs
+
+    monkeypatch.setattr(oracle, "jacobi_eigvalsh", compared)
+    assert all(result.passed for result in run_checks())
+    assert len(dims) == 109 and max(dims) > oracle.SCAN_MIN_DIM
 
 
 # ------------------------------------------------------------ reduced density
@@ -693,6 +781,18 @@ def test_renyi_values():
         assert abs(renyi(uniform, alpha) - 2 * math.log(3)) < 1e-12
     near_one = renyi(report, 1.0 + 1e-6)
     assert abs(near_one - von_neumann(report)) < 1e-5
+
+
+@pytest.mark.parametrize("n,N,L,alpha", [(2, 8, 4, 0.5), (2, 8, 4, complex(0.5, 1.0)),
+                                          (3, 4, 2, 0.5)])
+def test_entropies_drop_rounding_level_eigenvalues(n, N, L, alpha):
+    # these rank-deficient ring blocks leave eigenvalues of ~1e-18 beside the
+    # 4 or 9 true ones; counted in the power sum, they moved S_0.5 by 1e-7
+    report = block_spectrum(periodic_vbs_state(ChainSpec(n, N, PERIODIC)), range(L))
+    assert np.count_nonzero(report.eigenvalues > 0.0) > np.count_nonzero(
+        report.eigenvalues > oracle.RANK_CUTOFF)
+    assert abs(renyi(report, alpha) - closed_form.periodic_renyi(n, N, L, alpha)) < 1e-13
+    assert abs(von_neumann(report) - closed_form.periodic_entropy(n, N, L)) < 1e-13
 
 
 def test_renyi_validation():
