@@ -47,8 +47,6 @@ from .states import (
     ring_norm_squared,
 )
 from .weyl import (
-    BellIndex,
-    PhasedIndex,
     bell_vector,
     compose,
     conjugate_embedding,

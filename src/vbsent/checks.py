@@ -352,13 +352,16 @@ def run_checks(
     matrix_budget: int = oracle.DEFAULT_MATRIX_BUDGET,
 ) -> List[CheckResult]:
     """Run the selected checks (all by default) at the selected n values in
-    each check's grid, one result per check.  A BudgetError raised by any
-    check propagates before any result is returned."""
+    each check's grid, one result per check.  An unknown check name or an n
+    below 2 raises ValueError, and a BudgetError raised by any check
+    propagates, before any result is returned."""
     names = list(only) if only else list(CHECKS)
     unknown = [x for x in names if x not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {sorted(CHECKS)}")
     use_ns = tuple(ns) if ns else ALL_NS
+    for n in use_ns:
+        weyl._check_dimension(n)
     run = CheckRun(amp_budget, matrix_budget)
     results = []
     for name in names:

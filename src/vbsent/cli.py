@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--block", required=True)
     en.add_argument("--chain", type=int)
     en.add_argument("--alpha", action="append",
-                    help="Renyi order(s): real or a+bi literals, comma separated or repeated")
+                    help="Renyi order(s): real or a+bi literals with positive real part, "
+                         "comma separated or repeated")
     en.add_argument("--log-base", choices=("e", "2", "n"), default="e",
                     help="display base for entropies (computation stays in nats)")
     en.add_argument("--verify", action="store_true")
@@ -295,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bp = sub.add_parser("branch-points", help="complex orders where the Renyi power sum vanishes")
     bp.add_argument("--n", type=int, required=True)
-    bp.add_argument("--block", required=True, help="block length L or span lo..hi (L >= 2)")
+    bp.add_argument("--block", required=True,
+                    help="block length L or span lo..hi (L >= 2); odd L gives Re alpha < 0, "
+                         "an order that entropy --alpha refuses")
     bp.add_argument("--m", default="0..2", help="branch integer or span, both signs enumerated")
     _add_common(bp)
     bp.set_defaults(func=cmd_branch_points)

@@ -139,10 +139,6 @@ class DensityMatrix:
             raise InvariantError(f"matrix trace {tr!r} deviates from 1 beyond 1e-12")
         self.matrix.flags.writeable = False
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass
 class SpectrumReport:
@@ -187,7 +183,7 @@ def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     # a C-ordered copy of a^dagger: adding an F-ordered view runs twice as long
     w = (a + a.conj().T.copy()) / 2.0
     # pivots below this cannot collectively push the off-norm above target
-    skip = OFF_DIAGONAL_TARGET / (4.0 * dim)
+    skip = OFF_DIAGONAL_TARGET / (4.0 * max(dim, 1))
 
     def off_norm() -> float:
         # the norm of w with its diagonal zeroed in place, then restored: no copy of w

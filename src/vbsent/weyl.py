@@ -4,10 +4,13 @@ Conventions, fixed package-wide:
 
 * Computational basis |0>, ..., |n-1>; omega = exp(2*pi*i/n).
 * Shift X|j> = |j+1 mod n>, clock Z|j> = omega**j |j>, so Z X = omega X Z.
-* The unitary family U[l,m] = X**l Z**m with (l, m) in Z_n x Z_n.  Products
-  stay inside the family up to an integer power of omega, and that exponent
-  is tracked exactly in integer arithmetic (`compose`, `phase_fold`);
-  floating point enters only when matrices or state vectors are built.
+* The unitary family U[l,m] = X**l Z**m with (l, m) in Z_n x Z_n.  A pair
+  label is a plain (l, m) tuple of ints, read mod n (`as_index` reduces it).
+  Products stay inside the family up to an integer power of omega, and that
+  exponent is tracked exactly in integer arithmetic: `compose` and
+  `phase_fold` return ((l, m), k) for the product omega**k U[l,m], with l, m
+  and k reduced mod n.  Floating point enters only when matrices or state
+  vectors are built.
 * A conjugate ("barred") qudit is an n-level system whose basis we write
   |0bar>, ..., |(n-1)bar>; an operator "acting on the barred slot" means the
   same n x n matrix applied in that basis.  The antisymmetric-tensor
@@ -31,7 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Tuple, Union
@@ -43,8 +45,6 @@ from .errors import BranchPointCondition
 #: Largest n for which the exponentially sized self-tests (antisymmetric
 #: embedding, four-qudit pair swap) are built; read at each call.
 MAX_EMBED_DIMENSION = 4
-
-IndexLike = Union["BellIndex", Tuple[int, int]]
 
 
 def _check_dimension(n: int) -> None:
@@ -93,72 +93,18 @@ def _log_power_sum(total: Union[float, complex], alpha: Union[float, complex],
     return complex(log.real, math.remainder(log.imag, 2.0 * math.pi)) if complex_order else log.real
 
 
-@dataclass(frozen=True, order=True)
-class BellIndex:
-    """Pair label (l, m) in Z_n x Z_n, reduced mod n on construction."""
-
-    n: int
-    l: int
-    m: int
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.n)
-        object.__setattr__(self, "l", int(self.l) % self.n)
-        object.__setattr__(self, "m", int(self.m) % self.n)
-
-    def __neg__(self) -> "BellIndex":
-        return BellIndex(self.n, -self.l, -self.m)
-
-    def __add__(self, other: IndexLike) -> "BellIndex":
-        other = as_index(self.n, other)
-        return BellIndex(self.n, self.l + other.l, self.m + other.m)
-
-    @property
-    def is_singlet(self) -> bool:
-        return self.l == 0 and self.m == 0
-
-    @property
-    def linear(self) -> int:
-        """Fixed linearization (l, m) -> l*n + m."""
-        return self.l * self.n + self.m
-
-
-def as_index(n: int, a: IndexLike) -> BellIndex:
-    """Coerce a (l, m) pair or BellIndex to a BellIndex for dimension n."""
-    if isinstance(a, BellIndex):
-        if a.n != n:
-            raise ValueError(f"index is for dimension {a.n}, expected {n}")
-        return a
-    l, m = a
-    return BellIndex(n, l, m)
-
-
-@dataclass(frozen=True)
-class PhasedIndex:
-    """A pair label together with an exact integer power of omega."""
-
-    index: BellIndex
-    phase_exp: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase_exp", int(self.phase_exp) % self.index.n)
-
-    @property
-    def phase(self) -> complex:
-        return complex(omega_powers(self.index.n)[self.phase_exp])
-
-
-@lru_cache(maxsize=None)
-def omega(n: int) -> complex:
-    """Primitive n-th root of unity, evaluated once per n."""
+def as_index(n: int, a: Tuple[int, int]) -> Tuple[int, int]:
+    """The pair label a = (l, m) for dimension n, reduced mod n."""
     _check_dimension(n)
-    return complex(np.exp(2j * np.pi / n))
+    l, m = a
+    return int(l) % n, int(m) % n
 
 
 @lru_cache(maxsize=None)
 def omega_powers(n: int) -> np.ndarray:
-    """omega**k for k = 0..n-1 (read-only table derived from `omega`)."""
-    table = omega(n) ** np.arange(n)
+    """omega**k for k = 0..n-1, a read-only table evaluated once per n."""
+    _check_dimension(n)
+    table = complex(np.exp(2j * np.pi / n)) ** np.arange(n)
     table.flags.writeable = False
     return table
 
@@ -177,36 +123,35 @@ def pauli_z(n: int) -> np.ndarray:
     return np.diag(omega_powers(n))
 
 
-def u_lm(n: int, a: IndexLike) -> np.ndarray:
+def u_lm(n: int, a: Tuple[int, int]) -> np.ndarray:
     """U[l,m] = X**l Z**m."""
-    a = as_index(n, a)
-    x = np.linalg.matrix_power(pauli_x(n), a.l)
-    z = np.linalg.matrix_power(pauli_z(n), a.m)
+    l, m = as_index(n, a)
+    x = np.linalg.matrix_power(pauli_x(n), l)
+    z = np.linalg.matrix_power(pauli_z(n), m)
     return x @ z
 
 
-def compose(n: int, a: IndexLike, b: IndexLike) -> PhasedIndex:
-    """Exact product law U[a] U[b] = omega**(m_a * l_b) U[a+b]."""
-    a = as_index(n, a)
-    b = as_index(n, b)
-    return PhasedIndex(a + b, a.m * b.l)
+def compose(n: int, a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[Tuple[int, int], int]:
+    """Exact product law U[a] U[b] = omega**(m_a * l_b) U[a+b], as ((l, m), k)."""
+    return phase_fold(n, (a, b))
 
 
-def phase_fold(n: int, factors: Iterable[IndexLike]) -> PhasedIndex:
-    """Left-to-right product of U factors as (total label, omega exponent).
+def phase_fold(n: int, factors: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], int]:
+    """Left-to-right product of U factors as ((l, m), k): the total label and
+    the omega exponent k, both reduced mod n.
 
     The empty product is the identity, ((0, 0), 0).
     """
-    total = BellIndex(n, 0, 0)
-    exp = 0
+    _check_dimension(n)
+    l = m = k = 0
     for f in factors:
-        f = as_index(n, f)
-        exp += total.m * f.l
-        total = total + f
-    return PhasedIndex(total, exp)
+        fl, fm = as_index(n, f)
+        k += m * fl
+        l, m = (l + fl) % n, (m + fm) % n
+    return (l, m), k % n
 
 
-def bell_vector(n: int, a: IndexLike) -> np.ndarray:
+def bell_vector(n: int, a: Tuple[int, int]) -> np.ndarray:
     """phi[a] as a unit vector on the flattened ordered pair, slot i*n + j."""
     return u_lm(n, a).reshape(-1) / math.sqrt(n)
 

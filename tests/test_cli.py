@@ -175,6 +175,17 @@ def test_branch_points_odd_block(capsys):
     assert code == 0
     assert all(float(row["alpha_re"]) < 0 for row in rows)
     assert all(row["parity"] == "odd" for row in rows)
+    # an order needs a positive real part, so entropy refuses these orders
+    for row in rows:
+        alpha = cli.alpha_literal(complex(float(row["alpha_re"]), float(row["alpha_im"])))
+        code, out, err = run_cli(capsys, "entropy", "--n", "2", "--boundary", "open",
+                                 "--block", "3", f"--alpha={alpha}")
+        assert (code, out) == (2, "")
+        assert "positive real part" in err
+    code, out, err = run_cli(capsys, "entropy", "--n", "2", "--boundary", "open",
+                             "--block", "3", "--alpha=-0.5")
+    assert (code, out) == (2, "")
+    assert "order must be positive" in err
 
 
 def test_branch_points_block_one_rejected(capsys):
@@ -318,6 +329,25 @@ def test_verify_single_check_without_points_fails(capsys):
     assert summary["checks"] == [{"name": "saturation", "passed": False, "evaluated": 0,
                                   "max_dev": 0.0, "tolerance": 1e-12,
                                   "detail": "", "worst_at": None}]
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["verify", "--n", "1"], 1),
+    (["verify", "--n", "-4"], -4),
+    (["verify", "--n", "2", "--n", "0"], 0),
+    (["verify", "--n", "1", "--only", "saturation", "--format", "json"], 1),
+    (["spectrum", "--n", "1", "--boundary", "open", "--block", "2"], 1),
+])
+def test_dimension_below_two_is_a_usage_error(capsys, argv, bad):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"qudit dimension must be an integer >= 2, got {bad}" in err
+
+
+def test_verify_at_an_n_outside_every_grid_skips(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n", "7")
+    assert code == 1
+    assert [line.split()[1] for line in out.splitlines()] == ["SKIP"] * 11
 
 
 def test_verify_budget_preflight(capsys):

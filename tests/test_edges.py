@@ -10,7 +10,7 @@ from vbsent.edges import edge_basis, edge_gram, reconstruct_rho
 from vbsent.errors import BudgetError
 from vbsent.oracle import block_spectrum, reduced_density
 from vbsent.states import OPEN, ChainSpec, open_vbs_state
-from vbsent.weyl import BellIndex
+from vbsent.weyl import as_index
 
 GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
 
@@ -29,7 +29,7 @@ def unit_rows(basis):
 def weight(n, L, k):
     """w(-p,-q) of label k = p*n + q: the singlet branch at (0,0) only."""
     singlet, adjoint = open_spectrum(n, L).floats()
-    return singlet if (-BellIndex(n, k // n, k % n)).is_singlet else adjoint
+    return singlet if as_index(n, (-(k // n), -(k % n))) == (0, 0) else adjoint
 
 
 @pytest.mark.parametrize("n,L", GRID)

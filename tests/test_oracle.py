@@ -97,6 +97,12 @@ def test_jacobi_rejects_non_hermitian():
         jacobi_eigvalsh(np.zeros((2, 3)))
 
 
+def test_jacobi_empty_matrix():
+    # the general path: no pivots, an off-diagonal norm of 0, no sweeps
+    eigs = jacobi_eigvalsh(np.zeros((0, 0)))
+    assert eigs.dtype == np.float64 and eigs.shape == (0,)
+
+
 def test_jacobi_sweep_limit(monkeypatch):
     monkeypatch.setattr(oracle, "DEFAULT_MAX_SWEEPS", 0)
     h = random_hermitian(6, 5)
@@ -710,7 +716,7 @@ def test_invariant_checks_measure_accurately_at_dim_4096():
     # DensityMatrix measures its Hermiticity (within 1e-12) on construction.
     psi = open_vbs_state(ChainSpec(3, 4, OPEN))
     dm = reduced_density(psi, range(4))
-    assert dm.dim == 4096
+    assert dm.matrix.shape == (4096, 4096)
     assert abs(np.trace(dm.matrix) - 1.0) < 1e-15
     report = block_spectrum(psi, range(4))
     assert abs(report.eigenvalues.sum() - 1.0) < 1e-15

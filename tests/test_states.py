@@ -126,9 +126,9 @@ def test_open_amplitudes_match_scalar_fold(n, N):
     labels = nonzero_labels(n)
     scale = (n * n - 1) ** (-N / 2)
     for config in itertools.product(range(len(labels)), repeat=N):
-        fold = phase_fold(n, [labels[k] for k in config])
+        (l, m), k = phase_fold(n, [labels[c] for c in config])
         expected = np.zeros(n * n, dtype=complex)
-        expected[fold.index.linear] = fold.phase * scale
+        expected[l * n + m] = omega_powers(n)[k] * scale
         assert np.abs(tensor[config] - expected).max() < 1e-15
 
 
@@ -142,7 +142,7 @@ def test_ring_norm_constant():
     count = sum(
         1
         for config in itertools.product(labels, repeat=N - 1)
-        if not phase_fold(n, config).index.is_singlet
+        if phase_fold(n, config)[0] != (0, 0)
     )
     assert ring_norm_squared(n, N) == count
 
@@ -160,12 +160,12 @@ def test_periodic_no_singlet_closure_support():
     labels = nonzero_labels(n)
     scale = 1.0 / math.sqrt(float(ring_norm_squared(n, N)))
     for config in itertools.product(range(len(labels)), repeat=N - 1):
-        fold = phase_fold(n, [labels[k] for k in config])
+        (l, m), k = phase_fold(n, [labels[c] for c in config])
         column = tensor[config]
-        if fold.index.is_singlet:
+        if (l, m) == (0, 0):
             assert np.abs(column).max() == 0.0
         else:
-            assert np.abs(column[fold.index.linear - 1] - fold.phase * scale) < 1e-14
+            assert np.abs(column[l * n + m - 1] - omega_powers(n)[k] * scale) < 1e-14
             assert np.count_nonzero(column) == 1
 
 
@@ -198,9 +198,7 @@ def test_fold_tables_against_scalar_fold():
     labels = nonzero_labels(n)
     d = len(labels)
     for flat, config in enumerate(itertools.product(labels, repeat=sites)):
-        fold = phase_fold(n, config)
-        assert (suml[flat], summ[flat]) == (fold.index.l, fold.index.m)
-        assert phase[flat] == fold.phase_exp
+        assert ((suml[flat], summ[flat]), phase[flat]) == phase_fold(n, config)
         assert flat == sum(
             (labels.index(c)) * d ** (sites - 1 - k) for k, c in enumerate(config)
         )

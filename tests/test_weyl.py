@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from vbsent import weyl
 from vbsent.weyl import (
-    BellIndex,
-    PhasedIndex,
+    as_index,
     bell_vector,
     compose,
     conjugate_embedding,
-    omega,
     omega_powers,
     pauli_x,
     pauli_z,
@@ -56,7 +54,7 @@ def test_pauli_z_values():
 @pytest.mark.parametrize("n", DIMS)
 def test_clock_shift_commutation(n):
     x, z = pauli_x(n), pauli_z(n)
-    assert np.abs(z @ x - omega(n) * x @ z).max() < 1e-14
+    assert np.abs(z @ x - omega_powers(n)[1] * x @ z).max() < 1e-14
 
 
 def test_pauli_rejects_small_dimension():
@@ -82,24 +80,21 @@ def test_u_lm_unitary(n):
 
 
 def test_compose_examples():
-    got = compose(2, (0, 1), (1, 0))
-    assert (got.index.l, got.index.m, got.phase_exp) == (1, 1, 1)
+    assert compose(2, (0, 1), (1, 0)) == ((1, 1), 1)
     for b in all_labels(3):
-        got = compose(3, (0, 0), b)
-        assert (got.index.l, got.index.m, got.phase_exp) == (b[0], b[1], 0)
-    got = compose(3, (2, 1), (2, 2))
-    assert (got.index.l, got.index.m, got.phase_exp) == (1, 0, 2)
+        assert compose(3, (0, 0), b) == (b, 0)
+    assert compose(3, (2, 1), (2, 2)) == ((1, 0), 2)
     prod = u_lm(3, (2, 1)) @ u_lm(3, (2, 2))
-    assert np.abs(prod - omega(3) ** 2 * u_lm(3, (1, 0))).max() < 1e-13
+    assert np.abs(prod - omega_powers(3)[2] * u_lm(3, (1, 0))).max() < 1e-13
 
 
 @pytest.mark.parametrize("n", (2, 3))
 def test_compose_matches_matrix_product_exhaustively(n):
     for a in all_labels(n):
         for b in all_labels(n):
-            got = compose(n, a, b)
+            label, k = compose(n, a, b)
             prod = u_lm(n, a) @ u_lm(n, b)
-            expected = got.phase * u_lm(n, got.index)
+            expected = omega_powers(n)[k] * u_lm(n, label)
             assert np.abs(prod - expected).max() < 1e-13
 
 
@@ -107,28 +102,23 @@ def test_compose_matches_matrix_product_exhaustively(n):
        st.integers(0, 99), st.integers(0, 99))
 def test_compose_matches_matrix_product_sampled(n, la, ma, lb, mb):
     a, b = (la, ma), (lb, mb)
-    got = compose(n, a, b)
+    label, k = compose(n, a, b)
     prod = u_lm(n, a) @ u_lm(n, b)
-    assert np.abs(prod - got.phase * u_lm(n, got.index)).max() < 1e-13
+    assert np.abs(prod - omega_powers(n)[k] * u_lm(n, label)).max() < 1e-13
 
 
 @given(st.integers(2, 7), st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), max_size=8),
        st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), max_size=8))
 def test_phase_fold_splits_like_compose(n, left, right):
-    whole = phase_fold(n, left + right)
-    a, b = phase_fold(n, left), phase_fold(n, right)
-    joined = compose(n, a.index, b.index)
-    assert whole.index == joined.index
-    assert whole.phase_exp == (a.phase_exp + b.phase_exp + joined.phase_exp) % n
+    (a, ka), (b, kb) = phase_fold(n, left), phase_fold(n, right)
+    joined, k = compose(n, a, b)
+    assert phase_fold(n, left + right) == (joined, (ka + kb + k) % n)
 
 
 def test_phase_fold_edge_cases():
-    empty = phase_fold(3, [])
-    assert empty.index.is_singlet and empty.phase_exp == 0
-    single = phase_fold(5, [(2, 3)])
-    assert (single.index.l, single.index.m, single.phase_exp) == (2, 3, 0)
-    double = phase_fold(2, [(1, 1), (1, 1)])
-    assert double.index.is_singlet and double.phase_exp == 1
+    assert phase_fold(3, []) == ((0, 0), 0)
+    assert phase_fold(5, [(2, 3)]) == ((2, 3), 0)
+    assert phase_fold(2, [(1, 1), (1, 1)]) == ((0, 0), 1)
     # matrix oracle: (XZ)^2 = -I for qubits
     xz = u_lm(2, (1, 1))
     assert np.abs(xz @ xz + np.eye(2)).max() < 1e-14
@@ -136,11 +126,13 @@ def test_phase_fold_edge_cases():
 
 @given(st.integers(2, 9), st.integers(-100, 100), st.integers(-100, 100))
 def test_bell_index_reduction_and_negation(n, l, m):
-    a = BellIndex(n, l, m)
-    assert 0 <= a.l < n and 0 <= a.m < n
-    assert (a + (-a)).is_singlet
-    assert a.linear == a.l * n + a.m
-    assert PhasedIndex(a, -1).phase_exp == n - 1
+    a = as_index(n, (l, m))
+    assert a == (l % n, m % n)
+    # an unreduced label names the same operator, bit for bit
+    assert np.array_equal(u_lm(n, (l, m)), u_lm(n, a))
+    assert phase_fold(n, [(l, m), (-l, -m)])[0] == (0, 0)
+    # the omega exponent comes back reduced: m_a * l_b mod n
+    assert compose(n, (l, m), (l, m)) == (as_index(n, (2 * l, 2 * m)), (l % n) * (m % n) % n)
 
 
 def test_bell_vector_examples():
@@ -198,4 +190,5 @@ def test_swap_identity_guard(monkeypatch):
 
 def test_omega_powers_table():
     table = omega_powers(6)
-    assert np.abs(table - omega(6) ** np.arange(6)).max() == 0.0
+    assert np.abs(table - complex(np.exp(2j * np.pi / 6)) ** np.arange(6)).max() == 0.0
+    assert not table.flags.writeable
