@@ -33,6 +33,7 @@ from .oracle import (
     DensityMatrix,
     SpectrumReport,
     block_spectrum,
+    exact_block_spectrum,
     jacobi_eigvalsh,
     reduced_density,
     renyi,

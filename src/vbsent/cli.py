@@ -12,6 +12,12 @@ points use their own schema:
     n,L,m,sign,alpha_re,alpha_im,residual,parity
 
 Numbers are emitted with 17 significant digits so doubles round-trip.
+A --verify row compares the closed-form weights with the exact oracle route
+(`oracle.exact_block_spectrum`), whose eigenvalues are exact Fractions from
+counts of phase codes; it forms no matrix, so --budget-matrix bounds only
+`verify`.  Over CROSS_CHECK_AMPS amplitudes, `max_dev` is therefore the
+rounding of the closed-form floats alone.  Up to that size the float route
+(`oracle.block_spectrum`) runs too, and `max_dev` is the larger deviation.
 `verify` reports each check as PASS, FAIL or SKIP with the point of largest
 deviation/tolerance ratio (`max_dev`, `tolerance`, the `worst_at` fields and
 a `detail` text formed from them); SKIP marks a check that evaluated no grid
@@ -21,7 +27,8 @@ Exit codes: 0 success, 1 verification failure (a FAIL or SKIP check, or a
 `spectrum`/`entropy --verify` row with `verified` false, after every row is
 printed), 2 usage/config error, 3 resource-budget error, 4 broken internal invariant
 (a computed state or matrix failed its norm, Hermiticity, trace or spectrum
-check: a fault in the computation, not in the request).
+check, or a charge sector of a --verify block was not certified rank one:
+a fault in the computation, not in the request).
 """
 
 from __future__ import annotations
@@ -35,8 +42,10 @@ import os
 import sys
 from typing import Callable, List, Optional, Sequence, Union
 
+import numpy as np
+
 from . import closed_form, oracle, states
-from .checks import CHECKS, run_checks, spectrum_deviation
+from .checks import CHECKS, _worst, run_checks, spectrum_deviation
 from .errors import BranchPointCondition, BudgetError, InvariantError
 from .weyl import _check_dimension
 
@@ -49,6 +58,11 @@ MATRIX_BUDGET_ENV = "VBSENT_MATRIX_BUDGET"
 
 #: Most values a --block or --m span may hold.
 MAX_SPAN = 10 ** 6
+
+#: A --verify row of a state of at most this many amplitudes also runs the
+#: float oracle as a cross-check: its Grams are at most 256 wide, so no matrix
+#: budget applies, and it costs at most ~10 ms (the n=2 ring of 10, L=5).
+CROSS_CHECK_AMPS = 1 << 16
 
 
 def fmt(value: Optional[float]) -> str:
@@ -174,9 +188,12 @@ def _row(args, spec: closed_form.BlockSpectrum, state_for: StateSource) -> dict:
     row.update(n=spec.n, N=-1 if spec.N is None else spec.N, L=spec.L, boundary=args.boundary,
                lambda_singlet=singlet, lambda_adjoint=adjoint)
     if args.verify:
-        report = oracle.block_spectrum(state_for(spec), range(spec.L),
-                                       matrix_budget=args.budget_matrix)
-        dev = spectrum_deviation(report.eigenvalues, spec.nonzero())
+        state, expected = state_for(spec), spec.nonzero()
+        exact = np.array(oracle.exact_block_spectrum(state, range(spec.L)), dtype=float)
+        dev = spectrum_deviation(exact, expected)
+        if state.codes.size <= CROSS_CHECK_AMPS:
+            report = oracle.block_spectrum(state, range(spec.L))
+            dev = _worst([dev, spectrum_deviation(report.eigenvalues, expected)])
         row.update(verified=dev <= args.tol, max_dev=dev)
     return row
 

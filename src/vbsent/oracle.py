@@ -1,24 +1,30 @@
 """Brute-force reference computations from explicit state vectors.
 
 Everything in this module is derived directly from state vectors: partial
-traces, Hermitian spectra via cyclic Jacobi rotations, and entropies from
-the eigenvalues above RANK_CUTOFF.  No analytic shortcut from elsewhere in
-the package is used here, so results from this module serve as ground truth
-against the closed forms.
+traces, Hermitian spectra via cyclic Jacobi rotations, exact block spectra
+from counts of phase codes, and entropies from the eigenvalues above
+RANK_CUTOFF.  No analytic shortcut from elsewhere in the package is used
+here, so results from this module serve as ground truth against the closed
+forms.
 
 Spectra of a block are computed on whichever side of the bipartition is
 smaller: for a unit vector reshaped to a (block, environment) matrix M, the
-nonzero eigenvalues of M M^dagger and M^dagger M coincide.  `block_spectrum`
-turns M once (to M^T if the environment is smaller) so that its smaller side
-is on the rows, and every Gram formed is a row Gram D D^dagger.  When that
-side exceeds SPLIT_MIN_SIDE and M has more than SPLIT_MIN_ENTRIES entries,
-the turned matrix is first split into its n^2 charge sectors
-(`_sector_spectra`): every nonzero amplitude has Z_n x Z_n charge 0
+nonzero eigenvalues of M M^dagger and M^dagger M coincide.  Both routes turn
+M once (to M^T if the environment is smaller) so that its smaller side is on
+the rows.  Every nonzero amplitude has Z_n x Z_n charge 0
 (`states.charges`), so a nonzero entry links only a row and a column of
-equal charge, and the Gram is the sectors' direct sum up to a permutation.
-Each is diagonalized on its own; the remaining eigenvalues are exact zeros.
-Sectors holding fewer nonzeros than the state raise InvariantError.  The
-charges come from the slot encoding alone.
+equal charge, and M is the direct sum of its n^2 charge sectors up to a
+permutation.  `_sectors` gathers them one at a time, in pieces, and
+certifies that they hold every nonzero of the state, or raises
+InvariantError.  The charges come from the slot encoding alone.
+
+* `block_spectrum`, the float route, diagonalizes the row Gram D D^dagger of
+  the turned matrix.  When its smaller side exceeds SPLIT_MIN_SIDE and M has
+  more than SPLIT_MIN_ENTRIES entries, each sector's Gram is diagonalized on
+  its own (`_sector_spectra`); the remaining eigenvalues are exact zeros.
+* `exact_block_spectrum`, the exact route, forms no matrix.  It certifies
+  each sector rank one in integers from its codes (`_rank_one`), so that
+  its one eigenvalue is the Fraction nnz_s / nnz(state) of two counts.
 
 M itself holds the state's phase codes (see `states`), reshaped and
 transposed: one byte per entry.  Every Gram, and every reduced density
@@ -39,11 +45,11 @@ commutes exactly with IEEE complex products and sums, so the rotation
 sequence, and every eigenvalue, is that of the plain cyclic sweep.
 
 The invariant checks (Hermiticity and unit trace of a density matrix; no
-eigenvalue below -1e-12 and a sum within 1e-10 of one) raise
-`errors.InvariantError`: a failure means the computation is broken.  Each is
-written `not deviation <= bound`, so a NaN deviation fails it.  Hermiticity
-is measured in row blocks (`hermitian_deviation`), with no full-size
-difference matrix.
+eigenvalue below -1e-12 and a sum within 1e-10 of one; the sector
+certificates) raise `errors.InvariantError`: a failure means the
+computation is broken.  Each is written `not deviation <= bound`, so a NaN
+deviation fails it.  Hermiticity is measured in row blocks
+(`hermitian_deviation`), with no full-size difference matrix.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from fractions import Fraction
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,6 +102,12 @@ HERMITIAN_TOL = 1e-12
 #: dominated by its output and runs many times slower per entry.
 GRAM_CHUNK = 1 << 16
 
+#: Entries per chunk of head rows when a one-row sector's piece is gathered
+#: (`_gather_row`, 64 KiB of codes).  Head rows first, then tails: at n = 2,
+#: L = 15 a piece of 0.9M codes took 4.0 ms this way and 8.0 ms as one
+#: three-index gather, and no chunk holds the whole head.
+GATHER_CHUNK = 1 << 16
+
 #: Entries per row block of a Hermiticity measurement (4 MiB of complex128):
 #: a matrix of dim <= 512 is one block.
 HERMITIAN_BLOCK_ENTRIES = 1 << 18
@@ -117,7 +130,11 @@ def hermitian_deviation(matrix: np.ndarray) -> float:
     rows = max(1, HERMITIAN_BLOCK_ENTRIES // max(dim, 1))
     total = 0.0
     for lo in range(0, dim, rows):
-        diff = matrix[lo:lo + rows] - matrix[:, lo:lo + rows].conj().T
+        # a C-ordered copy of the column block's transpose, conjugated and subtracted
+        # in place: subtracting the F-ordered view ran four times as long at dim 455
+        diff = matrix[:, lo:lo + rows].T.copy()
+        np.conjugate(diff, out=diff)
+        np.subtract(matrix[lo:lo + rows], diff, out=diff)
         total += float(np.vdot(diff, diff).real)
     return math.sqrt(total)
 
@@ -278,6 +295,17 @@ def _block_environment(state: PureState, block: Sequence[int]) -> np.ndarray:
     return tensor.reshape(d_block, -1)
 
 
+def _turned(state: PureState, block: Sequence[int],
+            m: np.ndarray) -> Tuple[List[int], List[int], np.ndarray]:
+    """(short, long, wide): the (block, environment) code matrix m, turned to
+    m^T if the environment is smaller, with the slots of its rows (its
+    smaller side) and of its columns."""
+    env = [i for i in range(len(state.dims)) if i not in block]
+    if m.shape[0] > m.shape[1]:
+        return env, list(block), m.T
+    return list(block), env, m
+
+
 def reduced_density(
     state: PureState,
     block: Sequence[int],
@@ -295,38 +323,132 @@ def reduced_density(
     return DensityMatrix(_gram(m, state.table))
 
 
-def _sector_spectra(state: PureState, short: Sequence[int], long: Sequence[int],
-                    wide: np.ndarray) -> Iterator[np.ndarray]:
-    """Eigenvalues of the row Gram of each charge sector of `wide`, the state's
-    code matrix with the slots `short` on its rows, its smaller side, and
-    `long` on its columns, one Gram held at a time.  The columns are a head,
-    their longest leading run of slots with product H <= min(length / side,
-    sqrt(length)), times a tail: sector c gathers, per head charge a, the head
-    and tail rows of charges a and -(c + a) (`states.charges`), and sums these
-    pieces' row Grams.  A square `wide` has H = 1: one piece,
-    wide[np.ix_(rows, cols)].  Raises InvariantError, after the last sector,
-    if the sectors hold fewer nonzeros than the state."""
-    n, dims, table = state.n, state.dims, state.table
+def _gather_row(row: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """row[np.ix_(h, t)] of a (head, tail) view: the head rows are copied
+    GATHER_CHUNK entries at a time, then their tails picked."""
+    out = np.empty((h.size, t.size), dtype=row.dtype)
+    step = max(1, GATHER_CHUNK // row.shape[1])
+    for lo in range(0, h.size, step):
+        np.take(row[h[lo:lo + step]], t, axis=1, out=out[lo:lo + step])
+    return out
+
+
+def _sectors(state: PureState, short: Sequence[int], long: Sequence[int],
+             wide: np.ndarray) -> Iterator[Tuple[int, Iterator[Tuple[np.ndarray, int]]]]:
+    """The charge sectors of `wide`, the state's code matrix with the slots
+    `short` on its rows and `long` on its columns, gathered in pieces.
+
+    The columns are a head, their longest leading run of slots with product
+    H <= min(length / side, sqrt(length)), times a tail.  Sector c gathers,
+    per head charge a, the head and tail rows of charges a and -(c + a)
+    (`states.charges`): one piece of shape (rows, head rows x tail rows).  A
+    square `wide` has H = 1: one piece, wide[np.ix_(rows, cols)].
+
+    Yields (c, pieces) for each sector with rows and columns.  `pieces`
+    gathers each piece, with its nonzero count, only when it is reached and
+    holds none after, so a sector is never held whole; it must be exhausted
+    before the next sector.  After the last sector, raises InvariantError if
+    the sectors hold fewer nonzeros than the state, naming a sector whose
+    rows hold the rest.
+    """
+    n, dims = state.n, state.dims
     side, length = wide.shape
     runs = np.cumprod([1] + [dims[i] for i in long])  # products of the leading runs
     k = int(np.count_nonzero((side * runs <= length) & (runs * runs <= length))) - 1
     view = wide.reshape(side, int(runs[k]), -1)  # a view, never a copy
     groups = [charges(n, dims, slots) for slots in (short, long[:k], long[k:])]
     sides, heads, tails = ([np.flatnonzero(q == c) for c in range(n * n)] for q in groups)
-    nonzeros = 0
+    held = [0] * (n * n)
+
+    def gather(c: int, rows: np.ndarray, cols: list) -> Iterator[Tuple[np.ndarray, int]]:
+        for h, t in cols:
+            if rows.size == 1:
+                piece = _gather_row(view[rows[0]], h, t).reshape(1, -1)
+            else:
+                piece = view[rows[:, None, None], h[:, None], t].reshape(rows.size, -1)
+            count = int(np.count_nonzero(piece))
+            held[c] += count
+            yield piece, count
+            del piece  # not held while the next piece is gathered
+
     for c, rows in enumerate(sides):
         cols = [(h, t) for a, h in enumerate(heads)
                 for t in [tails[-(c // n + a // n) % n * n + -(c + a) % n]] if h.size and t.size]
-        if not rows.size or not cols:
-            continue
-        pieces = [view[rows[:, None, None], h[:, None], t].reshape(rows.size, -1) for h, t in cols]
-        nonzeros += sum(map(np.count_nonzero, pieces))
+        if rows.size and cols:
+            yield c, gather(c, rows, cols)
+    total = state.nonzeros
+    if sum(held) != total:
+        c = next(c for c, rows in enumerate(sides) if np.count_nonzero(wide[rows]) != held[c])
+        raise InvariantError(f"{total - sum(held)} of {total} nonzero amplitudes cross "
+                             f"the Z_n x Z_n charge sectors; the rows of sector "
+                             f"{(c // n, c % n)} hold some (count certificate)")
+
+
+def _sector_spectra(state: PureState, short: Sequence[int], long: Sequence[int],
+                    wide: np.ndarray) -> Iterator[np.ndarray]:
+    """Eigenvalues of the row Gram of each charge sector of `wide` (`_sectors`),
+    one Gram held at a time: the sum of its pieces' row Grams, in order."""
+    for _, pieces in _sectors(state, short, long, wide):
         # no name holds the Gram, so it is freed before the next one is formed
-        yield jacobi_eigvalsh(functools.reduce(np.add, (_gram(p, table) for p in pieces)))
-    total = np.count_nonzero(state.codes)
-    if nonzeros != total:
-        raise InvariantError(f"{total - nonzeros} of {total} nonzero amplitudes cross "
-                             f"the Z_n x Z_n charge sectors")
+        yield jacobi_eigvalsh(functools.reduce(np.add, (_gram(p, state.table) for p, _ in pieces)))
+
+
+def _rank_one(n: int, c: int, pieces: Iterator[Tuple[np.ndarray, int]]) -> int:
+    """The nonzero count of one charge sector, certified rank one in integers.
+
+    Its entries are scale * omega**k_ij on their support.  The sector is
+    rank one iff the support is a full rectangle R x C and
+    k_ij = a_i + b_j (mod n) on it; a single row always is.  The phase law is
+    checked against one reference row i0 and column j0, found in the first
+    piece with a nonzero: k_ij - k_i0j - k_ij0 + k_i0j0 = 0 (mod n) wherever
+    the entry and both references are nonzero, which on a full rectangle is
+    everywhere.  The support is a full rectangle iff the count equals |R| |C|.
+    Raises InvariantError naming the charge and the certificate that failed.
+    """
+    nonzeros, width, live = 0, 0, None
+    for piece, count in pieces:
+        nonzeros += count
+        if piece.shape[0] > 1 and count:  # a single row needs only its count
+            support = piece != 0
+            rows = support.any(axis=1)
+            width += np.count_nonzero(support.any(axis=0))
+            if live is None:
+                live, i0 = rows, int(np.argmax(rows))
+                j0 = int(np.argmax(support[i0]))
+                anchored = support[:, j0].copy()  # support changes below
+                ref = np.subtract(piece[:, j0], piece[i0, j0], dtype=np.int16)  # k_ij0 - k_i0j0
+            else:
+                live |= rows
+            phase = np.subtract(piece, piece[i0], dtype=np.int16)  # k_ij - k_i0j
+            phase -= ref[:, None]
+            phase %= n
+            support &= anchored[:, None]
+            support &= piece[i0] != 0
+            if np.any(phase, where=support):
+                raise InvariantError(f"sector {(c // n, c % n)} is not rank one: a phase breaks "
+                                     f"k_ij = a_i + b_j (mod n) (phase certificate)")
+            del support, phase
+        del piece  # no piece is held while the next one is gathered
+    if live is not None and nonzeros != np.count_nonzero(live) * width:
+        raise InvariantError(f"sector {(c // n, c % n)} is not rank one: its {nonzeros} nonzeros "
+                             f"do not fill the {np.count_nonzero(live)} x {width} rectangle of "
+                             f"their rows and columns (rectangle certificate)")
+    return nonzeros
+
+
+def exact_block_spectrum(state: PureState, block: Sequence[int]) -> List[Fraction]:
+    """The nonzero eigenvalues of the block reduction, exact, descending.
+
+    Every charge sector of the turned code matrix (`_sectors`, split at any
+    size) is certified rank one (`_rank_one`), with eigenvalue
+    scale^2 * |R| * |C|.  Every nonzero amplitude has modulus scale, so
+    scale^2 = 1 / nnz(state), and a sector's eigenvalue is the Fraction
+    nnz_s / nnz(state) of two integer counts.  No matrix is formed, so no
+    matrix budget applies.  Raises InvariantError if a certificate fails.
+    """
+    short, long, wide = _turned(state, block, _block_environment(state, block))
+    found = [_rank_one(state.n, c, pieces) for c, pieces in _sectors(state, short, long, wide)]
+    return sorted((Fraction(count, state.nonzeros) for count in found if count), reverse=True)
 
 
 def _gram(codes: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -383,9 +505,7 @@ def block_spectrum(
     padded with exact zeros to that side.
     """
     m = _block_environment(state, block)
-    env = [i for i in range(len(state.dims)) if i not in block]
-    tall = m.shape[0] > m.shape[1]
-    short, long, wide = (env, list(block), m.T) if tall else (list(block), env, m)
+    short, long, wide = _turned(state, block, m)
     side = wide.shape[0]
     if side > matrix_budget:
         raise BudgetError(f"both sides {m.shape} exceed matrix budget {matrix_budget}")

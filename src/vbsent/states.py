@@ -49,8 +49,8 @@ builds its boundary states from the same `_join` and `_closure`.
 
 Norm.  `PureState` checks that the norm is 1 within 1e-12 (a NaN norm
 fails).  Every nonzero amplitude has modulus `scale`, so the squared norm is
-scale**2 times the exact count of nonzero codes, with no long sum whose
-rounding grows with the state.
+scale**2 times the exact count of nonzero codes (`PureState.nonzeros`), with
+no long sum whose rounding grows with the state.
 
 States are immutable after construction and safe to share across threads.
 """
@@ -58,7 +58,7 @@ States are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
@@ -127,6 +127,8 @@ class PureState:
     dims: Tuple[int, ...]
     codes: np.ndarray
     scale: float
+    #: The count of nonzero codes, taken once for the norm check.
+    nonzeros: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
@@ -140,7 +142,8 @@ class PureState:
             raise ValueError(f"code vector has shape {self.codes.shape}, expected ({expected},)")
         if self.codes.max() > self.n:
             raise ValueError(f"phase codes run from 0 to {self.n}, got {self.codes.max()}")
-        norm = math.sqrt(self.scale * self.scale * np.count_nonzero(self.codes))
+        object.__setattr__(self, "nonzeros", int(np.count_nonzero(self.codes)))
+        norm = math.sqrt(self.scale * self.scale * self.nonzeros)
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise InvariantError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
         self.codes.flags.writeable = False

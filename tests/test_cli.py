@@ -5,9 +5,10 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vbsent import cli, closed_form, states
+from vbsent import cli, closed_form, oracle, states
 from vbsent.cli import MAX_SPAN, main, parse_alpha, parse_span
 
 
@@ -479,3 +480,76 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "0.33333333333333331" in proc.stdout
+
+
+def test_verify_rows_take_the_exact_route(capsys, monkeypatch):
+    # a ring of 11 has 3^11 amplitudes, over cli.CROSS_CHECK_AMPS: only the
+    # exact route runs, so max_dev is exactly 0 and no matrix budget applies
+    exact, routes = oracle.exact_block_spectrum, []
+    monkeypatch.setattr(oracle, "exact_block_spectrum",
+                        lambda state, block: routes.append(("exact", len(block))) or exact(state, block))
+    monkeypatch.setattr(oracle, "block_spectrum",
+                        lambda state, block: routes.append(("float", len(block))))
+    for command in ("spectrum", "entropy"):
+        routes.clear()
+        code, out, _ = run_cli(capsys, command, "--n", "2", "--boundary", "periodic",
+                               "--chain", "11", "--block", "1..10", "--verify",
+                               "--budget-matrix", "1")
+        assert code == 0
+        assert [(row["verified"], row["max_dev"]) for row in read_csv(out)] == [("true", "0")] * 10
+        assert routes == [("exact", L) for L in range(1, 11)]
+
+
+def test_small_verify_rows_also_take_the_float_route(capsys, monkeypatch):
+    original, routes = oracle.block_spectrum, []
+    monkeypatch.setattr(oracle, "block_spectrum",
+                        lambda state, block: routes.append(len(block)) or original(state, block))
+    assert states.ChainSpec(2, 6, states.PERIODIC).amplitudes <= cli.CROSS_CHECK_AMPS
+    code, out, _ = run_cli(capsys, "entropy", "--n", "2", "--boundary", "periodic",
+                           "--chain", "6", "--block", "1..5", "--verify")
+    assert code == 0 and routes == [1, 2, 3, 4, 5]
+    assert all(row["verified"] == "true" and float(row["max_dev"]) < 1e-15
+               for row in read_csv(out))
+
+
+def test_verify_ring_past_the_matrix_budget(capsys):
+    # both sides of the block are 6561, over the 4096 matrix budget, which the
+    # exact route does not need
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "periodic",
+                           "--chain", "16", "--block", "8", "--verify")
+    assert code == 0
+    (row,) = read_csv(out)
+    assert (row["verified"], row["max_dev"]) == ("true", "0")
+
+
+def tampered(psi, *edits):
+    """psi with each (position, code) edit applied, renormalized."""
+    codes = psi.codes.copy()
+    for position, code in edits:
+        codes[position] = code
+    return states.PureState(psi.n, psi.dims, codes, 1 / math.sqrt(np.count_nonzero(codes)))
+
+
+@pytest.mark.parametrize("tamper", ["phase", "zero", "move"])
+def test_uncertified_sector_exits_4(capsys, monkeypatch, tamper):
+    if tamper == "move":  # an open chain's one-row sectors: only the count sees it
+        psi = states.open_vbs_state(states.ChainSpec(2, 3, states.OPEN))
+        label = int(np.flatnonzero(psi.codes[20:24])[0])
+        bad = tampered(psi, (20 + (label + 1) % 4, psi.codes[20 + label]), (20 + label, 0))
+        c = int(states.charges(2, psi.dims, [3])[(label + 1) % 4])
+        sector, certificate = (c // 2, c % 2), "count"
+        monkeypatch.setattr(states, "open_vbs_state", lambda spec: bad)
+        argv = ["--n", "2", "--boundary", "open", "--block", "3"]
+    else:
+        psi = states.periodic_vbs_state(states.ChainSpec(3, 4, states.PERIODIC))
+        position = int(np.flatnonzero(psi.codes)[100])
+        code = psi.codes[position] % 3 + 1 if tamper == "phase" else 0
+        bad = tampered(psi, (position, code))
+        c = int(states.charges(3, psi.dims, range(2))[position // 64])  # the block's row
+        sector, certificate = (c // 3, c % 3), {"phase": "phase", "zero": "rectangle"}[tamper]
+        monkeypatch.setattr(states, "periodic_vbs_state", lambda spec: bad)
+        argv = ["--n", "3", "--boundary", "periodic", "--chain", "4", "--block", "2"]
+    for command in ("spectrum", "entropy"):
+        code, out, err = run_cli(capsys, command, *argv, "--verify")
+        assert (code, out) == (4, "")
+        assert f"sector {sector}" in err and f"({certificate} certificate)" in err

@@ -1,6 +1,9 @@
+import functools
 import itertools
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -538,6 +541,159 @@ def test_split_certificate_rejects_nonzeros_across_sectors(monkeypatch):
     assert block_spectrum(psi, range(2)).eigenvalues.shape == (72,)
 
 
+# ------------------------------------------------------------- exact route
+
+
+def closed_form_nonzero(psi, block):
+    """The closed-form nonzero weights of a chain state's block: an open
+    chain ends in the boundary pair (dim n^2), a ring does not."""
+    n, L = psi.n, len(block)
+    if psi.dims[-1] == n * n:
+        return closed_form.open_spectrum(n, L).nonzero()
+    return closed_form.periodic_spectrum(n, len(psi.dims), L).nonzero()
+
+
+def dense_request_blocks():
+    """(state, block) for every block of the dense-states and dense-gram
+    requests (dense-gram's n=2 ring of 13 is among the dense-states blocks)."""
+    yield from dense_spectrum_blocks()
+    yield periodic_vbs_state(ChainSpec(3, 8, PERIODIC)), range(4)
+
+
+def listed_sector_spectra(state, short, long, wide):
+    """`_sector_spectra` as the split first computed it: each sector's pieces
+    gathered into one list by a single three-index gather, then their Grams
+    summed in order."""
+    n, dims = state.n, state.dims
+    side, length = wide.shape
+    runs = np.cumprod([1] + [dims[i] for i in long])
+    k = int(np.count_nonzero((side * runs <= length) & (runs * runs <= length))) - 1
+    view = wide.reshape(side, int(runs[k]), -1)
+    groups = [charges(n, dims, slots) for slots in (short, long[:k], long[k:])]
+    sides, heads, tails = ([np.flatnonzero(q == c) for c in range(n * n)] for q in groups)
+    for c, rows in enumerate(sides):
+        cols = [(h, t) for a, h in enumerate(heads)
+                for t in [tails[-(c // n + a // n) % n * n + -(c + a) % n]] if h.size and t.size]
+        if rows.size and cols:
+            pieces = [view[rows[:, None, None], h[:, None], t].reshape(rows.size, -1)
+                      for h, t in cols]
+            yield jacobi_eigvalsh(functools.reduce(np.add, (oracle._gram(p, state.table)
+                                                            for p in pieces)))
+
+
+def test_exact_spectrum_is_the_closed_form_and_the_float_route_agrees(monkeypatch):
+    # every block of the open and periodic verify grids (n = 2-4) and of the
+    # dense requests: the exact route equals the closed forms Fraction for
+    # Fraction; the float route stays within 2e-15 of it (its worst, 1.8e-15 or
+    # 8 ulp of 1/4, is at n=2 N=13 L=6, 7) and its bytes are those of the list split
+    count = 0
+    for psi, block in itertools.chain(verify_grid_blocks(), dense_request_blocks()):
+        exact = oracle.exact_block_spectrum(psi, block)
+        assert exact == closed_form_nonzero(psi, block), (psi.n, psi.dims, block)
+        found = block_spectrum(psi, block).eigenvalues
+        assert np.abs(found[:len(exact)] - np.array(exact, dtype=float)).max() <= 2e-15
+        assert np.abs(found[len(exact):]).max(initial=0.0) <= 2e-15
+        monkeypatch.setattr(oracle, "_sector_spectra", listed_sector_spectra)
+        assert block_spectrum(psi, block).eigenvalues.tobytes() == found.tobytes()
+        monkeypatch.undo()
+        count += 1
+    assert count == 108 + 30 + 1  # verify grids, dense-states, dense-gram's n=3 ring
+
+
+def test_split_pieces_are_the_list_split_bit_for_bit(monkeypatch):
+    # split at every size, one-row sectors included, as the exact route reads them
+    split_every_block(monkeypatch)
+    count = 0
+    for psi, block in itertools.chain(verify_grid_blocks(), edge_basis_blocks()):
+        found = block_spectrum(psi, block).eigenvalues.tobytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_sector_spectra", listed_sector_spectra)
+            assert block_spectrum(psi, block).eigenvalues.tobytes() == found
+        count += 1
+    assert count > 300
+
+
+def test_exact_spectrum_of_an_edge_basis_and_the_full_chain():
+    # an edge basis opens with a label slot of dim n^2 and negates no slot in
+    # its charges; a block of every slot has the pure state's one eigenvalue
+    for n, L in ((2, 4), (3, 2)):
+        basis = edge_basis(n, L)
+        for start, stop in itertools.combinations(range(L + 2), 2):
+            exact = oracle.exact_block_spectrum(basis, range(start, stop))
+            assert sum(exact) == 1 and exact == sorted(exact, reverse=True)
+            found = block_spectrum(basis, range(start, stop)).eigenvalues
+            assert np.abs(found[:len(exact)] - np.array(exact, dtype=float)).max() <= 1e-15
+    psi = periodic_vbs_state(ChainSpec(2, 6, PERIODIC))
+    assert oracle.exact_block_spectrum(psi, range(6)) == [1]
+
+
+def test_exact_spectrum_memory_is_the_float_route_plus_one_piece():
+    # n = 2, open L = 15: four one-row sectors, gathered in 16 pieces of 0.9 MB,
+    # where the float route decodes its 4 x 4 Gram in chunks
+    psi = open_vbs_state(ChainSpec(2, 15, OPEN))
+    short, long, wide = oracle._turned(psi, range(15), oracle._block_environment(psi, range(15)))
+    piece = max(p.nbytes for _, pieces in oracle._sectors(psi, short, long, wide) for p, _ in pieces)
+    peaks = []
+    for route in (block_spectrum, oracle.exact_block_spectrum):
+        tracemalloc.start()
+        try:
+            route(psi, range(15))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert piece > 0.8e6 and peaks[1] <= peaks[0] + piece
+
+
+def tampered(psi, position, code):
+    """psi with codes[position] set to `code`, renormalized."""
+    codes = psi.codes.copy()
+    codes[position] = code
+    return PureState(psi.n, psi.dims, codes, 1 / math.sqrt(np.count_nonzero(codes)))
+
+
+def ring_nonzero(psi, index):
+    """(position, row charge (l, m)) of the index-th nonzero of a state whose
+    first two slots are the block: its (block, environment) matrix is the
+    codes, reshaped."""
+    position = int(np.flatnonzero(psi.codes)[index])
+    width = math.prod(psi.dims[2:])
+    c = int(charges(psi.n, psi.dims, range(2))[position // width])
+    return position, (c // psi.n, c % psi.n)
+
+
+def test_exact_spectrum_rejects_a_changed_phase_code():
+    psi = periodic_vbs_state(ChainSpec(3, 4, PERIODIC))  # 64 x 64, nine sectors of ~7 x 7
+    position, charge = ring_nonzero(psi, 100)
+    bad = tampered(psi, position, psi.codes[position] % 3 + 1)
+    with pytest.raises(InvariantError, match=re.escape(f"sector {charge} is not rank one")
+                       + ".*(phase certificate)"):
+        oracle.exact_block_spectrum(bad, range(2))
+
+
+def test_exact_spectrum_rejects_a_zeroed_nonzero_code():
+    psi = periodic_vbs_state(ChainSpec(3, 4, PERIODIC))
+    position, charge = ring_nonzero(psi, 100)
+    bad = tampered(psi, position, 0)
+    with pytest.raises(InvariantError, match=re.escape(f"sector {charge} is not rank one")
+                       + ".*(rectangle certificate)"):
+        oracle.exact_block_spectrum(bad, range(2))
+
+
+def test_exact_spectrum_rejects_a_nonzero_moved_across_sectors():
+    # an open chain's block matrix, turned, has one row per boundary label:
+    # one-row sectors, each rank one, so only the count sees the stray code
+    psi = open_vbs_state(ChainSpec(2, 3, OPEN))
+    string = psi.codes.reshape(-1, 4)[5]
+    label = int(np.flatnonzero(string)[0])
+    bad = tampered(tampered(psi, 5 * 4 + (label + 1) % 4, string[label]), 5 * 4 + label, 0)
+    assert np.count_nonzero(bad.codes) == np.count_nonzero(psi.codes)
+    c = int(charges(2, psi.dims, [3])[(label + 1) % 4])
+    with pytest.raises(InvariantError, match="1 of 27 nonzero amplitudes cross the Z_n x Z_n "
+                       + re.escape(f"charge sectors; the rows of sector {(c // 2, c % 2)} hold")
+                       + ".*(count certificate)"):
+        oracle.exact_block_spectrum(bad, range(3))
+
+
 # ------------------------------------------------- chunked real-view Gram
 
 
@@ -753,6 +909,34 @@ def test_hermiticity_small_matrices_are_one_block():
             float(np.linalg.norm(a - a.conj().T)), rel=1e-12)
     assert oracle.HERMITIAN_BLOCK_ENTRIES // 512 >= 512
     assert math.isnan(oracle.hermitian_deviation(np.array([[1.0, math.nan], [0.0, 1.0]])))
+
+
+def view_formula_deviation(matrix):
+    """`hermitian_deviation` as first written: each row block minus the
+    F-ordered view of its conjugated column block."""
+    dim = matrix.shape[0]
+    rows = max(1, oracle.HERMITIAN_BLOCK_ENTRIES // max(dim, 1))
+    total = 0.0
+    for lo in range(0, dim, rows):
+        diff = matrix[lo:lo + rows] - matrix[:, lo:lo + rows].conj().T
+        total += float(np.vdot(diff, diff).real)
+    return math.sqrt(total)
+
+
+@given(st.integers(0, 9), st.booleans(), st.integers(1, 90), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=3))
+def test_hermiticity_is_the_view_formula_bit_for_bit(dim, is_complex, block, seed, nans):
+    # any number of row blocks, real or complex, NaN entries included
+    r = rng(seed)
+    a = r.normal(size=(dim, dim)) + (1j * r.normal(size=(dim, dim)) if is_complex else 0)
+    a = a + a.conj().T + 1e-13 * r.normal(size=(dim, dim))
+    for i, j in nans:
+        if i < dim and j < dim:
+            a[i, j] = math.nan
+    with mock.patch.object(oracle, "HERMITIAN_BLOCK_ENTRIES", block):
+        found, want = oracle.hermitian_deviation(a), view_formula_deviation(a)
+    assert found == want or (math.isnan(found) and math.isnan(want))
+    assert math.isnan(found) == any(i < dim and j < dim for i, j in nans)
 
 
 # ----------------------------------------------------------------- entropies
