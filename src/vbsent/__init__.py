@@ -31,7 +31,6 @@ from .errors import (
 )
 from .oracle import (
     DensityMatrix,
-    SpectrumReport,
     block_spectrum,
     exact_block_spectrum,
     jacobi_eigvalsh,

@@ -113,21 +113,20 @@ class CheckRun:
         """Oracle eigenvalues of the L-site block at 0-based `start`."""
         key = (n, N, L, start)
         if key not in self._spectra:
-            report = oracle.block_spectrum(self.open_chain(n, N), range(start, start + L),
-                                           matrix_budget=self.matrix_budget)
-            self._spectra[key] = report.eigenvalues
+            self._spectra[key] = oracle.block_spectrum(self.open_chain(n, N),
+                                                       range(start, start + L),
+                                                       matrix_budget=self.matrix_budget)
         return self._spectra[key]
 
 
-def spectrum_deviation(eigenvalues: np.ndarray, expected: Iterable[float]) -> float:
-    """Worst absolute gap between the oracle eigenvalues above
-    `oracle.RANK_CUTOFF` and an expected nonzero spectrum, descending;
-    infinite if their counts differ."""
-    found = [float(v) for v in eigenvalues if v > oracle.RANK_CUTOFF]
+def spectrum_deviation(eigenvalues: Sequence[float], expected: Iterable[float]) -> float:
+    """Worst absolute gap between the oracle's nonzero eigenvalues, descending
+    (floats or exact Fractions), and an expected nonzero spectrum; infinite if
+    their counts differ."""
     want = sorted((float(v) for v in expected), reverse=True)
-    if len(found) != len(want):
+    if len(eigenvalues) != len(want):
         return float("inf")
-    return _worst(abs(a - b) for a, b in zip(found, want))
+    return _worst(abs(float(a) - b) for a, b in zip(eigenvalues, want))
 
 
 def check_open_spectrum(n: int, run: CheckRun) -> Iterator[Point]:
@@ -150,9 +149,8 @@ def check_periodic_spectrum(n: int, run: CheckRun) -> Iterator[Point]:
         psi = states.periodic_vbs_state(states.ChainSpec(n, N, states.PERIODIC, run.amp_budget))
         for L in range(1, N):
             expected = closed_form.periodic_spectrum(n, N, L).nonzero()
-            report = oracle.block_spectrum(psi, range(L), matrix_budget=run.matrix_budget)
-            yield (spectrum_deviation(report.eigenvalues, expected),
-                   1e-10, dict(n=n, N=N, L=L))
+            found = oracle.block_spectrum(psi, range(L), matrix_budget=run.matrix_budget)
+            yield spectrum_deviation(found, expected), 1e-10, dict(n=n, N=N, L=L)
 
 
 def saturation_envelope(n: int, L: int) -> float:
@@ -280,7 +278,7 @@ def check_independence(n: int, run: CheckRun) -> Iterator[Point]:
             for start in range(N - L + 1):
                 eigenvalues = run.open_eigenvalues(n, N, L, start)
                 if reference is None:
-                    reference = eigenvalues[eigenvalues > oracle.RANK_CUTOFF]
+                    reference = eigenvalues
                 yield (spectrum_deviation(eigenvalues, reference), 1e-11,
                        dict(n=n, N=N, L=L, start=start + 1))
 
@@ -352,14 +350,15 @@ def run_checks(
     matrix_budget: int = oracle.DEFAULT_MATRIX_BUDGET,
 ) -> List[CheckResult]:
     """Run the selected checks (all by default) at the selected n values in
-    each check's grid, one result per check.  An unknown check name or an n
+    each check's grid, one result per check; a repeated name or n counts once,
+    in the order it first appears.  An unknown check name or an n
     below 2 raises ValueError, and a BudgetError raised by any check
     propagates, before any result is returned."""
-    names = list(only) if only else list(CHECKS)
+    names = list(dict.fromkeys(only or CHECKS))  # repeats dropped, first order kept
     unknown = [x for x in names if x not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {sorted(CHECKS)}")
-    use_ns = tuple(ns) if ns else ALL_NS
+    use_ns = tuple(dict.fromkeys(ns or ALL_NS))
     for n in use_ns:
         weyl._check_dimension(n)
     run = CheckRun(amp_budget, matrix_budget)

@@ -14,8 +14,8 @@ points use their own schema:
 Numbers are emitted with 17 significant digits so doubles round-trip.
 A --verify row compares the closed-form weights with the exact oracle route
 (`oracle.exact_block_spectrum`), whose eigenvalues are exact Fractions from
-counts of phase codes; it forms no matrix, so --budget-matrix bounds only
-`verify`.  Over CROSS_CHECK_AMPS amplitudes, `max_dev` is therefore the
+counts of phase codes; it forms no matrix, so only `verify` takes
+--budget-matrix.  Over CROSS_CHECK_AMPS amplitudes, `max_dev` is therefore the
 rounding of the closed-form floats alone.  Up to that size the float route
 (`oracle.block_spectrum`) runs too, and `max_dev` is the larger deviation.
 `verify` reports each check as PASS, FAIL or SKIP with the point of largest
@@ -41,8 +41,6 @@ import math
 import os
 import sys
 from typing import Callable, List, Optional, Sequence, Union
-
-import numpy as np
 
 from . import closed_form, oracle, states
 from .checks import CHECKS, _worst, run_checks, spectrum_deviation
@@ -189,11 +187,10 @@ def _row(args, spec: closed_form.BlockSpectrum, state_for: StateSource) -> dict:
                lambda_singlet=singlet, lambda_adjoint=adjoint)
     if args.verify:
         state, expected = state_for(spec), spec.nonzero()
-        exact = np.array(oracle.exact_block_spectrum(state, range(spec.L)), dtype=float)
-        dev = spectrum_deviation(exact, expected)
+        dev = spectrum_deviation(oracle.exact_block_spectrum(state, range(spec.L)), expected)
         if state.codes.size <= CROSS_CHECK_AMPS:
-            report = oracle.block_spectrum(state, range(spec.L))
-            dev = _worst([dev, spectrum_deviation(report.eigenvalues, expected)])
+            found = oracle.block_spectrum(state, range(spec.L))
+            dev = _worst([dev, spectrum_deviation(found, expected)])
         row.update(verified=dev <= args.tol, max_dev=dev)
     return row
 
@@ -269,16 +266,19 @@ def cmd_verify(args) -> int:
     return 0 if summary["all_passed"] else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, amps: bool = True, matrix: bool = False) -> None:
+    """--format and --out, and the budget options that the command reads."""
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     # argparse converts a string default (the environment's) with `type` too
-    parser.add_argument("--budget-amps", type=int,
-                        default=os.environ.get(AMP_BUDGET_ENV, states.DEFAULT_AMP_BUDGET),
-                        help="maximum stored amplitudes per state")
-    parser.add_argument("--budget-matrix", type=int,
-                        default=os.environ.get(MATRIX_BUDGET_ENV, oracle.DEFAULT_MATRIX_BUDGET),
-                        help="maximum materialized matrix dimension")
+    if amps:
+        parser.add_argument("--budget-amps", type=int,
+                            default=os.environ.get(AMP_BUDGET_ENV, states.DEFAULT_AMP_BUDGET),
+                            help="maximum stored amplitudes per state")
+    if matrix:
+        parser.add_argument("--budget-matrix", type=int,
+                            default=os.environ.get(MATRIX_BUDGET_ENV, oracle.DEFAULT_MATRIX_BUDGET),
+                            help="maximum materialized matrix dimension")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,14 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="block length L or span lo..hi (L >= 2); odd L gives Re alpha < 0, "
                          "an order that entropy --alpha refuses")
     bp.add_argument("--m", default="0..2", help="branch integer or span, both signs enumerated")
-    _add_common(bp)
+    _add_common(bp, amps=False)
     bp.set_defaults(func=cmd_branch_points)
 
     ve = sub.add_parser("verify", help="run the oracle-vs-closed-form verification grid")
     ve.add_argument("--n", type=int, action="append", help="restrict the grid to these n")
     ve.add_argument("--only", action="append", choices=sorted(CHECKS),
                     help="run only the named check(s)")
-    _add_common(ve)
+    _add_common(ve, matrix=True)
     ve.set_defaults(func=cmd_verify)
     return parser
 

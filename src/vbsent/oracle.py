@@ -2,10 +2,15 @@
 
 Everything in this module is derived directly from state vectors: partial
 traces, Hermitian spectra via cyclic Jacobi rotations, exact block spectra
-from counts of phase codes, and entropies from the eigenvalues above
-RANK_CUTOFF.  No analytic shortcut from elsewhere in the package is used
-here, so results from this module serve as ground truth against the closed
-forms.
+from counts of phase codes, and entropies.  No analytic shortcut from
+elsewhere in the package is used here, so results from this module serve as
+ground truth against the closed forms.
+
+Both block routes return only the nonzero eigenvalues, descending.  The
+float route passes its eigenvalues through `spectrum_report`, the one place
+that decides which are zero: those at or below RANK_CUTOFF, the rounding
+that a rank-deficient Gram leaves in its null space.  The entropies read
+their input through it too.
 
 Spectra of a block are computed on whichever side of the bipartition is
 smaller: for a unit vector reshaped to a (block, environment) matrix M, the
@@ -21,7 +26,7 @@ InvariantError.  The charges come from the slot encoding alone.
 * `block_spectrum`, the float route, diagonalizes the row Gram D D^dagger of
   the turned matrix.  When its smaller side exceeds SPLIT_MIN_SIDE and M has
   more than SPLIT_MIN_ENTRIES entries, each sector's Gram is diagonalized on
-  its own (`_sector_spectra`); the remaining eigenvalues are exact zeros.
+  its own (`_sector_spectra`).
 * `exact_block_spectrum`, the exact route, forms no matrix.  It certifies
   each sector rank one in integers from its codes (`_rank_one`), so that
   its one eigenvalue is the Fraction nnz_s / nnz(state) of two counts.
@@ -78,12 +83,10 @@ DEFAULT_MATRIX_BUDGET = 4096
 SPLIT_MIN_SIDE = 14
 SPLIT_MIN_ENTRIES = 1 << 16
 
-#: Eigenvalues in [-NEGATIVE_CLAMP, 0) are rounded to 0; anything below is an error.
-NEGATIVE_CLAMP = 1e-12
-
-#: Eigenvalues at or below RANK_CUTOFF count as zero in the entropies and in
-#: the spectrum comparisons: a rank-deficient reduction leaves rounding-level
-#: eigenvalues (down to ~1e-18) that would dominate a Renyi sum at order < 1.
+#: `spectrum_report` counts eigenvalues at or below RANK_CUTOFF as zero: a
+#: rank-deficient reduction leaves rounding-level eigenvalues (down to ~1e-18)
+#: that would dominate a Renyi sum at order < 1.  One below -RANK_CUTOFF is an
+#: error.
 RANK_CUTOFF = 1e-12
 
 #: Jacobi terminates once the off-diagonal Frobenius norm drops below this.
@@ -155,14 +158,6 @@ class DensityMatrix:
         if not abs(tr - 1.0) <= 1e-12:
             raise InvariantError(f"matrix trace {tr!r} deviates from 1 beyond 1e-12")
         self.matrix.flags.writeable = False
-
-
-@dataclass
-class SpectrumReport:
-    """Eigenvalues of a density matrix, sorted descending with tiny negatives
-    clamped to zero (see `spectrum_report`)."""
-
-    eigenvalues: np.ndarray
 
 
 def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
@@ -264,20 +259,20 @@ def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     return np.sort(np.diagonal(w).real)[::-1]
 
 
-def spectrum_report(eigenvalues: Union[np.ndarray, Sequence[float]]) -> SpectrumReport:
-    """Validate, clamp and sort density-matrix eigenvalues into a report.
+def spectrum_report(eigenvalues: Union[np.ndarray, Sequence[float]]) -> np.ndarray:
+    """The nonzero eigenvalues of a density matrix, those above RANK_CUTOFF,
+    descending.
 
-    Values in [-1e-12, 0) are clamped to zero; anything more negative, or a
-    sum away from one beyond 1e-10, signals a broken reduction and raises.
+    Values in [-RANK_CUTOFF, 0) are clamped to zero; anything more negative,
+    or a sum away from one beyond 1e-10, signals a broken reduction and raises.
     """
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))[::-1].copy()
-    if eigs.size and eigs[-1] < -NEGATIVE_CLAMP:
-        raise InvariantError(f"eigenvalue {eigs[-1]!r} below -{NEGATIVE_CLAMP:g}; reduction is broken")
-    eigs[eigs < 0.0] = 0.0
-    total = float(eigs.sum())
+    eigs = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
+    if eigs.size and eigs[-1] < -RANK_CUTOFF:
+        raise InvariantError(f"eigenvalue {eigs[-1]!r} below -{RANK_CUTOFF:g}; reduction is broken")
+    total = float(np.maximum(eigs, 0.0).sum())
     if not abs(total - 1.0) <= 1e-10:  # NaN fails too
         raise InvariantError(f"eigenvalues sum to {total!r}, expected 1 within 1e-10")
-    return SpectrumReport(eigs)
+    return eigs[eigs > RANK_CUTOFF]
 
 
 def _block_environment(state: PureState, block: Sequence[int]) -> np.ndarray:
@@ -496,13 +491,13 @@ def block_spectrum(
     state: PureState,
     block: Sequence[int],
     matrix_budget: int = DEFAULT_MATRIX_BUDGET,
-) -> SpectrumReport:
-    """Spectrum of the block reduction from the row Gram of the (block,
-    environment) code matrix M, turned once (to M^T if the environment is
-    smaller) so that its smaller side is on the rows.  When that side exceeds
-    SPLIT_MIN_SIDE and M has more than SPLIT_MIN_ENTRIES entries, each charge
-    sector (`_sector_spectra`) is diagonalized on its own; the eigenvalues are
-    padded with exact zeros to that side.
+) -> np.ndarray:
+    """The nonzero eigenvalues of the block reduction, descending
+    (`spectrum_report`), from the row Gram of the (block, environment) code
+    matrix M, turned once (to M^T if the environment is smaller) so that its
+    smaller side is on the rows.  When that side exceeds SPLIT_MIN_SIDE and M
+    has more than SPLIT_MIN_ENTRIES entries, each charge sector
+    (`_sector_spectra`) is diagonalized on its own.
     """
     m = _block_environment(state, block)
     short, long, wide = _turned(state, block, m)
@@ -513,28 +508,27 @@ def block_spectrum(
         found = np.concatenate(list(_sector_spectra(state, short, long, wide)))
     else:
         found = jacobi_eigvalsh(_gram(wide, state.table))
-    return spectrum_report(np.concatenate([found, np.zeros(side - found.size)]))
+    return spectrum_report(found)
 
 
-def von_neumann(report: SpectrumReport) -> float:
-    """-sum(lambda log lambda) in nats over the eigenvalues above RANK_CUTOFF."""
-    total = float(report.eigenvalues.sum())
-    if not abs(total - 1.0) <= 1e-10:
-        raise InvariantError(f"eigenvalues sum to {total!r}, expected 1 within 1e-10")
-    pos = report.eigenvalues[report.eigenvalues > RANK_CUTOFF]
+def von_neumann(eigenvalues: Union[np.ndarray, Sequence[float]]) -> float:
+    """-sum(lambda log lambda) in nats over the nonzero eigenvalues
+    (`spectrum_report`)."""
+    pos = spectrum_report(eigenvalues)
     return float(-(pos * np.log(pos)).sum())
 
 
-def renyi(report: SpectrumReport, alpha: Union[float, complex]) -> Union[float, complex]:
+def renyi(eigenvalues: Union[np.ndarray, Sequence[float]],
+          alpha: Union[float, complex]) -> Union[float, complex]:
     """Renyi entropy log(sum lambda**alpha) / (1 - alpha), natural log.
 
-    alpha is validated by `weyl._check_order`.  Eigenvalues at or below
-    RANK_CUTOFF are excluded from the power sum, whose log
-    `weyl._log_power_sum` takes; a complex alpha where it vanishes raises
-    BranchPointCondition: the entropy is undefined on a branch point.
+    alpha is validated by `weyl._check_order`.  The power sum runs over the
+    nonzero eigenvalues (`spectrum_report`), and `weyl._log_power_sum` takes
+    its log; a complex alpha where it vanishes raises BranchPointCondition:
+    the entropy is undefined on a branch point.
     """
     alpha = _check_order(alpha)
-    pos = report.eigenvalues[report.eigenvalues > RANK_CUTOFF]
+    pos = spectrum_report(eigenvalues)
     if isinstance(alpha, complex):
         total = complex(np.exp(alpha * np.log(pos)).sum())
     else:

@@ -32,9 +32,9 @@ def test_criterion_2_periodic_spectrum_equivalence():
     result = check("periodic-spectrum")
     # spot value: the ring of four qubit pairs, half-chain block
     psi = periodic_vbs_state(ChainSpec(2, 4, PERIODIC))
-    eigs = [v for v in block_spectrum(psi, range(2)).eigenvalues if v > 1e-12]
+    eigs = block_spectrum(psi, range(2))
     spot = sorted([3 / 7] + [4 / 21] * 3, reverse=True)
-    assert max(abs(a - b) for a, b in zip(eigs, spot)) < 1e-10
+    assert len(eigs) == len(spot) and max(abs(a - b) for a, b in zip(eigs, spot)) < 1e-10
     spec = periodic_spectrum(2, 4, 2)
     assert (float(spec.singlet), float(spec.adjoint)) == (3 / 7, 4 / 21)
     report(2, result)

@@ -295,6 +295,21 @@ def test_verify_single_check(capsys):
     assert "swap-identity: PASS" in out
 
 
+def test_verify_runs_a_repeated_check_or_n_once(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--n", "2", "--only", "swap-identity",
+                           "--only", "swap-identity", "--format", "json")
+    assert code == 0
+    assert [(c["name"], c["evaluated"]) for c in json.loads(out)["checks"]] == [("swap-identity", 1)]
+    # the order of first occurrence is kept: the output is that of the list without repeats
+    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--n", "2", "--n", "3",
+                           "--only", "bell-invariance", "--only", "swap-identity",
+                           "--only", "bell-invariance", "--format", "json")
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["bell-invariance", "swap-identity"]
+    assert out == run_cli(capsys, "verify", "--n", "3", "--n", "2", "--only", "bell-invariance",
+                          "--only", "swap-identity", "--format", "json")[1]
+
+
 def test_verify_json_summary(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "2", "--only", "transfer-matrix",
                            "--format", "json")
@@ -374,15 +389,30 @@ def test_budget_env_override(capsys, monkeypatch):
 
 @pytest.mark.parametrize("env", ["VBSENT_AMP_BUDGET", "VBSENT_MATRIX_BUDGET"])
 def test_bad_budget_env_is_a_usage_error(capsys, monkeypatch, env):
+    # each variable is read by a command that takes its option
     monkeypatch.setenv(env, "abc")
-    code, out, err = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "open", "--block", "2")
-    option = "--budget-amps" if env == "VBSENT_AMP_BUDGET" else "--budget-matrix"
+    if env == "VBSENT_AMP_BUDGET":
+        argv, option = ["spectrum", "--n", "2", "--boundary", "open", "--block", "2"], "--budget-amps"
+    else:
+        argv, option = ["verify", "--n", "2", "--only", "swap-identity"], "--budget-matrix"
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert option in err and "'abc'" in err
     # an option on the command line still wins over the environment
-    code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--boundary", "open", "--block", "2",
-                           option, "100")
+    code, out, _ = run_cli(capsys, *argv, option, "100")
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv", [
+    ["branch-points", "--n", "2", "--block", "2", "--budget-amps", "100"],
+    ["branch-points", "--n", "2", "--block", "2", "--budget-matrix", "100"],
+    ["spectrum", "--n", "2", "--boundary", "open", "--block", "2", "--budget-matrix", "100"],
+    ["entropy", "--n", "2", "--boundary", "open", "--block", "2", "--budget-matrix", "100"],
+])
+def test_budget_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {argv[-2]}" in err
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "nan+1i", "inf+1i", "0.5+infi", "2-nani"])
@@ -455,10 +485,10 @@ def test_ring_state_built_once_per_command(capsys, monkeypatch):
 @pytest.mark.parametrize("argv,per_block", [(["spectrum"], 1), (["entropy"], 1),
                                             (["entropy", "--alpha", "2,3"], 2)])
 def test_failed_verify_row_exits_1_after_every_row(capsys, monkeypatch, argv, per_block):
-    # only the block of length 2 (the 9 x 9 Gram of the n=2 ring of 6) deviates
-    original = cli.spectrum_deviation
+    # only the block of length 2 of the n=2 ring of 6 deviates
+    original, target = cli.spectrum_deviation, closed_form.periodic_spectrum(2, 6, 2).nonzero()
     monkeypatch.setattr(cli, "spectrum_deviation",
-                        lambda eigs, weights: 1.0 if eigs.size == 9 else original(eigs, weights))
+                        lambda eigs, weights: 1.0 if weights == target else original(eigs, weights))
     code, out, _ = run_cli(capsys, argv[0], "--n", "2", "--boundary", "periodic",
                            "--chain", "6", "--block", "1..3", "--verify", *argv[1:])
     rows = read_csv(out)
@@ -493,8 +523,7 @@ def test_verify_rows_take_the_exact_route(capsys, monkeypatch):
     for command in ("spectrum", "entropy"):
         routes.clear()
         code, out, _ = run_cli(capsys, command, "--n", "2", "--boundary", "periodic",
-                               "--chain", "11", "--block", "1..10", "--verify",
-                               "--budget-matrix", "1")
+                               "--chain", "11", "--block", "1..10", "--verify")
         assert code == 0
         assert [(row["verified"], row["max_dev"]) for row in read_csv(out)] == [("true", "0")] * 10
         assert routes == [("exact", L) for L in range(1, 11)]

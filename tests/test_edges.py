@@ -163,7 +163,7 @@ def test_su2_boundary_states_are_exactly_real(L):
 
 
 def test_block_spectrum_reads_an_edge_basis():
-    assert np.allclose(block_spectrum(edge_basis(3, 5), [1, 2]).eigenvalues[:3],
+    assert np.allclose(block_spectrum(edge_basis(3, 5), [1, 2])[:3],
                        [0.125, 0.109375, 0.109375], rtol=0, atol=1e-15)
 
 

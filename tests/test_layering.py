@@ -3,7 +3,8 @@
 `states`, `oracle` and `weyl` must not import `closed_form`, nor `checks`,
 `edges` or `cli`, which are built on it; otherwise the oracle could not serve
 as an independent check of the closed forms.  Also: every function the
-benchmark's traced run wraps (`perfbench/tracing.LAYERS`) still exists.
+benchmark's traced run wraps (`perfbench/tracing.LAYERS`) still exists, and
+only `oracle` decides which eigenvalues are zero.
 """
 
 import ast
@@ -57,3 +58,27 @@ def test_traced_layers_resolve(monkeypatch):
     for module, names in tracing.LAYERS.values():
         for name in names:
             assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+def names_used(source):
+    """Every identifier that `source` reads, binds, imports, defines or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            found.add(node.name)
+    return found
+
+
+def test_only_the_oracle_decides_which_eigenvalues_are_zero():
+    # `oracle.spectrum_report` alone reads the rank cutoff, and both block
+    # routes return the nonzero eigenvalues as they are, in no wrapper type
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = names_used(path.read_text())
+        assert "SpectrumReport" not in names, path.name
+        assert ("RANK_CUTOFF" in names) == (path.stem == "oracle"), path.name

@@ -16,7 +16,6 @@ from vbsent.edges import edge_basis
 from vbsent.errors import BranchPointCondition, BudgetError, ConvergenceError, InvariantError
 from vbsent.oracle import (
     DensityMatrix,
-    SpectrumReport,
     block_spectrum,
     jacobi_eigvalsh,
     reduced_density,
@@ -251,24 +250,21 @@ def test_density_matrix_sanity():
 
 def test_schmidt_symmetry_open():
     psi = open_vbs_state(ChainSpec(2, 6, OPEN))
-    left = block_spectrum(psi, range(3)).eigenvalues
-    right = block_spectrum(psi, range(3, len(psi.dims))).eigenvalues
-    k = min(left.size, right.size)
-    assert np.abs(left[:k] - right[:k]).max() < 1e-11
-    assert np.abs(left[k:]).max() < 1e-11 if left.size > k else True
+    left = block_spectrum(psi, range(3))
+    right = block_spectrum(psi, range(3, len(psi.dims)))
+    assert left.shape == right.shape and np.abs(left - right).max() < 1e-11
 
 
 def test_schmidt_symmetry_periodic():
     psi = periodic_vbs_state(ChainSpec(2, 4, PERIODIC))
-    front = block_spectrum(psi, range(2)).eigenvalues
-    back = block_spectrum(psi, range(2, 4)).eigenvalues
+    front = block_spectrum(psi, range(2))
+    back = block_spectrum(psi, range(2, 4))
     assert np.abs(front - back).max() < 1e-11
 
 
 def test_single_site_block_n3():
     psi = open_vbs_state(ChainSpec(3, 3, OPEN))
-    report = block_spectrum(psi, [0])
-    assert np.allclose(report.eigenvalues, [1 / 8] * 8, atol=1e-12)
+    assert np.allclose(block_spectrum(psi, [0]), [1 / 8] * 8, atol=1e-12)
 
 
 def test_schmidt_cut_validation():
@@ -277,7 +273,7 @@ def test_schmidt_cut_validation():
         with pytest.raises(ValueError):
             block_spectrum(psi, block)
     # the whole chain is a block too: the pure state has one weight
-    whole = block_spectrum(psi, range(len(psi.dims))).eigenvalues
+    whole = block_spectrum(psi, range(len(psi.dims)))
     assert whole.shape == (1,) and abs(whole[0] - 1.0) < 1e-15
 
 
@@ -292,11 +288,10 @@ def test_block_start_and_length_independence():
     for N in range(2, 7):
         psi = open_vbs_state(ChainSpec(2, N, OPEN))
         for start in range(N - 1):
-            eigs = block_spectrum(psi, range(start, start + 2)).eigenvalues
-            nonzero = eigs[eigs > 1e-12]
+            eigs = block_spectrum(psi, range(start, start + 2))
             if reference is None:
-                reference = nonzero
-            assert np.abs(nonzero - reference).max() < 1e-11
+                reference = eigs
+            assert eigs.shape == reference.shape and np.abs(eigs - reference).max() < 1e-11
 
 
 # ------------------------------------------------------- independent blocks
@@ -396,9 +391,9 @@ def test_split_agrees_with_whole_gram(monkeypatch):
     count = 0
     for psi, block in itertools.chain(verify_grid_blocks(), edge_basis_blocks()):
         monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", NO_SPLIT)
-        whole = block_spectrum(psi, block).eigenvalues
+        whole = block_spectrum(psi, block)
         split_every_block(monkeypatch)
-        split = block_spectrum(psi, block).eigenvalues
+        split = block_spectrum(psi, block)
         assert split.shape == whole.shape
         assert np.abs(split - whole).max() < 1e-13
         count += 1
@@ -419,9 +414,10 @@ def test_split_of_ring_blocks_into_charge_sectors(monkeypatch):
         assert abs(sum(e.sum() for e in spectra) - 1.0) < 1e-13
         d = psi.table[m]
         reference = np.sort(np.linalg.eigvalsh(d @ d.conj().T))[::-1]
-        report = block_spectrum(psi, block)
-        assert report.eigenvalues.shape == (512,)  # min(d_block, d_env)
-        assert np.abs(report.eigenvalues - reference).max() < 1e-13
+        found = block_spectrum(psi, block)
+        assert found.shape == (9,)  # the rest of min(d_block, d_env) = 512 are zeros
+        assert np.abs(found - reference[:9]).max() < 1e-13
+        assert np.abs(reference[9:]).max() < 1e-13
 
 
 def whole_sector_spectrum(psi, block):
@@ -439,8 +435,7 @@ def whole_sector_spectrum(psi, block):
         if sector.size:
             wide = sector if sector.shape[0] <= sector.shape[1] else sector.T
             found.append(jacobi_eigvalsh(oracle._gram(wide, psi.table)))
-    found = np.concatenate(found)
-    return spectrum_report(np.concatenate([found, np.zeros(min(m.shape) - found.size)])).eigenvalues
+    return spectrum_report(np.concatenate(found))
 
 
 def test_square_split_blocks_gather_their_sectors_whole():
@@ -449,7 +444,7 @@ def test_square_split_blocks_gather_their_sectors_whole():
     psi = periodic_vbs_state(ChainSpec(3, 6, PERIODIC))
     for block in (range(3), range(3, 6)):
         assert oracle._block_environment(psi, block).shape == (512, 512)
-        assert (block_spectrum(psi, block).eigenvalues.tobytes()
+        assert (block_spectrum(psi, block).tobytes()
                 == whole_sector_spectrum(psi, block).tobytes())
 
 
@@ -473,10 +468,11 @@ def test_split_blocks_of_sides_up_to_360_agree_with_the_whole_gram(monkeypatch):
         if not oracle.SPLIT_MIN_SIDE < min(oracle._block_environment(psi, block).shape) <= 360:
             continue
         monkeypatch.setattr(oracle, "SPLIT_MIN_ENTRIES", 0)
-        split = block_spectrum(psi, block).eigenvalues
+        split = block_spectrum(psi, block)
         monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", NO_SPLIT)
-        whole = block_spectrum(psi, block).eigenvalues
+        whole = block_spectrum(psi, block)
         monkeypatch.undo()
+        assert split.shape == whole.shape, (psi.n, psi.dims, block)
         assert np.abs(split - whole).max() <= 1e-15, (psi.n, psi.dims, block)
         count += 1
     assert count == 24 + 15  # verify-grid blocks, dense spectrum blocks
@@ -486,7 +482,7 @@ def test_split_is_bit_identical_across_calls(monkeypatch):
     split_every_block(monkeypatch)
     psi = periodic_vbs_state(ChainSpec(3, 6, PERIODIC))
     first, second = block_spectrum(psi, range(3)), block_spectrum(psi, range(3))
-    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.tobytes() == second.tobytes()
     assert von_neumann(first) == von_neumann(second)
 
 
@@ -529,7 +525,7 @@ def test_split_certificate_sees_a_nonzero_under_a_head_and_tail(monkeypatch):
     with pytest.raises(InvariantError, match="1 of .* cross the Z_n x Z_n charge sectors"):
         block_spectrum(bad, range(2))
     monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", NO_SPLIT)
-    assert block_spectrum(bad, range(2)).eigenvalues.shape == (9,)
+    assert block_spectrum(bad, range(2)).shape == (5,)  # the stray amplitude's own eigenvalue is 5th
 
 
 def test_split_certificate_rejects_nonzeros_across_sectors(monkeypatch):
@@ -538,7 +534,7 @@ def test_split_certificate_rejects_nonzeros_across_sectors(monkeypatch):
     with pytest.raises(InvariantError, match="cross the Z_n x Z_n charge sectors"):
         block_spectrum(psi, range(2))
     monkeypatch.setattr(oracle, "SPLIT_MIN_SIDE", NO_SPLIT)  # the whole matrix needs no law
-    assert block_spectrum(psi, range(2)).eigenvalues.shape == (72,)
+    assert block_spectrum(psi, range(2)).shape == (30,)  # the rank of its 72 x 72 matrix
 
 
 # ------------------------------------------------------------- exact route
@@ -590,11 +586,11 @@ def test_exact_spectrum_is_the_closed_form_and_the_float_route_agrees(monkeypatc
     for psi, block in itertools.chain(verify_grid_blocks(), dense_request_blocks()):
         exact = oracle.exact_block_spectrum(psi, block)
         assert exact == closed_form_nonzero(psi, block), (psi.n, psi.dims, block)
-        found = block_spectrum(psi, block).eigenvalues
-        assert np.abs(found[:len(exact)] - np.array(exact, dtype=float)).max() <= 2e-15
-        assert np.abs(found[len(exact):]).max(initial=0.0) <= 2e-15
+        found = block_spectrum(psi, block)
+        assert len(found) == len(exact), (psi.n, psi.dims, block)
+        assert np.abs(found - np.array(exact, dtype=float)).max() <= 2e-15
         monkeypatch.setattr(oracle, "_sector_spectra", listed_sector_spectra)
-        assert block_spectrum(psi, block).eigenvalues.tobytes() == found.tobytes()
+        assert block_spectrum(psi, block).tobytes() == found.tobytes()
         monkeypatch.undo()
         count += 1
     assert count == 108 + 30 + 1  # verify grids, dense-states, dense-gram's n=3 ring
@@ -605,10 +601,10 @@ def test_split_pieces_are_the_list_split_bit_for_bit(monkeypatch):
     split_every_block(monkeypatch)
     count = 0
     for psi, block in itertools.chain(verify_grid_blocks(), edge_basis_blocks()):
-        found = block_spectrum(psi, block).eigenvalues.tobytes()
+        found = block_spectrum(psi, block).tobytes()
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_sector_spectra", listed_sector_spectra)
-            assert block_spectrum(psi, block).eigenvalues.tobytes() == found
+            assert block_spectrum(psi, block).tobytes() == found
         count += 1
     assert count > 300
 
@@ -621,8 +617,15 @@ def test_exact_spectrum_of_an_edge_basis_and_the_full_chain():
         for start, stop in itertools.combinations(range(L + 2), 2):
             exact = oracle.exact_block_spectrum(basis, range(start, stop))
             assert sum(exact) == 1 and exact == sorted(exact, reverse=True)
-            found = block_spectrum(basis, range(start, stop)).eigenvalues
-            assert np.abs(found[:len(exact)] - np.array(exact, dtype=float)).max() <= 1e-15
+            found = block_spectrum(basis, range(start, stop))
+            assert len(found) == len(exact), (n, L, start, stop)
+            assert np.abs(found - np.array(exact, dtype=float)).max() <= 1e-15
+    # as many eigenvalues on both routes on every edge-basis block, within the
+    # chain states' 2e-15 (the worst is 1.3e-15)
+    for basis, block in edge_basis_blocks():
+        found, exact = block_spectrum(basis, block), oracle.exact_block_spectrum(basis, block)
+        assert len(found) == len(exact), (basis.dims, block)
+        assert np.abs(found - np.array(exact, dtype=float)).max() <= 2e-15
     psi = periodic_vbs_state(ChainSpec(2, 6, PERIODIC))
     assert oracle.exact_block_spectrum(psi, range(6)) == [1]
 
@@ -857,7 +860,7 @@ def test_invariant_checks_raise_their_own_error(monkeypatch):
         with pytest.raises(InvariantError, match="sum"):
             spectrum_report([0.5, 0.5 + bad])
         with pytest.raises(InvariantError, match="sum"):
-            von_neumann(SpectrumReport(np.array([0.5, 0.5 + bad])))
+            von_neumann([0.5, 0.5 + bad])
         with pytest.raises(ValueError, match="Hermitian"):
             jacobi_eigvalsh(np.array([[1.0, bad], [0.0, 1.0]]))
     with pytest.raises(InvariantError):
@@ -874,8 +877,7 @@ def test_invariant_checks_measure_accurately_at_dim_4096():
     dm = reduced_density(psi, range(4))
     assert dm.matrix.shape == (4096, 4096)
     assert abs(np.trace(dm.matrix) - 1.0) < 1e-15
-    report = block_spectrum(psi, range(4))
-    assert abs(report.eigenvalues.sum() - 1.0) < 1e-15
+    assert abs(block_spectrum(psi, range(4)).sum() - 1.0) < 1e-15
 
 
 def test_hermiticity_measured_without_full_size_temporaries():
@@ -942,12 +944,12 @@ def test_hermiticity_is_the_view_formula_bit_for_bit(dim, is_complex, block, see
 # ----------------------------------------------------------------- entropies
 
 def test_spectrum_report_grouping_and_entropy():
-    report = spectrum_report([0.4, 0.4 - 1e-12, 0.1, 0.1 + 1e-12, -1e-13])
-    # sorted descending, nearly equal values kept apart, the tiny negative clamped
-    assert report.eigenvalues.tolist() == [0.4, 0.4 - 1e-12, 0.1 + 1e-12, 0.1, 0.0]
-    assert report.eigenvalues.min() == 0.0
-    expected = -math.fsum(x * math.log(x) for x in report.eigenvalues.tolist() if x > 0.0)
-    assert abs(von_neumann(report) - expected) < 1e-15
+    eigenvalues = [0.4, 0.4 - 1e-12, 0.1, 0.1 + 1e-12, 1e-13, -1e-13]
+    found = spectrum_report(eigenvalues)
+    # sorted descending, nearly equal values kept apart, the tiny ones dropped
+    assert found.tolist() == [0.4, 0.4 - 1e-12, 0.1 + 1e-12, 0.1]
+    expected = -math.fsum(x * math.log(x) for x in found.tolist())
+    assert abs(von_neumann(eigenvalues) - expected) < 1e-15
 
 
 def test_spectrum_report_guards():
@@ -958,9 +960,9 @@ def test_spectrum_report_guards():
 
 
 def test_von_neumann_values():
-    assert von_neumann(spectrum_report([1.0, 0.0, 0.0])) == 0.0
-    assert abs(von_neumann(spectrum_report([1 / 3] * 3)) - math.log(3)) < 1e-14
-    assert abs(von_neumann(spectrum_report([0.25] * 4)) - 2 * math.log(2)) < 1e-14
+    assert von_neumann([1.0, 0.0, 0.0]) == 0.0
+    assert abs(von_neumann([1 / 3] * 3) - math.log(3)) < 1e-14
+    assert abs(von_neumann([0.25] * 4) - 2 * math.log(2)) < 1e-14
 
 
 def test_renyi_values():
@@ -976,13 +978,21 @@ def test_renyi_values():
 @pytest.mark.parametrize("n,N,L,alpha", [(2, 8, 4, 0.5), (2, 8, 4, complex(0.5, 1.0)),
                                           (3, 4, 2, 0.5)])
 def test_entropies_drop_rounding_level_eigenvalues(n, N, L, alpha):
-    # these rank-deficient ring blocks leave eigenvalues of ~1e-18 beside the
-    # 4 or 9 true ones; counted in the power sum, they moved S_0.5 by 1e-7
-    report = block_spectrum(periodic_vbs_state(ChainSpec(n, N, PERIODIC)), range(L))
-    assert np.count_nonzero(report.eigenvalues > 0.0) > np.count_nonzero(
-        report.eigenvalues > oracle.RANK_CUTOFF)
-    assert abs(renyi(report, alpha) - closed_form.periodic_renyi(n, N, L, alpha)) < 1e-13
-    assert abs(von_neumann(report) - closed_form.periodic_entropy(n, N, L)) < 1e-13
+    # these rank-deficient ring blocks leave positive eigenvalues of ~1e-18 in
+    # the Gram's null space beside the 4 or 9 true ones; counted in the power
+    # sum, they moved S_0.5 by 1e-7
+    psi = periodic_vbs_state(ChainSpec(n, N, PERIODIC))
+    _, _, wide = oracle._turned(psi, range(L), oracle._block_environment(psi, range(L)))
+    eigs = jacobi_eigvalsh(oracle._gram(wide, psi.table))
+    assert np.count_nonzero((eigs > 0.0) & (eigs <= oracle.RANK_CUTOFF))
+    found = block_spectrum(psi, range(L))
+    assert found.tobytes() == eigs[eigs > oracle.RANK_CUTOFF].tobytes() and found.size == n * n
+    power_sum = np.exp(alpha * np.log(eigs[eigs > 0.0])).sum()
+    want = closed_form.periodic_renyi(n, N, L, alpha)
+    assert abs(np.log(power_sum) / (1 - alpha) - want) > 1e-8
+    for eigenvalues in (found, eigs):  # the entropies drop them too
+        assert abs(renyi(eigenvalues, alpha) - want) < 1e-13
+        assert abs(von_neumann(eigenvalues) - closed_form.periodic_entropy(n, N, L)) < 1e-13
 
 
 def test_renyi_validation():
@@ -1006,5 +1016,4 @@ def test_renyi_branch_point_condition():
 def test_spectrum_report_of_density_matrix():
     psi = open_vbs_state(ChainSpec(2, 2, OPEN))
     dm = reduced_density(psi, [0, 1])
-    report = spectrum_report(jacobi_eigvalsh(dm.matrix))
-    assert abs(report.eigenvalues.sum() - 1.0) < 1e-10
+    assert abs(spectrum_report(jacobi_eigvalsh(dm.matrix)).sum() - 1.0) < 1e-10
