@@ -34,7 +34,6 @@ a fault in the computation, not in the request).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -110,33 +109,39 @@ def parse_span(text: str) -> List[int]:
     return [int(text)]
 
 
-def _cell(key: str, value) -> str:
-    """CSV text of one JSON value: empty for null, 17 digits for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt(value)
-    return f"{value:+d}" if key == "sign" else str(value)
+#: The CSV text of a cell by column (`str` for the others); None prints empty.
+_CELL_TEXT = {**dict.fromkeys(["lambda_singlet", "lambda_adjoint", "S", "S_alpha_re", "S_alpha_im",
+                                 "max_dev", "alpha_re", "alpha_im", "residual"], fmt),
+                "alpha": lambda literal: literal or "", "sign": "{:+d}".format,
+                "verified": {None: "", True: "true", False: "false"}.get}
 
 
-def _emit(objs: List[dict], header: List[str], args) -> int:
-    """Write JSON objects (keys in `header` order) in the requested format
-    only; return the exit code, 1 if a --verify row failed its tolerance."""
-    if args.format == "json":
-        text = json.dumps(objs, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(k, v) for k, v in obj.items()] for obj in objs)
-        text = buf.getvalue()
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return 1 if any(obj.get("verified") is False for obj in objs) else 0
+class _Rows:
+    """One command's rows, each (its values in header order) turned into output
+    as it is added: a CSV line, or for --format json an object for `json.dumps`.
+    Nothing is written before `emit`, so a command that fails part-way prints no row."""
+
+    def __init__(self, header: List[str], args) -> None:
+        self.header, self.args, self.failed = header, args, False
+        self.formats = [_CELL_TEXT.get(column, str) for column in header]
+        self.objs: Optional[List[dict]] = [] if args.format == "json" else None
+        self.csv = io.StringIO()
+        self.csv.write(",".join(header) + "\n")
+
+    def add(self, *values) -> None:
+        if self.objs is not None:
+            self.objs.append(dict(zip(self.header, values)))
+        else:
+            self.csv.write(",".join([text(value) for text, value in zip(self.formats, values)]) + "\n")
+
+    def emit(self) -> int:
+        """Write every row; return the exit code, 1 if a --verify row failed its tolerance."""
+        text = self.csv.getvalue() if self.objs is None else json.dumps(self.objs, indent=2) + "\n"
+        if self.args.out:
+            _write(self.args.out, text)
+        else:
+            sys.stdout.write(text)
+        return 1 if self.failed else 0
 
 
 def _write(path: str, text: str) -> None:
@@ -178,69 +183,61 @@ def _oracle_states(args) -> StateSource:
     return state_for
 
 
-def _row(args, spec: closed_form.BlockSpectrum, state_for: StateSource) -> dict:
-    """The JSON row (keys in CSV_HEADER order) of one block's weights,
-    cross-checked against the oracle on --verify."""
-    singlet, adjoint = spec.floats()
-    row = dict.fromkeys(CSV_HEADER)
-    row.update(n=spec.n, N=-1 if spec.N is None else spec.N, L=spec.L, boundary=args.boundary,
-               lambda_singlet=singlet, lambda_adjoint=adjoint)
+def _block(rows: _Rows, args, spec: closed_form.BlockSpectrum, state_for: StateSource) -> tuple:
+    """The values of a block's rows in columns n to lambda_adjoint, and in
+    verified and max_dev: the weights checked against the oracle on --verify."""
+    verified = dev = None
     if args.verify:
         state, expected = state_for(spec), spec.nonzero()
         dev = spectrum_deviation(oracle.exact_block_spectrum(state, range(spec.L)), expected)
         if state.codes.size <= CROSS_CHECK_AMPS:
             found = oracle.block_spectrum(state, range(spec.L))
             dev = _worst([dev, spectrum_deviation(found, expected)])
-        row.update(verified=dev <= args.tol, max_dev=dev)
-    return row
+        verified = dev <= args.tol
+        rows.failed |= not verified
+    head = (spec.n, -1 if spec.N is None else spec.N, spec.L, args.boundary, *spec.floats())
+    return head, (verified, dev)
 
 
 def cmd_spectrum(args) -> int:
-    state_for = _oracle_states(args)
-    return _emit([_row(args, _spectrum_for(args, L), state_for)
-                  for L in sorted(parse_span(args.block))], CSV_HEADER, args)
+    rows, state_for = _Rows(CSV_HEADER, args), _oracle_states(args)
+    for L in sorted(parse_span(args.block)):
+        head, tail = _block(rows, args, _spectrum_for(args, L), state_for)
+        rows.add(*head, None, None, None, None, *tail)
+    return rows.emit()
 
 
 def cmd_entropy(args) -> int:
-    alphas = [parse_alpha(piece)
-              for chunk in args.alpha or [] for piece in chunk.split(",") if piece]
-    base_scale = 1.0
-    if args.log_base == "2":
-        base_scale = 1.0 / math.log(2.0)
-    elif args.log_base == "n":
+    orders = [(alpha, alpha_literal(alpha)) for alpha in
+              (parse_alpha(piece) for chunk in args.alpha or [] for piece in chunk.split(",") if piece)]
+    if args.log_base == "n":
         _check_dimension(args.n)  # before log(n), which fails for n < 2 without naming n
-        base_scale = 1.0 / math.log(args.n)
-    state_for = _oracle_states(args)
-    rows = []
+    base_scale = 1.0 if args.log_base == "e" else 1.0 / math.log(2.0 if args.log_base == "2" else args.n)
+    rows, state_for = _Rows(CSV_HEADER, args), _oracle_states(args)
     for L in sorted(parse_span(args.block)):
         spec = _spectrum_for(args, L)  # one spectrum per block serves every order
-        base = _row(args, spec, state_for)
-        base["S"] = spec.entropy() * base_scale
-        if not alphas:
-            rows.append(base)
-        for alpha in alphas:
+        head, tail = _block(rows, args, spec, state_for)
+        entropy = spec.entropy() * base_scale
+        if not orders:
+            rows.add(*head, entropy, None, None, None, *tail)
+        for alpha, literal in orders:
             try:
                 s_alpha = complex(spec.renyi(alpha) * base_scale)
                 s_re, s_im = s_alpha.real, s_alpha.imag
             except BranchPointCondition:
                 s_re = s_im = None  # flagged: order sits on a branch point
-                print(f"note: order {alpha_literal(alpha)} is a branch point at L={L}",
-                      file=sys.stderr)
-            rows.append({**base, "alpha": alpha_literal(alpha),
-                         "S_alpha_re": s_re, "S_alpha_im": s_im})
-    return _emit(rows, CSV_HEADER, args)
+                print(f"note: order {literal} is a branch point at L={L}", file=sys.stderr)
+            rows.add(*head, entropy, literal, s_re, s_im, *tail)
+    return rows.emit()
 
 
 def cmd_branch_points(args) -> int:
-    ms = sorted(parse_span(args.m))
-    objs = []
+    ms, rows = sorted(parse_span(args.m)), _Rows(BRANCH_HEADER, args)
     for L in sorted(parse_span(args.block)):
         for point in closed_form.branch_points(args.n, L, ms):
-            objs.append({"n": args.n, "L": L, "m": point.m, "sign": point.sign,
-                         "alpha_re": point.alpha.real, "alpha_im": point.alpha.imag,
-                         "residual": point.residual,
-                         "parity": "even" if point.even_block else "odd"})
-    return _emit(objs, BRANCH_HEADER, args)
+            rows.add(args.n, L, point.m, point.sign, point.alpha.real, point.alpha.imag,
+                     point.residual, "even" if point.even_block else "odd")
+    return rows.emit()
 
 
 def cmd_verify(args) -> int:
