@@ -122,8 +122,8 @@ class BlockSpectrum:
         """
         singlet, adjoint = self.floats()
         d = self.multiplicity
-        if self.N is not None:
-            return -_xlogx(singlet) - d * _xlogx(adjoint)
+        if self.N is not None:  # + 0.0 turns the -0.0 of a pure block (L = N) into 0.0
+            return -_xlogx(singlet) - d * _xlogx(adjoint) + 0.0
         r = (self._singlet - self._adjoint) / self._denom
         head = -singlet * math.log1p(d * r) if singlet > 0.0 else 0.0
         return 2.0 * math.log(self.n) + head - d * adjoint * math.log1p(-r)
@@ -138,7 +138,8 @@ class BlockSpectrum:
             if w != 0.0:
                 total += mult * (cmath.exp(alpha * math.log(w)) if isinstance(alpha, complex)
                                  else w ** alpha)
-        return _log_power_sum(total, alpha, weights, counts) / (1.0 - alpha)
+        zero = 0j if isinstance(alpha, complex) else 0.0  # adding it turns -0.0 (or a part) into 0.0
+        return _log_power_sum(total, alpha, weights, counts) / (1.0 - alpha) + zero
 
 
 def open_spectrum(n: int, L: int) -> BlockSpectrum:

@@ -139,6 +139,17 @@ def test_entropy_branch_point_row_flagged(capsys):
     assert "branch point" in err
 
 
+def test_pure_block_prints_positive_zero(capsys):
+    # a ring block of the whole ring printed S = -0, and -0 in S_alpha cells
+    argv = ("entropy", "--n", "2", "--boundary", "periodic", "--chain", "4", "--block", "4",
+            "--alpha", "2,0.5,3+1i,3-1i")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [row[cell] for row in read_csv(out) for cell in ("S", "S_alpha_re", "S_alpha_im")] == ["0"] * 12
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and "-0.0" not in out
+
+
 def test_entropy_at_orders_whose_power_sum_underflows(capsys):
     # 700 raised "math domain error" (exit 2); 800+1i was reported as a branch point
     code, out, err = run_cli(capsys, "entropy", "--n", "2", "--boundary", "open",
@@ -224,7 +235,8 @@ def test_json_round_trip_lossless(capsys):
 
 
 # Written by the earlier implementation, which kept the weights as Fractions;
-# the integer-ratio weights must reproduce them byte for byte.
+# the integer-ratio weights must reproduce them byte for byte.  The ring file's
+# last row, the pure block L = N, has since printed 0 where it printed -0.
 GOLDEN = Path(__file__).parent / "golden"
 
 

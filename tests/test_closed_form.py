@@ -183,6 +183,17 @@ def test_periodic_renyi_and_limit():
     assert abs(periodic_renyi(2, 4, 4, 2.0)) < 1e-14  # pure block
 
 
+@pytest.mark.parametrize("n,N", [(2, 2), (2, 4), (3, 5), (4, 3)])
+def test_pure_block_entropies_are_positive_zero(n, N):
+    # weights (1, 0) gave S = -0.0, and -0.0 at real orders above 1 and in
+    # parts of complex ones
+    spec = periodic_spectrum(n, N, N)
+    values = [spec.entropy()] + [spec.renyi(alpha) for alpha in (2.0, 0.5, 3 + 1j, 3 - 1j, 0.5 - 1j)]
+    parts = [part for value in values for part in (complex(value).real, complex(value).imag)]
+    assert [math.copysign(1.0, part) for part in parts] == [1.0] * len(parts)
+    assert parts == [0.0] * len(parts)
+
+
 def test_periodic_validation():
     with pytest.raises(ValueError):
         periodic_spectrum(2, 3, 4)

@@ -66,7 +66,7 @@ SWEEP_DIGESTS = [
     (("entropy", "--n", "2", *OPEN, "--block", "1..4000", "--alpha", "2,0.25,1.5-0.5i"),
      "9b267b0859b82b376395165dce811ebae7a49cd439cd8b7d4e1bdfc710887645"),
     (("entropy", "--n", "3", *RING, "--chain", "2000", "--block", "1..2000", "--alpha", "3"),
-     "a0bb42bd8fb5c10a858d220bccfe022bfa51bab660910217b8c4d9dadd5ecf0b"),
+     "a79babee21db166ae03db3d5eb233dc5d02b401803c1b6402776a2c73f1a5a25"),
     (("branch-points", "--n", "2", "--block", "2..30"),
      "157e95a2f368e0a3d596184bbdafd5bfe5d78fc84ca099c09909e86036ca5cf1"),
 ]
