@@ -1,14 +1,19 @@
 """The CLI's output, byte for byte: a golden corpus of every row schema,
-format and column kind, and the digests of the long benchmark sweeps."""
+format and column kind, the digests of the long benchmark sweeps, and CSV,
+JSON and --out encoding the same rows."""
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from vbsent.cli import main
+from vbsent.cli import alpha_literal, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -85,3 +90,67 @@ def test_budget_error_mid_sweep_prints_no_row():
                           "--budget-amps", "100000", "--alpha", "2"))
     assert (code, out) == (3, "")
     assert err.startswith("error: state would need ") and "budget is 100000" in err
+
+
+def _matches(column, cell, value):
+    """Whether a CSV cell encodes the JSON value of the same row and column."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, bool):
+        return cell == ("true" if value else "false")
+    if isinstance(value, float):  # 17 digits round-trip, sign of zero and NaN included
+        return float(cell).hex() == value.hex()
+    if isinstance(value, int):
+        return cell == (f"{value:+d}" if column == "sign" else str(value))
+    return cell == value
+
+
+# Renyi orders with positive real part, not 1; a complex order with zero
+# imaginary part is read as real.
+ORDERS = st.one_of(st.floats(0.05, 8.0),
+                   st.builds(complex, st.floats(0.05, 5.0), st.floats(-5.0, 5.0))).filter(lambda a: a != 1)
+
+
+@st.composite
+def requests(draw):
+    """A spectrum, entropy or branch-points argv over n 2-4 and spans of at most
+    20; --verify only where the state is small (a few ms a block)."""
+    command = draw(st.sampled_from(["spectrum", "entropy", "branch-points"]))
+    n = draw(st.integers(2, 4))
+    if command == "branch-points":  # blocks short enough that the weights differ
+        lo, m = draw(st.integers(2, 10)), draw(st.integers(0, 2))
+        return (command, "--n", str(n), "--block", f"{lo}..{draw(st.integers(lo, 12))}",
+                "--m", f"{m}..{m + draw(st.integers(0, 2))}")
+    verify = draw(st.booleans())
+    lo = draw(st.integers(1, 3 if verify else 30))
+    hi = lo + draw(st.integers(0, 2 if verify else 19))
+    argv, d = (command, "--n", str(n), "--block", f"{lo}..{hi}"), n * n - 1
+    if draw(st.booleans()):
+        argv, amplitudes = argv + OPEN, (d + 1) * d ** hi
+    else:
+        N = draw(st.integers(max(hi, 2), hi + 4))
+        argv, amplitudes = argv + RING + ("--chain", str(N)), d ** N
+    if verify and amplitudes <= 1 << 14:
+        argv += ("--verify",)
+    if command == "entropy":
+        orders = draw(st.lists(ORDERS, max_size=3))
+        argv += ("--log-base", draw(st.sampled_from(["e", "2", "n"])))
+        argv += ("--alpha", ",".join(map(alpha_literal, orders))) if orders else ()
+    return argv
+
+
+@settings(derandomize=True, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=requests())
+def test_csv_json_and_out_encode_the_same_rows(tmp_path, argv):
+    (code, csv_text, err), (json_code, json_text, _) = run(argv), run(argv + ("--format", "json"))
+    assert (code, json_code) == (0, 0), err
+    table = list(csv.reader(io.StringIO(csv_text)))
+    header, objs = table[0], json.loads(json_text)
+    assert len(table) - 1 == len(objs) > 0
+    for cells, obj in zip(table[1:], objs):
+        assert list(obj) == header
+        assert all(_matches(column, cell, obj[column]) for column, cell in zip(header, cells)), (cells, obj)
+    for text, extra in ((csv_text, ()), (json_text, ("--format", "json"))):
+        target = tmp_path / "rows.out"
+        assert run(argv + extra + ("--out", str(target))) == (0, "", err)
+        assert target.read_text() == text
