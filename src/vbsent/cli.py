@@ -11,7 +11,8 @@ points use their own schema:
 
     n,L,m,sign,alpha_re,alpha_im,residual,parity
 
-Numbers are emitted with 17 significant digits so doubles round-trip.
+CSV numbers carry 17 significant digits and JSON numbers are Python's shortest
+round-trip repr, so doubles round-trip in both formats.
 A --verify row compares the closed-form weights with the exact oracle route
 (`oracle.exact_block_spectrum`), whose eigenvalues are exact Fractions from
 counts of phase codes; it forms no matrix, so only `verify` takes
@@ -110,10 +111,11 @@ def parse_span(text: str) -> List[int]:
 
 
 #: The CSV text of a cell by column (`str` for the others); None prints empty.
+#: No cell holds a comma, quote or newline, so a line needs no CSV quoting.
 _CELL_TEXT = {**dict.fromkeys(["lambda_singlet", "lambda_adjoint", "S", "S_alpha_re", "S_alpha_im",
-                                 "max_dev", "alpha_re", "alpha_im", "residual"], fmt),
-                "alpha": lambda literal: literal or "", "sign": "{:+d}".format,
-                "verified": {None: "", True: "true", False: "false"}.get}
+                               "max_dev", "alpha_re", "alpha_im", "residual"], fmt),
+              "alpha": lambda literal: literal or "", "sign": "{:+d}".format,
+              "verified": {None: "", True: "true", False: "false"}.get}
 
 
 class _Rows:

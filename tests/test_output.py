@@ -107,8 +107,9 @@ def _matches(column, cell, value):
 
 # Renyi orders with positive real part, not 1; a complex order with zero
 # imaginary part is read as real.
-ORDERS = st.one_of(st.floats(0.05, 8.0),
-                   st.builds(complex, st.floats(0.05, 5.0), st.floats(-5.0, 5.0))).filter(lambda a: a != 1)
+ORDERS = st.one_of(
+    st.floats(0.05, 8.0), st.builds(complex, st.floats(0.05, 5.0), st.floats(-5.0, 5.0)),
+).filter(lambda alpha: alpha != 1)
 
 
 @st.composite
@@ -149,7 +150,8 @@ def test_csv_json_and_out_encode_the_same_rows(tmp_path, argv):
     assert len(table) - 1 == len(objs) > 0
     for cells, obj in zip(table[1:], objs):
         assert list(obj) == header
-        assert all(_matches(column, cell, obj[column]) for column, cell in zip(header, cells)), (cells, obj)
+        assert all(_matches(column, cell, obj[column])
+                   for column, cell in zip(header, cells)), (cells, obj)
     for text, extra in ((csv_text, ()), (json_text, ("--format", "json"))):
         target = tmp_path / "rows.out"
         assert run(argv + extra + ("--out", str(target))) == (0, "", err)
