@@ -12,7 +12,12 @@ points use their own schema:
     n,L,m,sign,alpha_re,alpha_im,residual,parity
 
 CSV numbers carry 17 significant digits and JSON numbers are Python's shortest
-round-trip repr, so doubles round-trip in both formats.
+round-trip repr, so doubles round-trip in both formats.  A command yields
+its rows as tuples in header order, and one emitter turns each into its
+text as it is made: a CSV line, or the row's object as `json.dumps(indent=2)`
+prints it inside the list.  Only that text is held, and nothing is written
+before the last row is made, so a request that fails part-way prints no row
+and makes no --out file.
 A --verify row compares the closed-form weights with the exact oracle route
 (`oracle.exact_block_spectrum`), whose eigenvalues are exact Fractions from
 counts of phase codes; it forms no matrix, so only `verify` takes
@@ -35,12 +40,11 @@ a fault in the computation, not in the request).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import closed_form, oracle, states
 from .checks import CHECKS, _worst, run_checks, spectrum_deviation
@@ -118,39 +122,37 @@ _CELL_TEXT = {**dict.fromkeys(["lambda_singlet", "lambda_adjoint", "S", "S_alpha
               "verified": {None: "", True: "true", False: "false"}.get}
 
 
-class _Rows:
-    """One command's rows, each (its values in header order) turned into output
-    as it is added: a CSV line, or for --format json an object for `json.dumps`.
-    Nothing is written before `emit`, so a command that fails part-way prints no row."""
-
-    def __init__(self, header: List[str], args) -> None:
-        self.header, self.args, self.failed = header, args, False
-        self.formats = [_CELL_TEXT.get(column, str) for column in header]
-        self.objs: Optional[List[dict]] = [] if args.format == "json" else None
-        self.csv = io.StringIO()
-        self.csv.write(",".join(header) + "\n")
-
-    def add(self, *values) -> None:
-        if self.objs is not None:
-            self.objs.append(dict(zip(self.header, values)))
+def _emit(header: List[str], args, rows: Iterable[tuple]) -> int:
+    """Write a command's rows, each its values in header order, and return the
+    exit code: 1 if a row has `verified` false, else 0.  Each row becomes its
+    text as it is made, a CSV line or its object as `json.dumps(indent=2)`
+    prints it inside the list, and only that text is held.  Nothing is written
+    before the last row is made, so a command that fails part-way prints no row."""
+    as_json, failed = args.format == "json", False
+    formats = [_CELL_TEXT.get(column, str) for column in header]
+    verified = header.index("verified") if "verified" in header else None
+    texts = [] if as_json else [",".join(header) + "\n"]
+    for row in rows:
+        failed |= verified is not None and row[verified] is False
+        if as_json:
+            obj = json.dumps(dict(zip(header, row)), indent=2).replace("\n", "\n  ")
+            texts.append((",\n  " if texts else "[\n  ") + obj)
         else:
-            self.csv.write(",".join([text(value) for text, value in zip(self.formats, values)]) + "\n")
-
-    def emit(self) -> int:
-        """Write every row; return the exit code, 1 if a --verify row failed its tolerance."""
-        text = self.csv.getvalue() if self.objs is None else json.dumps(self.objs, indent=2) + "\n"
-        if self.args.out:
-            _write(self.args.out, text)
-        else:
-            sys.stdout.write(text)
-        return 1 if self.failed else 0
+            texts.append(",".join([text(value) for text, value in zip(formats, row)]) + "\n")
+    if as_json:
+        texts.append("\n]\n")
+    if args.out:
+        _write(args.out, texts)
+    else:
+        sys.stdout.writelines(texts)
+    return 1 if failed else 0
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, texts: List[str]) -> None:
     """Write an --out file; a path that cannot be written is a usage error."""
     try:
         with open(path, "w") as handle:
-            handle.write(text)
+            handle.writelines(texts)
     except OSError as exc:
         raise ValueError(f"cannot write --out {path!r}: {exc.strerror or exc}") from exc
 
@@ -165,81 +167,65 @@ def _spectrum_for(args, L: int) -> closed_form.BlockSpectrum:
     return closed_form.periodic_spectrum(args.n, args.chain, L)
 
 
-StateSource = Callable[[closed_form.BlockSpectrum], states.PureState]
-
-
-def _oracle_states(args) -> StateSource:
-    """State source for one command's --verify rows: an open chain per block
-    length, and one ring, built on first use and reused for every block."""
-    ring = []
-
-    def state_for(spec: closed_form.BlockSpectrum) -> states.PureState:
-        if spec.N is None:
-            return states.open_vbs_state(
-                states.ChainSpec(spec.n, spec.L, states.OPEN, args.budget_amps))
-        if not ring:
-            ring.append(states.periodic_vbs_state(
-                states.ChainSpec(spec.n, spec.N, states.PERIODIC, args.budget_amps)))
-        return ring[0]
-
-    return state_for
-
-
-def _block(rows: _Rows, args, spec: closed_form.BlockSpectrum, state_for: StateSource) -> tuple:
-    """The values of a block's rows in columns n to lambda_adjoint, and in
-    verified and max_dev: the weights checked against the oracle on --verify."""
-    verified = dev = None
-    if args.verify:
-        state, expected = state_for(spec), spec.nonzero()
-        dev = spectrum_deviation(oracle.exact_block_spectrum(state, range(spec.L)), expected)
-        if state.codes.size <= CROSS_CHECK_AMPS:
-            found = oracle.block_spectrum(state, range(spec.L))
-            dev = _worst([dev, spectrum_deviation(found, expected)])
-        verified = dev <= args.tol
-        rows.failed |= not verified
-    head = (spec.n, -1 if spec.N is None else spec.N, spec.L, args.boundary, *spec.floats())
-    return head, (verified, dev)
-
-
-def cmd_spectrum(args) -> int:
-    rows, state_for = _Rows(CSV_HEADER, args), _oracle_states(args)
+def _blocks(args) -> Iterator[Tuple[closed_form.BlockSpectrum, tuple, tuple]]:
+    """Each requested block's spectrum, by length, with the values of its rows
+    in columns n to lambda_adjoint and in verified and max_dev: on --verify,
+    the weights checked against the oracle on an open chain per block length,
+    or on one ring built on first use and reused for every block."""
+    ring = None
     for L in sorted(parse_span(args.block)):
-        head, tail = _block(rows, args, _spectrum_for(args, L), state_for)
-        rows.add(*head, None, None, None, None, *tail)
-    return rows.emit()
+        spec = _spectrum_for(args, L)
+        verified = dev = None
+        if args.verify:
+            if spec.N is None:
+                state = states.open_vbs_state(states.ChainSpec(args.n, L, states.OPEN, args.budget_amps))
+            else:
+                if ring is None:
+                    ring = states.periodic_vbs_state(
+                        states.ChainSpec(args.n, spec.N, states.PERIODIC, args.budget_amps))
+                state = ring
+            expected = spec.nonzero()
+            dev = spectrum_deviation(oracle.exact_block_spectrum(state, range(L)), expected)
+            if state.codes.size <= CROSS_CHECK_AMPS:
+                dev = _worst([dev, spectrum_deviation(oracle.block_spectrum(state, range(L)), expected)])
+            verified = dev <= args.tol
+            del state  # an open chain's state is freed before the next block's is built
+        yield spec, (args.n, -1 if spec.N is None else spec.N, L, args.boundary, *spec.floats()), (verified, dev)
 
 
-def cmd_entropy(args) -> int:
-    orders = [(alpha, alpha_literal(alpha)) for alpha in
-              (parse_alpha(piece) for chunk in args.alpha or [] for piece in chunk.split(",") if piece)]
+def spectrum_rows(args) -> Iterator[tuple]:
+    for _, head, tail in _blocks(args):
+        yield (*head, None, None, None, None, *tail)
+
+
+def entropy_rows(args) -> Iterator[tuple]:
+    pieces = [piece for chunk in args.alpha or [] for piece in chunk.split(",") if piece]
+    if args.alpha and not pieces:
+        raise ValueError(f"--alpha {','.join(args.alpha)!r} names no order")
+    orders = [(alpha, alpha_literal(alpha)) for alpha in map(parse_alpha, pieces)]
     if args.log_base == "n":
         _check_dimension(args.n)  # before log(n), which fails for n < 2 without naming n
     base_scale = 1.0 if args.log_base == "e" else 1.0 / math.log(2.0 if args.log_base == "2" else args.n)
-    rows, state_for = _Rows(CSV_HEADER, args), _oracle_states(args)
-    for L in sorted(parse_span(args.block)):
-        spec = _spectrum_for(args, L)  # one spectrum per block serves every order
-        head, tail = _block(rows, args, spec, state_for)
+    for spec, head, tail in _blocks(args):  # one spectrum per block serves every order
         entropy = spec.entropy() * base_scale
         if not orders:
-            rows.add(*head, entropy, None, None, None, *tail)
+            yield (*head, entropy, None, None, None, *tail)
         for alpha, literal in orders:
             try:
                 s_alpha = complex(spec.renyi(alpha) * base_scale)
                 s_re, s_im = s_alpha.real, s_alpha.imag
             except BranchPointCondition:
                 s_re = s_im = None  # flagged: order sits on a branch point
-                print(f"note: order {literal} is a branch point at L={L}", file=sys.stderr)
-            rows.add(*head, entropy, literal, s_re, s_im, *tail)
-    return rows.emit()
+                print(f"note: order {literal} is a branch point at L={spec.L}", file=sys.stderr)
+            yield (*head, entropy, literal, s_re, s_im, *tail)
 
 
-def cmd_branch_points(args) -> int:
-    ms, rows = sorted(parse_span(args.m)), _Rows(BRANCH_HEADER, args)
+def branch_point_rows(args) -> Iterator[tuple]:
+    ms = sorted(parse_span(args.m))
     for L in sorted(parse_span(args.block)):
         for point in closed_form.branch_points(args.n, L, ms):
-            rows.add(args.n, L, point.m, point.sign, point.alpha.real, point.alpha.imag,
-                     point.residual, "even" if point.even_block else "odd")
-    return rows.emit()
+            yield (args.n, L, point.m, point.sign, point.alpha.real, point.alpha.imag,
+                   point.residual, "even" if point.even_block else "odd")
 
 
 def cmd_verify(args) -> int:
@@ -258,7 +244,7 @@ def cmd_verify(args) -> int:
     }
     text, report = "\n".join(lines) + "\n", json.dumps(summary, indent=2) + "\n"
     if args.out:
-        _write(args.out, report)  # before stdout: an unwritable path prints no lines
+        _write(args.out, [report])  # before stdout: an unwritable path prints no lines
     elif args.format == "json":
         text = report
     sys.stdout.write(text)
@@ -293,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verify", action="store_true", help="cross-check against the brute-force route")
     sp.add_argument("--tol", type=tolerance, default=1e-10)
     _add_common(sp)
-    sp.set_defaults(func=cmd_spectrum)
+    sp.set_defaults(func=spectrum_rows, header=CSV_HEADER)
 
     en = sub.add_parser("entropy", help="block entropies, optionally at Renyi orders")
     en.add_argument("--n", type=int, required=True)
@@ -308,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--verify", action="store_true")
     en.add_argument("--tol", type=tolerance, default=1e-10)
     _add_common(en)
-    en.set_defaults(func=cmd_entropy)
+    en.set_defaults(func=entropy_rows, header=CSV_HEADER)
 
     bp = sub.add_parser("branch-points", help="complex orders where the Renyi power sum vanishes")
     bp.add_argument("--n", type=int, required=True)
@@ -317,21 +303,22 @@ def build_parser() -> argparse.ArgumentParser:
                          "an order that entropy --alpha refuses")
     bp.add_argument("--m", default="0..2", help="branch integer or span, both signs enumerated")
     _add_common(bp, amps=False)
-    bp.set_defaults(func=cmd_branch_points)
+    bp.set_defaults(func=branch_point_rows, header=BRANCH_HEADER)
 
     ve = sub.add_parser("verify", help="run the oracle-vs-closed-form verification grid")
     ve.add_argument("--n", type=int, action="append", help="restrict the grid to these n")
     ve.add_argument("--only", action="append", choices=sorted(CHECKS),
                     help="run only the named check(s)")
     _add_common(ve, matrix=True)
-    ve.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        return _emit(args.header, args, args.func(args))
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

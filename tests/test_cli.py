@@ -435,6 +435,21 @@ def test_entropy_rejects_non_finite_order(capsys, alpha):
     assert "order must be finite" in err and "branch point" not in err
 
 
+@pytest.mark.parametrize("alpha", [",", "", ",,"])
+def test_alpha_naming_no_order_is_a_usage_error(capsys, alpha):
+    code, out, err = run_cli(capsys, "entropy", "--n", "2", "--boundary", "open",
+                             "--block", "1", f"--alpha={alpha}")
+    assert (code, out) == (2, "")
+    assert "--alpha" in err and "names no order" in err
+
+
+def test_alpha_trailing_comma_is_ignored(capsys):
+    code, out, _ = run_cli(capsys, "entropy", "--n", "2", "--boundary", "open", "--block", "1",
+                           "--alpha", "2,")
+    assert code == 0
+    assert [row["alpha"] for row in read_csv(out)] == ["2"]
+
+
 @pytest.mark.parametrize("command", ["spectrum", "entropy"])
 @pytest.mark.parametrize("tol", ["nan", "-1e-10", "inf", "abc"])
 def test_unusable_tolerance_rejected(capsys, command, tol):
@@ -495,18 +510,31 @@ def test_ring_state_built_once_per_command(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,per_block", [(["spectrum"], 1), (["entropy"], 1),
-                                            (["entropy", "--alpha", "2,3"], 2)])
-def test_failed_verify_row_exits_1_after_every_row(capsys, monkeypatch, argv, per_block):
-    # only the block of length 2 of the n=2 ring of 6 deviates
+                                            (["entropy", "--alpha", "2,3"], 2),
+                                            (["spectrum", "--format", "json"], 1),
+                                            (["entropy", "--alpha", "2,3", "--format", "json"], 2),
+                                            (["entropy", "--alpha", "2,3", "--out"], 2),
+                                            (["spectrum", "--format", "json", "--out"], 1)])
+def test_failed_verify_row_exits_1_after_every_row(capsys, monkeypatch, tmp_path, argv, per_block):
+    # only the block of length 2 of the n=2 ring of 6 deviates; every row is
+    # still written, in either format, to stdout or to --out
     original, target = cli.spectrum_deviation, closed_form.periodic_spectrum(2, 6, 2).nonzero()
     monkeypatch.setattr(cli, "spectrum_deviation",
                         lambda eigs, weights: 1.0 if weights == target else original(eigs, weights))
+    out_file = tmp_path / "rows.out"
+    extra = [str(out_file)] if argv[-1] == "--out" else []
     code, out, _ = run_cli(capsys, argv[0], "--n", "2", "--boundary", "periodic",
-                           "--chain", "6", "--block", "1..3", "--verify", *argv[1:])
-    rows = read_csv(out)
+                           "--chain", "6", "--block", "1..3", "--verify", *argv[1:], *extra)
+    if extra:
+        assert out == ""
+        out = out_file.read_text()
+    if "json" in argv:
+        rows = [(str(obj["L"]), obj["verified"] is False) for obj in json.loads(out)]
+    else:
+        rows = [(row["L"], row["verified"] == "false") for row in read_csv(out)]
     assert code == 1
-    assert [row["L"] for row in rows] == [L for L in "123" for _ in range(per_block)]
-    assert all((row["verified"] == "false") == (row["L"] == "2") for row in rows)
+    assert [L for L, _ in rows] == [L for L in "123" for _ in range(per_block)]
+    assert all(failed == (L == "2") for L, failed in rows)
 
 
 def test_module_entry_point():

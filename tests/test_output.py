@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,39 @@ def test_output_matches_golden(name, argv, err):
     assert run(argv) == (0, (GOLDEN / name).read_text(), err)
 
 
+def _dense(name, n, boundary, block, chain=None, float_route=False):
+    argv = ("spectrum", "--n", str(n), "--boundary", boundary, "--block", block, "--verify")
+    return name, argv + (("--chain", str(chain)) if chain else ()), float_route
+
+
+# spectrum --verify on the largest states the CLI builds (the dense-states and
+# dense-gram benchmark requests).  Over cli.CROSS_CHECK_AMPS only the exact
+# route runs and the rows are pinned byte for byte.  Four states are at most
+# that size, so the float route runs too and max_dev comes from the BLAS
+# library: there every other cell is pinned and max_dev is bounded by --tol.
+DENSE = [
+    *[_dense(f"dense_open_n2_L{L}", 2, "open", str(L), float_route=L == 8) for L in range(8, 16)],
+    *[_dense(f"dense_open_n4_L{L}", 4, "open", str(L), float_route=L <= 3) for L in range(1, 6)],
+    _dense("dense_ring_n2_N13", 2, "periodic", "1..12", chain=13),
+    _dense("dense_ring_n4_N6", 4, "periodic", "1..5", chain=6),
+    _dense("dense_ring_n3_N8_L4", 3, "periodic", "4", chain=8),
+    _dense("dense_ring_n2_N13_L6-7", 2, "periodic", "6..7", chain=13),
+]
+
+
+@pytest.mark.parametrize("name,argv,float_route", DENSE, ids=[name for name, _, _ in DENSE])
+def test_dense_verify_rows_match_golden(name, argv, float_route):
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    want = (GOLDEN / f"{name}.csv").read_text()
+    if not float_route:
+        assert out == want
+        return
+    got, want = ([line.rsplit(",", 1) for line in text.splitlines()] for text in (out, want))
+    assert [cells for cells, _ in got] == [cells for cells, _ in want]
+    assert all(float(max_dev) <= 1e-10 for _, max_dev in got[1:])
+
+
 # The closed-form-sweep benchmark requests at seed 1 (about 1.2 MB of text):
 # the sha256 of each one's stdout.
 SWEEP_DIGESTS = [
@@ -84,12 +118,46 @@ def test_sweep_output_digest(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_budget_error_mid_sweep_prints_no_row():
-    # the states of L=1..9 fit the budget and L=10's does not: no row is printed
-    code, out, err = run(("entropy", "--n", "2", *OPEN, "--block", "1..12", "--verify",
-                          "--budget-amps", "100000", "--alpha", "2"))
-    assert (code, out) == (3, "")
-    assert err.startswith("error: state would need ") and "budget is 100000" in err
+def test_budget_error_mid_sweep_prints_no_row(tmp_path):
+    # the states of L=1..9 fit the budget and L=10's does not: no row is
+    # printed, in either format, and no --out file is made
+    argv = ("entropy", "--n", "2", *OPEN, "--block", "1..12", "--verify",
+            "--budget-amps", "100000", "--alpha", "2")
+    target = tmp_path / "rows.out"
+    for extra in ((), ("--format", "json"), ("--out", str(target)),
+                  ("--format", "json", "--out", str(target))):
+        code, out, err = run(argv + extra)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: state would need ") and "budget is 100000" in err
+        assert not target.exists()
+
+
+class _Sink(io.TextIOBase):
+    """A stdout that counts the characters written to it and keeps none."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt,bound", [("json", 1.5), ("csv", 2.3)])
+def test_emission_holds_only_the_text(fmt, bound):
+    # 2,000 rows: the peak traced memory stays within a small multiple of the
+    # text, so no object per row and no second copy of the text is held
+    argv = ("entropy", "--n", "3", *OPEN, "--alpha", "2,0.5,0.5+1i,3,5", "--format", fmt)
+    run(argv + ("--block", "1"))  # argparse's first use imports modules; keep them out
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(list(argv + ("--block", "1..400"))) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 10 ** 5
+    assert peak < bound * sink.size, peak / sink.size
 
 
 def _matches(column, cell, value):
