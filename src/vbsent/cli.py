@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 from . import closed_form, oracle, states
 from .checks import CHECKS, _worst, run_checks, spectrum_deviation
 from .errors import BranchPointCondition, BudgetError, InvariantError
-from .weyl import _check_dimension
+from .weyl import _check_dimension, _check_order
 
 CSV_HEADER = ["n", "N", "L", "boundary", "lambda_singlet", "lambda_adjoint",
               "S", "alpha", "S_alpha_re", "S_alpha_im", "verified", "max_dev"]
@@ -198,24 +198,34 @@ def spectrum_rows(args) -> Iterator[tuple]:
         yield (*head, None, None, None, None, *tail)
 
 
+def _renyi_cells(spec: closed_form.BlockSpectrum, alpha, base_scale: float) -> tuple:
+    """(S_alpha_re, S_alpha_im), or (None, None) where the order is a branch point."""
+    try:
+        s_alpha = complex(spec.renyi(alpha) * base_scale)
+    except BranchPointCondition:
+        return None, None
+    return s_alpha.real, s_alpha.imag
+
+
 def entropy_rows(args) -> Iterator[tuple]:
     pieces = [piece for chunk in args.alpha or [] for piece in chunk.split(",") if piece]
     if args.alpha and not pieces:
         raise ValueError(f"--alpha {','.join(args.alpha)!r} names no order")
     orders = [(alpha, alpha_literal(alpha)) for alpha in map(parse_alpha, pieces)]
+    for alpha, _ in orders:
+        _check_order(alpha)  # before any state is built
     if args.log_base == "n":
         _check_dimension(args.n)  # before log(n), which fails for n < 2 without naming n
     base_scale = 1.0 if args.log_base == "e" else 1.0 / math.log(2.0 if args.log_base == "2" else args.n)
+    pair = cells = None
     for spec, head, tail in _blocks(args):  # one spectrum per block serves every order
         entropy = spec.entropy() * base_scale
         if not orders:
             yield (*head, entropy, None, None, None, *tail)
-        for alpha, literal in orders:
-            try:
-                s_alpha = complex(spec.renyi(alpha) * base_scale)
-                s_re, s_im = s_alpha.real, s_alpha.imag
-            except BranchPointCondition:
-                s_re = s_im = None  # flagged: order sits on a branch point
+        if spec.floats() != pair:  # renyi reads only the floats: equal pairs share their values
+            pair, cells = spec.floats(), [_renyi_cells(spec, alpha, base_scale) for alpha, _ in orders]
+        for (_, literal), (s_re, s_im) in zip(orders, cells):
+            if s_re is None:  # flagged: order sits on a branch point
                 print(f"note: order {literal} is a branch point at L={spec.L}", file=sys.stderr)
             yield (*head, entropy, literal, s_re, s_im, *tail)
 

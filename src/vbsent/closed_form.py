@@ -10,12 +10,19 @@ With d = n^2 - 1, f(k) = d**k + d*(-1)**k and g(k) = d**k - (-1)**k:
 
 (equivalently 1 + d*r(k) = f(k)/d**k and 1 - r(k) = g(k)/d**k for the signed
 decay factor r(k) = (-1/d)**k).  Weights are exact integer ratios.  Their
-floats are the correctly rounded values of those ratios (Python's int / int
-true division, the same rounding `float(Fraction)` performs), so no gcd runs
-on the way to an entropy.  Exact `fractions.Fraction` weights are built on
-demand only, for trace identities and spectrum comparisons that must carry
-no rounding slack.  Both entropies saturate at 2 log n as the block grows;
-all logarithms here are natural.
+floats are the correctly rounded values of those ratios (the same rounding
+`float(Fraction)` performs), so no gcd runs on the way to an entropy.
+
+Below the cut they are Python's int / int true division of the exact
+integers.  Past it, where the block length L or the ring's complement
+C = N - L has d**k > 2**CUT_BITS, every such r(k) is dropped and the
+truncated ratio of small integers is rounded, checked by Ziv's rounding
+test (see `_truncated_floats`), so no d**L or d**N is formed and a row at
+N = 10**18 costs what one at N = 2000 does.  Exact `fractions.Fraction`
+weights are built on demand only, for trace identities and spectrum
+comparisons that must carry no rounding slack; past the cut that forms
+d**N.  Both entropies saturate at 2 log n as the block grows; all
+logarithms here are natural.
 
 The same weights arise from an L-fold application of the n^2 x n^2
 "all ones minus identity" transfer matrix to the singlet slot
@@ -28,7 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -45,6 +52,9 @@ BRANCH_RESIDUAL_TOL = 1e-8
 #: Weight splittings below this make the branch-point ratio meaningless.
 DEGENERACY_TOL = 1e-15
 
+#: Float weights drop every decay term (-1/d)**k with d**k above 2**CUT_BITS.
+CUT_BITS = 1200
+
 
 def _check_length(L: int) -> None:
     if not isinstance(L, int) or L < 1:
@@ -56,30 +66,38 @@ class BlockSpectrum:
     """Block weights: a singlet plus an (n^2-1)-fold adjoint weight.
 
     N is the ring length, or None for the open chain, whose weights do not
-    depend on the chain length.  The weights are integer numerators over
-    one common integer denominator; `singlet` and `adjoint` build the exact
-    Fractions on demand, `floats()` rounds each ratio once, and equality
-    compares exact values.  Ring weights are symmetric under L <-> N - L.
+    depend on the chain length.  `floats()` gives each weight's correctly
+    rounded float.  `singlet` and `adjoint` are exact Fractions, and
+    equality compares exact values.  Below the cut the spectrum holds the
+    exact integer numerators over one common denominator; past it
+    `singlet`, `adjoint`, `nonzero()`, equality and hashing form them on
+    first use, at the cost of d**N.  Ring weights are symmetric under
+    L <-> N - L.
     """
 
     n: int
     N: Optional[int]
     L: int
-    _singlet: int = field(repr=False)
-    _adjoint: int = field(repr=False)
-    _denom: int = field(repr=False)
+    _floats: Tuple[float, float] = field(repr=False)
+    _ints: Optional[Tuple[int, int, int]] = field(default=None, repr=False)
 
     @property
     def multiplicity(self) -> int:
         return self.n * self.n - 1
 
+    @cached_property
+    def _exact(self) -> Tuple[int, int, int]:
+        """(singlet, adjoint, denominator) integers: the ones built with the
+        spectrum, else the closed form's."""
+        return self._ints if self._ints is not None else _exact_ints(self.n, self.N, self.L)
+
     @property
     def singlet(self) -> Fraction:
-        return Fraction(self._singlet, self._denom)
+        return Fraction(self._exact[0], self._exact[2])
 
     @property
     def adjoint(self) -> Fraction:
-        return Fraction(self._adjoint, self._denom)
+        return Fraction(self._exact[1], self._exact[2])
 
     def _key(self) -> tuple:
         return (self.n, self.N, self.L, self.singlet, self.adjoint)
@@ -92,20 +110,17 @@ class BlockSpectrum:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # past the cut the floats, which need no d**N
+        singlet, adjoint = (self.singlet, self.adjoint) if self._ints is not None else self._floats
         return (f"BlockSpectrum(n={self.n}, N={self.N}, L={self.L}, "
-                f"singlet={self.singlet}, adjoint={self.adjoint})")
+                f"singlet={singlet}, adjoint={adjoint})")
 
     def nonzero(self) -> List[Fraction]:
         """Nonzero weights with multiplicity, descending."""
-        vals = [self.adjoint] * self.multiplicity if self._adjoint != 0 else []
-        if self._singlet != 0:
+        vals = [self.adjoint] * self.multiplicity if self._exact[1] != 0 else []
+        if self._exact[0] != 0:
             vals.append(self.singlet)
         return sorted(vals, reverse=True)
-
-    @cached_property
-    def _floats(self) -> Tuple[float, float]:
-        return self._singlet / self._denom, self._adjoint / self._denom
 
     def floats(self) -> Tuple[float, float]:
         """(singlet, adjoint), each the correctly rounded value of its exact ratio."""
@@ -124,7 +139,10 @@ class BlockSpectrum:
         d = self.multiplicity
         if self.N is not None:  # + 0.0 turns the -0.0 of a pure block (L = N) into 0.0
             return -_xlogx(singlet) - d * _xlogx(adjoint) + 0.0
-        r = (self._singlet - self._adjoint) / self._denom
+        if self._ints is None:  # past the cut |r| < 2**-CUT_BITS rounds to a signed zero
+            r = -0.0 if self.L % 2 else 0.0
+        else:
+            r = (self._ints[0] - self._ints[1]) / self._ints[2]
         head = -singlet * math.log1p(d * r) if singlet > 0.0 else 0.0
         return 2.0 * math.log(self.n) + head - d * adjoint * math.log1p(-r)
 
@@ -142,13 +160,97 @@ class BlockSpectrum:
         return _log_power_sum(total, alpha, weights, counts) / (1.0 - alpha) + zero
 
 
+def _exact_ints(n: int, N: Optional[int], L: int) -> Tuple[int, int, int]:
+    """(singlet, adjoint, denominator) integers of the closed form."""
+    d = n * n - 1
+    dL, sL = d ** L, (-1) ** L
+    if N is None:
+        return dL + d * sL, dL - sL, n * n * dL
+    dC, sC = d ** (N - L), (-1) ** (N - L)
+    # f(C) f(L) and g(C) g(L) expanded around the one big product d**N
+    dN, cross, sN = dC * dL, sC * dL + sL * dC, sC * sL
+    return dN + d * cross + d * d * sN, dN - cross + sN, n * n * (dN + d * sN)
+
+
+@lru_cache(maxsize=None)
+def _cut(d: int) -> int:
+    """The least k with d**k > 2**CUT_BITS."""
+    k = max(1, int(CUT_BITS / math.log2(d)) - 1)  # at most one below it
+    while d ** k <= 1 << CUT_BITS:
+        k += 1
+    return k
+
+
+def _round_truncated(a: int, b: int, sign: int, d: int) -> Optional[float]:
+    """The float of a/b * (1 + eps), 0 <= a <= b, for an unknown eps of the
+    given sign with |eps| < 4 d 2**-CUT_BITS, or None if that bound leaves
+    it undecided.
+
+    Ziv's rounding test: scaled into [2**52, 2**53), the floats are the
+    integers and the rounding boundaries the half-integers.  There eps moves
+    a/b by less than d 2**(55 - CUT_BITS), which decides nothing when a/b
+    is further than that from the nearest boundary; when a/b is a boundary,
+    the sign of eps picks the neighbour.
+    """
+    if a == 0:  # eps multiplies an exact zero
+        return 0.0
+    shift = 52 - a.bit_length() + b.bit_length()  # a/b * 2**shift lies in [2**51, 2**53)
+    q, rem = divmod(a << shift, b)
+    if q < 1 << 52:
+        shift += 1
+        q, rem = divmod(a << shift, b)
+    twice = 2 * rem - b  # 2b times the distance past the half-integer q + 1/2
+    if twice == 0:
+        return math.ldexp(q + (sign > 0), -shift)
+    if abs(twice) << CUT_BITS > b << (56 + d.bit_length()):
+        return a / b
+    return None
+
+
+def _truncated_floats(n: int, N: Optional[int], L: int) -> Optional[Tuple[float, float]]:
+    """The float weights with every decay term past the cut dropped, or None
+    if neither L nor (on the ring) C = N - L is past it, or if the rounding
+    test leaves a weight undecided.
+
+    The weights are n**-2 times products of 1 + d*r(k) (singlet) or 1 - r(k)
+    (adjoint) over k = L and, on the ring, k = C, divided on the ring by
+    1 + d*r(N).  Each r(k) with d**k > 2**CUT_BITS is dropped, so the
+    truncated ratio needs only the d**k below the cut.  The largest dropped
+    term, d*r(k) in the singlet and -r(k) in the adjoint at the least
+    dropped k, sets the sign of the error: the denominator's d*r(N) is at
+    least d times smaller, since N > k.  At most three dropped terms, each
+    below d 2**-CUT_BITS, give |eps| < 4 d 2**-CUT_BITS.
+    """
+    d = n * n - 1
+    cut = _cut(d)
+    lengths = (L,) if N is None else (N - L, L)
+    dropped = [k for k in lengths if k >= cut]
+    if not dropped:
+        return None
+    sign = 1 if min(dropped) % 2 == 0 else -1
+    singlet = adjoint = 1
+    denom = n * n
+    for k in lengths:
+        if k < cut:
+            dk, sk = d ** k, 1 if k % 2 == 0 else -1
+            singlet, adjoint, denom = singlet * (dk + d * sk), adjoint * (dk - sk), denom * dk
+    floats = _round_truncated(singlet, denom, sign, d), _round_truncated(adjoint, denom, -sign, d)
+    return None if None in floats else floats
+
+
+def _spectrum(n: int, N: Optional[int], L: int) -> BlockSpectrum:
+    floats = _truncated_floats(n, N, L)
+    if floats is not None:
+        return BlockSpectrum(n, N, L, floats)
+    ints = _exact_ints(n, N, L)
+    return BlockSpectrum(n, N, L, (ints[0] / ints[2], ints[1] / ints[2]), ints)
+
+
 def open_spectrum(n: int, L: int) -> BlockSpectrum:
     """Exact open-chain block weights for a block of L bulk sites."""
     _check_dimension(n)
     _check_length(L)
-    d = n * n - 1
-    dL, sign = d ** L, (-1) ** L
-    return BlockSpectrum(n, None, L, dL + d * sign, dL - sign, n * n * dL)
+    return _spectrum(n, None, L)
 
 
 def periodic_spectrum(n: int, N: int, L: int) -> BlockSpectrum:
@@ -159,13 +261,7 @@ def periodic_spectrum(n: int, N: int, L: int) -> BlockSpectrum:
         raise ValueError(f"need 1 <= L <= N, got L={L!r}, N={N!r}")
     if N < 2:
         raise ValueError(f"periodic chain needs N >= 2, got {N!r}")
-    d = n * n - 1
-    dC, dL = d ** (N - L), d ** L
-    sC, sL = (-1) ** (N - L), (-1) ** L
-    # f(C) f(L) and g(C) g(L) expanded around the one big product d**N
-    dN, cross, sN = dC * dL, sC * dL + sL * dC, sC * sL
-    return BlockSpectrum(n, N, L, dN + d * cross + d * d * sN, dN - cross + sN,
-                         n * n * (dN + d * sN))
+    return _spectrum(n, N, L)
 
 
 def _xlogx(x: float) -> float:
@@ -237,9 +333,8 @@ def branch_points(n: int, L: int, ms: Iterable[int] = range(3)) -> List[BranchPo
     L = 1 is rejected (the singlet weight is exactly zero there) and so are
     lengths where the two weights agree within 1e-15.
     """
-    spec = open_spectrum(n, L)
-    singlet, adjoint = spec.floats()
-    if spec.singlet == 0:
+    singlet, adjoint = open_spectrum(n, L).floats()
+    if L == 1:
         raise ValueError(f"block length {L} has singlet weight exactly 0; the weight ratio is undefined")
     if abs(singlet - adjoint) < DEGENERACY_TOL:
         raise DegenerateSpectrumError(
@@ -295,4 +390,5 @@ def transfer_spectrum(n: int, L: int) -> BlockSpectrum:
     rest = set(vec[1:])
     if len(rest) != 1:
         raise ArithmeticError(f"transfer iteration broke label symmetry: {vec}")
-    return BlockSpectrum(n, None, L, vec[0], vec[1], (nn - 1) ** L)
+    denom = (nn - 1) ** L
+    return BlockSpectrum(n, None, L, (vec[0] / denom, vec[1] / denom), (vec[0], vec[1], denom))

@@ -93,10 +93,16 @@ class ChainSpec:
         min_sites = 2 if self.boundary == PERIODIC else 1
         if not isinstance(self.N, (int, np.integer)) or self.N < min_sites:
             raise ValueError(f"{self.boundary} chain needs N >= {min_sites}, got {self.N!r}")
-        if self.amplitudes > self.amp_budget:
-            raise BudgetError(
-                f"state would need {self.amplitudes} amplitudes, budget is {self.amp_budget}"
-            )
+        d, N = int(self.n) ** 2 - 1, int(self.N)
+        # d**N >= 2**((bits - 1) N): a size past 64 bits and the budget's is named
+        # as a power and not formed, as it can take thousands of digits
+        if (d.bit_length() - 1) * N >= max(64, int(self.amp_budget).bit_length()):
+            size = f"{d}^{N}" + (f"*{d + 1}" if self.boundary == OPEN else "")
+        elif self.amplitudes > self.amp_budget:
+            size = str(self.amplitudes)
+        else:
+            return
+        raise BudgetError(f"state would need {size} amplitudes, budget is {self.amp_budget}")
 
     @property
     def amplitudes(self) -> int:

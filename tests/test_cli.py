@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,36 @@ def test_branch_points_odd_block(capsys):
                              "--block", "3", "--alpha=-0.5")
     assert (code, out) == (2, "")
     assert "order must be positive" in err
+
+
+OPEN_N2 = ("--n", "2", "--boundary", "open")
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (("spectrum", *OPEN_N2, "--block", "99999999999999999999"), 0, ""),
+    (("spectrum", *OPEN_N2, "--block", "10000", "--verify"), 3,
+     "error: state would need 3^10000*4 amplitudes, budget is 67108864"),
+    (("spectrum", *OPEN_N2, "--block", "1000000000", "--verify"), 3, "3^1000000000*4 amplitudes"),
+    (("entropy", "--n", "2", "--boundary", "periodic", "--chain", str(10 ** 18), "--block", "1..3",
+      "--verify"), 3, "3^1000000000000000000 amplitudes"),
+    (("entropy", *OPEN_N2, "--block", "20", "--verify", "--alpha=-0.5"), 2, "order must be positive"),
+    (("branch-points", "--n", "2", "--block", "100000000"), 2,
+     "weights differ by 0.000e+00 at L=100000000; branch points diverge"),
+])
+def test_huge_blocks_answer_or_fail_at_once(capsys, argv, code, message):
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert got == code and message in err
+    if code == 0:
+        assert read_csv(out)[0]["lambda_singlet"] == read_csv(out)[0]["lambda_adjoint"] == "0.25"
+
+
+def test_orders_are_checked_before_any_state(capsys, monkeypatch):
+    monkeypatch.setattr(states, "open_vbs_state", lambda spec: pytest.fail("a state was built"))
+    code, out, err = run_cli(capsys, "entropy", *OPEN_N2, "--block", "15", "--verify", "--alpha", "2,-0.5")
+    assert (code, out) == (2, "")
+    assert "order must be positive, got -0.5" in err
 
 
 def test_branch_points_block_one_rejected(capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vbsent.closed_form import (
+    CUT_BITS,
+    _round_truncated,
     branch_points,
     branch_residual,
     open_entropy,
@@ -231,6 +234,91 @@ def test_entropy_at_a_million_sites():
     assert abs(periodic_entropy(2, 10 ** 6, 5 * 10 ** 5) - target) < 1e-15
 
 
+# ------------------------------------------------------ past the float cut
+
+def cut(n):
+    """The least k with (n^2-1)**k > 2**CUT_BITS."""
+    d, k, power = n * n - 1, 1, n * n - 1
+    while power <= 1 << CUT_BITS:
+        k, power = k + 1, power * d
+    return k
+
+
+def exact_weights(n, N, L):
+    """The exact (singlet, adjoint), built from decay_factor."""
+    d = n * n - 1
+    rL = decay_factor(n, L)
+    if N is None:
+        return (1 + d * rL) / (n * n), (1 - rL) / (n * n)
+    rC, denom = decay_factor(n, N - L), n * n * (1 + d * decay_factor(n, N))
+    return (1 + d * rC) * (1 + d * rL) / denom, (1 - rC) * (1 - rL) / denom
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_truncated_floats_are_the_rounded_exact_weights(n):
+    """Within 40 of the cut, for the open chain and for rings with only N,
+    with C or L alone, or with both past it, the floats are float() of the
+    exact weights.  A block or complement past the cut forms no d**N (the
+    spectrum holds no integers)."""
+    K = cut(n)
+    for L in range(K - 40, K + 41):
+        spec = open_spectrum(n, L)
+        singlet, adjoint = exact_weights(n, None, L)
+        assert spec.floats() == (float(singlet), float(adjoint))
+        assert (spec._ints is None) == (L >= K)
+        assert (spec.singlet, spec.adjoint) == (singlet, adjoint)  # formed on demand past the cut
+    for N in (K - 1, K, K + 1, 2 * K - 41, 2 * K - 1, 2 * K, 2 * K + 1, 2 * K + 40, 3 * K, 3 * K + 1):
+        lengths = {1, 2, 3, 19, 20, 21, K - 40, K - 1, K, K + 1, K + 40, N // 2, N // 2 + 1,
+                   N - K - 1, N - K, N - K + 1, N - 21, N - 20, N - 2, N - 1, N}
+        for L in sorted(L for L in lengths if 1 <= L <= N):
+            spec = periodic_spectrum(n, N, L)
+            singlet, adjoint = exact_weights(n, N, L)
+            assert spec.floats() == (float(singlet), float(adjoint)), (N, L)
+            assert (spec._ints is None) == (max(L, N - L) >= K)
+
+
+def test_rounding_test_decides_only_away_from_a_boundary():
+    # 0.5 + 2**-54 is the midpoint between the floats 0.5 and 0.5 + 2**-53
+    midpoint, big = (2 ** 53 + 1, 2 ** 54), 3 ** 800
+    assert _round_truncated(*midpoint, 1, 3) == 0.5 + 2 ** -53
+    assert _round_truncated(*midpoint, -1, 3) == 0.5
+    # 2**-1322 past it: within the dropped tail's bound, so left to the exact route
+    assert _round_truncated(midpoint[0] * big + 1, midpoint[1] * big, 1, 3) is None
+    assert _round_truncated(1, 3, -1, 3) == 1 / 3
+    assert _round_truncated(0, 9, 1, 3) == 0.0
+
+
+@pytest.mark.parametrize("N,floats", [(10 ** 18, (0.11111111111111112, 0.1111111111111111)),
+                                      (10 ** 18 + 1, (0.1111111111111111, 0.1111111111111111))])
+def test_ring_rounds_an_open_midpoint_by_the_parity_of_N(N, floats):
+    # the n=3 open weights at L=20 are exact rounding midpoints; on a ring the
+    # largest dropped term, 8 r(C) with C = N - 20, rounds them up for even N
+    for L in (20, N - 20):
+        assert periodic_spectrum(3, N, L).floats() == floats
+    M = 3 * cut(3) + (N - 3 * cut(3)) % 2  # a ring of N's parity whose floats are checked exactly above
+    assert periodic_spectrum(3, M, 20).floats() == floats
+
+
+def test_rows_at_any_length_take_under_a_millisecond():
+    # the fastest of five runs, so a busy machine does not fail it
+    def fastest(call):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert fastest(lambda: open_entropy(2, 10 ** 7)) < 1e-3
+    assert fastest(lambda: periodic_entropy(2, 4 * 10 ** 6, 2 * 10 ** 6)) < 1e-3
+    assert open_entropy(2, 10 ** 7) == periodic_entropy(2, 4 * 10 ** 6, 2 * 10 ** 6) == 2 * math.log(2)
+    for n in range(2, 9):
+        for N in (10 ** 6, 10 ** 18 - 1, 10 ** 18):
+            for L in (1, 2, 20, 3 * cut(n), N // 2, N - 1, N):
+                assert fastest(lambda: periodic_spectrum(n, N, L).renyi(2.0)) < 1e-3, (n, N, L)
+        assert fastest(lambda: open_spectrum(n, 10 ** 18).entropy()) < 1e-3, n
+
+
 def test_single_site_ring_rejected():
     with pytest.raises(ValueError, match="N >= 2"):
         periodic_spectrum(2, 1, 1)
@@ -278,6 +366,8 @@ def test_branch_point_rejections():
         branch_points(2, 1, [0])  # singlet weight exactly zero
     with pytest.raises(DegenerateSpectrumError):
         branch_points(2, 50, [0])  # weights numerically degenerate
+    with pytest.raises(DegenerateSpectrumError):
+        branch_points(2, 10 ** 8, [0])  # past the cut: no exact weight is formed
     with pytest.raises(ValueError):
         branch_points(2, 2, [-1])
 

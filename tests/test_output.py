@@ -38,6 +38,11 @@ def _both(name, *argv, err=""):
 
 OPEN, RING = ("--boundary", "open"), ("--boundary", "periodic")
 
+# An order on the branch point of the n=2 ring of 5 at L=2 and at its mirror
+# L=3, the next row, which reuses the weights and Renyi values of L=2.
+RING_BRANCH_ORDER = "4.3714652444870339+12.5006458048572i"
+RING_BRANCH_NOTES = "".join(f"note: order {RING_BRANCH_ORDER} is a branch point at L={L}\n" for L in (2, 3))
+
 # The --verify requests build states over cli.CROSS_CHECK_AMPS amplitudes, so
 # only the exact route runs and max_dev does not depend on the BLAS library.
 CORPUS = [
@@ -51,6 +56,8 @@ CORPUS = [
            "--block", "1..11", "--alpha", "2,0.5,1.5-0.5i", "--alpha", "0.5+1i"),
     *_both("entropy_open_n2_branch_point", "entropy", "--n", "2", *OPEN, "--block", "1..3",
            "--alpha", BRANCH_ORDER, err=BRANCH_NOTE),
+    *_both("entropy_ring_n2_N5_branch_point", "entropy", "--n", "2", *RING, "--chain", "5",
+           "--block", "1..4", "--alpha", RING_BRANCH_ORDER, err=RING_BRANCH_NOTES),
     *_both("entropy_ring_n2_N9_log2", "entropy", "--n", "2", *RING, "--chain", "9",
            "--block", "1..8", "--alpha", "3,0.25+2i", "--log-base", "2"),
     *_both("entropy_open_n4_logn", "entropy", "--n", "4", *OPEN, "--block", "1..12",

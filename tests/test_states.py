@@ -51,6 +51,30 @@ def test_chain_spec_budget_guard():
     ChainSpec(2, 3, OPEN, amp_budget=1000)
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("boundary", (OPEN, PERIODIC))
+def test_chain_spec_budget_guard_matches_the_exact_count(n, boundary):
+    # the guard first compares bit lengths without forming d**N, from 64 bits
+    # on; it must agree with the exact count on either side of every budget
+    bits = (n * n - 1).bit_length() - 1  # d**N >= 2**(bits * N)
+    for N in range(2, 70):
+        amps = (n * n - 1) ** N * (n * n if boundary == OPEN else 1)
+        for budget in (amps - 1, amps, 1 << (amps.bit_length() - 1), (1 << amps.bit_length()) - 1,
+                       1 << (bits * N - 1), (1 << bits * N) - 1, 1 << bits * N):
+            if amps > budget:
+                with pytest.raises(BudgetError, match=f"budget is {budget}$"):
+                    ChainSpec(n, N, boundary, amp_budget=budget)
+            else:
+                ChainSpec(n, N, boundary, amp_budget=budget)
+
+
+def test_chain_spec_budget_names_a_huge_size_as_a_power():
+    with pytest.raises(BudgetError, match=r"state would need 3\^10000\*4 amplitudes, budget is 67108864"):
+        ChainSpec(2, 10 ** 4, OPEN)
+    with pytest.raises(BudgetError, match=r"state would need 8\^1000000000000000000 amplitudes"):
+        ChainSpec(3, 10 ** 18, PERIODIC)
+
+
 def test_pure_state_norm_guard():
     one = np.array([1, 0, 0, 0], dtype=np.uint8)
     PureState(2, (4,), one, 1.0)
