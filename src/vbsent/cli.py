@@ -15,7 +15,9 @@ CSV numbers carry 17 significant digits and JSON numbers are Python's shortest
 round-trip repr, so doubles round-trip in both formats.  A command yields
 its rows as tuples in header order, and one emitter turns each into its
 text as it is made: a CSV line, or the row's object as `json.dumps(indent=2)`
-prints it inside the list.  Only that text is held, and nothing is written
+prints it inside the list.  A cell reuses the text above it when its value
+is the same object or an equal nonzero float, so 0.0 and -0.0, or 1, 1.0 and
+True, never share text.  Only that text is held, and nothing is written
 before the last row is made, so a request that fails part-way prints no row
 and makes no --out file.
 A --verify row compares the closed-form weights with the exact oracle route
@@ -44,6 +46,8 @@ import json
 import math
 import os
 import sys
+from itertools import compress
+from operator import is_not
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import closed_form, oracle, states
@@ -123,22 +127,23 @@ _CELL_TEXT = {**dict.fromkeys(["lambda_singlet", "lambda_adjoint", "S", "S_alpha
 
 
 def _emit(header: List[str], args, rows: Iterable[tuple]) -> int:
-    """Write a command's rows, each its values in header order, and return the
-    exit code: 1 if a row has `verified` false, else 0.  Each row becomes its
-    text as it is made, a CSV line or its object as `json.dumps(indent=2)`
-    prints it inside the list, and only that text is held.  Nothing is written
-    before the last row is made, so a command that fails part-way prints no row."""
+    """Write a command's rows, each its values in header order, as the module
+    docstring says, and return the exit code: 1 if a row has `verified`
+    false, else 0.  Nothing is written before the last row is made."""
     as_json, failed = args.format == "json", False
-    formats = [_CELL_TEXT.get(column, str) for column in header]
+    formats = [(lambda value, key=json.dumps(column) + ": ": key + json.dumps(value)) if as_json
+               else _CELL_TEXT.get(column, str) for column in header]
     verified = header.index("verified") if "verified" in header else None
     texts = [] if as_json else [",".join(header) + "\n"]
-    for row in rows:
+    columns, last, cells = range(len(header)), (object(),) * len(header), [""] * len(header)
+    for row in rows:  # the first row's values are new objects next to `last`
         failed |= verified is not None and row[verified] is False
-        if as_json:
-            obj = json.dumps(dict(zip(header, row)), indent=2).replace("\n", "\n  ")
-            texts.append((",\n  " if texts else "[\n  ") + obj)
-        else:
-            texts.append(",".join([text(value) for text, value in zip(formats, row)]) + "\n")
+        for i in compress(columns, map(is_not, row, last)):  # each cell whose value is a new object
+            if not (type(row[i]) is type(last[i]) is float and row[i] == last[i] != 0.0):
+                cells[i] = formats[i](row[i])
+        last = row
+        texts.append((",\n  {\n    " if texts else "[\n  {\n    ") + ",\n    ".join(cells) + "\n  }"
+                     if as_json else ",".join(cells) + "\n")
     if as_json:
         texts.append("\n]\n")
     if args.out:

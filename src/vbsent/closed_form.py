@@ -228,12 +228,22 @@ def _truncated_floats(n: int, N: Optional[int], L: int) -> Optional[Tuple[float,
     if not dropped:
         return None
     sign = 1 if min(dropped) % 2 == 0 else -1
-    singlet = adjoint = 1
-    denom = n * n
-    for k in lengths:
-        if k < cut:
-            dk, sk = d ** k, 1 if k % 2 == 0 else -1
-            singlet, adjoint, denom = singlet * (dk + d * sk), adjoint * (dk - sk), denom * dk
+    kept = [k for k in lengths if k < cut]
+    return _rounded_pair(n, sign, kept) if kept else _past_cut_floats(n, sign)
+
+
+@lru_cache(maxsize=64)
+def _past_cut_floats(n: int, sign: int) -> Optional[Tuple[float, float]]:
+    """The pair when every length is past the cut, which depends on n and the sign alone."""
+    return _rounded_pair(n, sign, [])
+
+
+def _rounded_pair(n: int, sign: int, kept: List[int]) -> Optional[Tuple[float, float]]:
+    """The truncated pair over the lengths below the cut, or None if a weight is undecided."""
+    d, singlet, adjoint, denom = n * n - 1, 1, 1, n * n
+    for k in kept:
+        dk, sk = d ** k, 1 if k % 2 == 0 else -1
+        singlet, adjoint, denom = singlet * (dk + d * sk), adjoint * (dk - sk), denom * dk
     floats = _round_truncated(singlet, denom, sign, d), _round_truncated(adjoint, denom, -sign, d)
     return None if None in floats else floats
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from vbsent.closed_form import (
     CUT_BITS,
+    _past_cut_floats,
     _round_truncated,
     branch_points,
     branch_residual,
@@ -275,6 +276,27 @@ def test_truncated_floats_are_the_rounded_exact_weights(n):
             singlet, adjoint = exact_weights(n, N, L)
             assert spec.floats() == (float(singlet), float(adjoint)), (N, L)
             assert (spec._ints is None) == (max(L, N - L) >= K)
+
+
+def test_pair_past_the_cut_is_cached_per_n_and_sign():
+    """With every length past the cut the pair depends on n and the sign of
+    the least dropped term alone: one cache entry each, and it is float() of
+    the exact weights at every length that reads it."""
+    _past_cut_floats.cache_clear()
+    keys = set()
+    for n in (2, 3, 4, 5, 6):
+        K = cut(n)
+        specs = [(None, L) for L in (K, K + 1, K + 2, K + 3)]
+        specs += [(N, L) for N in (2 * K, 2 * K + 1, 2 * K + 2, 2 * K + 3)
+                  for L in (K, K + 1, N // 2, N - K - 1, N - K) if K <= L <= N - K]
+        for N, L in specs:
+            spec = open_spectrum(n, L) if N is None else periodic_spectrum(n, N, L)
+            least = L if N is None else min(L, N - L)
+            keys.add((n, 1 if least % 2 == 0 else -1))
+            assert spec.floats() == tuple(map(float, exact_weights(n, N, L))), (n, N, L)
+            assert spec._ints is None
+    info = _past_cut_floats.cache_info()
+    assert len(keys) == 10 and info.currsize <= len(keys) and info.hits > 0
 
 
 def test_rounding_test_decides_only_away_from_a_boundary():

@@ -1,12 +1,16 @@
 """The CLI's output, byte for byte: a golden corpus of every row schema,
-format and column kind, the digests of the long benchmark sweeps, and CSV,
-JSON and --out encoding the same rows."""
+format and column kind, the verify reports, the digests of the long
+benchmark sweeps, the emitter's reuse of cell texts, and CSV, JSON and
+--out encoding the same rows."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vbsent.cli import alpha_literal, main
+from vbsent.cli import _CELL_TEXT, CSV_HEADER, _emit, alpha_literal, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -106,8 +110,26 @@ def test_dense_verify_rows_match_golden(name, argv, float_route):
     assert all(float(max_dev) <= 1e-10 for _, max_dev in got[1:])
 
 
-# The closed-form-sweep benchmark requests at seed 1 (about 1.2 MB of text):
-# the sha256 of each one's stdout.
+# verify --format json at every n, at n=4 and at n=5 (which skips most
+# checks).  max_dev comes from the float route, so from the BLAS library: it
+# is bounded by its tolerance and every other byte is pinned.
+VERIFY = [("verify.json", (), 0), ("verify_n4.json", ("--n", "4"), 1), ("verify_n5.json", ("--n", "5"), 1)]
+
+
+def _masked(report):
+    return re.sub(r'"max_dev": [^,\n]+', '"max_dev": _', report)
+
+
+@pytest.mark.parametrize("name,argv,exit_code", VERIFY, ids=[name for name, _, _ in VERIFY])
+def test_verify_report_matches_golden(name, argv, exit_code):
+    code, out, err = run(("verify", *argv, "--format", "json"))
+    assert (code, err) == (exit_code, "")
+    assert _masked(out) == _masked((GOLDEN / name).read_text())
+    assert all(0.0 <= check["max_dev"] < check["tolerance"] for check in json.loads(out)["checks"])
+
+
+# The closed-form-sweep benchmark requests at seed 1 (about 1.2 MB of text)
+# and their JSON twins (about 4 MB): the sha256 of each one's stdout.
 SWEEP_DIGESTS = [
     (("entropy", "--n", "2", *OPEN, "--block", "1..4000", "--alpha", "2,0.25,1.5-0.5i"),
      "9b267b0859b82b376395165dce811ebae7a49cd439cd8b7d4e1bdfc710887645"),
@@ -115,10 +137,17 @@ SWEEP_DIGESTS = [
      "a79babee21db166ae03db3d5eb233dc5d02b401803c1b6402776a2c73f1a5a25"),
     (("branch-points", "--n", "2", "--block", "2..30"),
      "157e95a2f368e0a3d596184bbdafd5bfe5d78fc84ca099c09909e86036ca5cf1"),
+    (("entropy", "--n", "2", *OPEN, "--block", "1..4000", "--alpha", "2,0.25,1.5-0.5i", "--format", "json"),
+     "d90051f20cdfe12e1d227e2be06140f24aad4a35bfcc56305c4cdf993f6cde75"),
+    (("entropy", "--n", "3", *RING, "--chain", "2000", "--block", "1..2000", "--alpha", "3", "--format", "json"),
+     "247607f830d790f0adeb649ab4678adc429c35ab6b29c97affb0665de0866fe5"),
+    (("branch-points", "--n", "2", "--block", "2..30", "--format", "json"),
+     "e0c8413e9b548857bea3074b4c7a9a35f8588eea4aa5a48a2f2c62cc45c40369"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", SWEEP_DIGESTS, ids=["open", "ring", "branch-points"])
+@pytest.mark.parametrize("argv,digest", SWEEP_DIGESTS,
+                         ids=["open", "ring", "branch-points", "open-json", "ring-json", "branch-points-json"])
 def test_sweep_output_digest(argv, digest):
     code, out, err = run(argv)
     assert (code, err) == (0, "")
@@ -137,6 +166,41 @@ def test_budget_error_mid_sweep_prints_no_row(tmp_path):
         assert (code, out) == (3, "")
         assert err.startswith("error: state would need ") and "budget is 100000" in err
         assert not target.exists()
+
+
+def _emitted(rows, fmt):
+    """(exit code, stdout) of the emitter on crafted rows of the CSV_HEADER schema."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = _emit(CSV_HEADER, argparse.Namespace(format=fmt, out=None), iter(rows))
+    return code, out.getvalue()
+
+
+def _every_cell_formatted(rows, fmt):
+    """The emitter's text with no reuse: every cell of every row formatted."""
+    if fmt == "json":
+        objs = [json.dumps(dict(zip(CSV_HEADER, row)), indent=2).replace("\n", "\n  ") for row in rows]
+        return "[\n  " + ",\n  ".join(objs) + "\n]\n"
+    formats = [_CELL_TEXT.get(column, str) for column in CSV_HEADER]
+    lines = [",".join(text(value) for text, value in zip(formats, row)) for row in rows]
+    return "".join(line + "\n" for line in [",".join(CSV_HEADER), *lines])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitter_reuses_a_cell_text_only_where_it_prints_alike(fmt):
+    # each column runs through values that are equal but print differently
+    # (0.0 and -0.0; 1, 1.0 and True), NaN (a new object and the same one),
+    # inf twice, None beside floats, and equal floats as distinct objects,
+    # among them 0.1 moving between a str column and a 17-digit one
+    nan = float("nan")
+    rows = [
+        (1, -1, 0.1, "open", float("nan"), math.inf, 0.0, "2", None, 0.5, True, 0.5),
+        (1.0, -1, 0.5, "open", float("nan"), float("inf"), -0.0, "2", 0.5, None, True, 0.1),
+        (True, -1.0, float("0.1"), "open", nan, -math.inf, 0.0, "3", None, 0.5, None, float("0.1")),
+        (1, -1, 0.1, "ring", nan, -math.inf, -0.0, None, 0.5, 0.1, False, None),
+        (1.0, -1, True, "ring", 0.0, 0.0, 0.0, None, float("0.5"), 0.1, False, 0.0),
+    ]
+    assert _emitted(rows, fmt) == (1, _every_cell_formatted(rows, fmt))
 
 
 class _Sink(io.TextIOBase):
