@@ -62,7 +62,7 @@ BRANCH_HEADER = ["n", "L", "m", "sign", "alpha_re", "alpha_im", "residual", "par
 AMP_BUDGET_ENV = "VBSENT_AMP_BUDGET"
 MATRIX_BUDGET_ENV = "VBSENT_MATRIX_BUDGET"
 
-#: Most values a --block or --m span may hold.
+#: Most values a --block or --m span may hold, and most rows a request may make.
 MAX_SPAN = 10 ** 6
 
 #: A --verify row of a state of at most this many amplitudes also runs the
@@ -98,7 +98,7 @@ def parse_alpha(text: str) -> Union[float, complex]:
 
 
 def tolerance(text: str) -> float:
-    """A --tol value, finite and >= 0: NaN or negative verifies no row, inf every row."""
+    """A --tol value: a finite number >= 0; NaN, a negative number or inf is a usage error."""
     value = float(text)
     if not 0.0 <= value < math.inf:  # NaN fails too
         raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
@@ -116,6 +116,12 @@ def parse_span(text: str) -> List[int]:
             raise ValueError(f"span {text!r} has {hi - lo + 1} values, more than the limit {MAX_SPAN}")
         return list(range(lo, hi + 1))
     return [int(text)]
+
+
+def _check_rows(count: int) -> None:
+    """Refuse a request of more than MAX_SPAN rows before any row is made."""
+    if count > MAX_SPAN:
+        raise ValueError(f"request makes {count} rows, more than the limit {MAX_SPAN}")
 
 
 #: The CSV text of a cell by column (`str` for the others); None prints empty.
@@ -172,13 +178,15 @@ def _spectrum_for(args, L: int) -> closed_form.BlockSpectrum:
     return closed_form.periodic_spectrum(args.n, args.chain, L)
 
 
-def _blocks(args) -> Iterator[Tuple[closed_form.BlockSpectrum, tuple, tuple]]:
+def _blocks(args, per_block: int = 1) -> Iterator[Tuple[closed_form.BlockSpectrum, tuple, tuple]]:
     """Each requested block's spectrum, by length, with the values of its rows
     in columns n to lambda_adjoint and in verified and max_dev: on --verify,
     the weights checked against the oracle on an open chain per block length,
-    or on one ring built on first use and reused for every block."""
-    ring = None
-    for L in sorted(parse_span(args.block)):
+    or on one ring built on first use and reused for every block.  A block
+    makes `per_block` rows."""
+    ring, blocks = None, sorted(parse_span(args.block))
+    _check_rows(len(blocks) * per_block)
+    for L in blocks:
         spec = _spectrum_for(args, L)
         verified = dev = None
         if args.verify:
@@ -223,7 +231,7 @@ def entropy_rows(args) -> Iterator[tuple]:
         _check_dimension(args.n)  # before log(n), which fails for n < 2 without naming n
     base_scale = 1.0 if args.log_base == "e" else 1.0 / math.log(2.0 if args.log_base == "2" else args.n)
     pair = cells = None
-    for spec, head, tail in _blocks(args):  # one spectrum per block serves every order
+    for spec, head, tail in _blocks(args, max(1, len(orders))):  # one spectrum per block serves every order
         entropy = spec.entropy() * base_scale
         if not orders:
             yield (*head, entropy, None, None, None, *tail)
@@ -236,8 +244,9 @@ def entropy_rows(args) -> Iterator[tuple]:
 
 
 def branch_point_rows(args) -> Iterator[tuple]:
-    ms = sorted(parse_span(args.m))
-    for L in sorted(parse_span(args.block)):
+    ms, blocks = sorted(parse_span(args.m)), sorted(parse_span(args.block))
+    _check_rows(len(blocks) * len(ms) * 2)
+    for L in blocks:
         for point in closed_form.branch_points(args.n, L, ms):
             yield (args.n, L, point.m, point.sign, point.alpha.real, point.alpha.imag,
                    point.residual, "even" if point.even_block else "odd")

@@ -17,8 +17,9 @@ Below the cut they are Python's int / int true division of the exact
 integers.  Past it, where the block length L or the ring's complement
 C = N - L has d**k > 2**CUT_BITS, every such r(k) is dropped and the
 truncated ratio of small integers is rounded, checked by Ziv's rounding
-test (see `_truncated_floats`), so no d**L or d**N is formed and a row at
-N = 10**18 costs what one at N = 2000 does.  Exact `fractions.Fraction`
+test (see `_rounded_weights`), so no d**L or d**N is formed and a row at
+N = 10**18 costs what one at N = 2000 does.  One product formula,
+`_weight_ints`, forms the integers of both routes.  Exact `fractions.Fraction`
 weights are built on demand only, for trace identities and spectrum
 comparisons that must carry no rounding slack; past the cut that forms
 d**N.  Both entropies saturate at 2 log n as the block grows; all
@@ -89,7 +90,7 @@ class BlockSpectrum:
     def _exact(self) -> Tuple[int, int, int]:
         """(singlet, adjoint, denominator) integers: the ones built with the
         spectrum, else the closed form's."""
-        return self._ints if self._ints is not None else _exact_ints(self.n, self.N, self.L)
+        return self._ints if self._ints is not None else _weight_ints(self.n, self.N, self.L)[:3]
 
     @property
     def singlet(self) -> Fraction:
@@ -160,16 +161,23 @@ class BlockSpectrum:
         return _log_power_sum(total, alpha, weights, counts) / (1.0 - alpha) + zero
 
 
-def _exact_ints(n: int, N: Optional[int], L: int) -> Tuple[int, int, int]:
-    """(singlet, adjoint, denominator) integers of the closed form."""
-    d = n * n - 1
-    dL, sL = d ** L, (-1) ** L
-    if N is None:
-        return dL + d * sL, dL - sL, n * n * dL
-    dC, sC = d ** (N - L), (-1) ** (N - L)
-    # f(C) f(L) and g(C) g(L) expanded around the one big product d**N
-    dN, cross, sN = dC * dL, sC * dL + sL * dC, sC * sL
-    return dN + d * cross + d * d * sN, dN - cross + sN, n * n * (dN + d * sN)
+def _weight_ints(n: int, N: Optional[int], L: int, cut: float = math.inf) -> Tuple[int, int, int, int]:
+    """(singlet, adjoint, denominator, sign) integers of the closed form with
+    each r(k), k >= cut, dropped: the products of f(k) and of g(k), and n^2
+    times that of d**k, over k = L and, on the ring, C below the cut.  On a
+    ring with none dropped, d**C d**L = d**N and the denominator is n^2 f(N);
+    once one is dropped, so is r(N).  `sign` is (-1)**k at the least dropped
+    k, or 0 if none is: with no cut these are the exact weights."""
+    d, singlet, adjoint, denom = n * n - 1, 1, 1, n * n
+    lengths = (L,) if N is None else (N - L, L)
+    for k in lengths:
+        if k < cut:
+            dk, sk = d ** k, (-1) ** (k % 2)
+            singlet, adjoint, denom = singlet * (dk + d * sk), adjoint * (dk - sk), denom * dk
+    dropped = [k for k in lengths if k >= cut]
+    if N is not None and not dropped:
+        denom += n * n * d * (-1) ** (N % 2)
+    return singlet, adjoint, denom, (-1) ** (min(dropped) % 2) if dropped else 0
 
 
 @lru_cache(maxsize=None)
@@ -207,53 +215,28 @@ def _round_truncated(a: int, b: int, sign: int, d: int) -> Optional[float]:
     return None
 
 
-def _truncated_floats(n: int, N: Optional[int], L: int) -> Optional[Tuple[float, float]]:
-    """The float weights with every decay term past the cut dropped, or None
-    if neither L nor (on the ring) C = N - L is past it, or if the rounding
-    test leaves a weight undecided.
-
-    The weights are n**-2 times products of 1 + d*r(k) (singlet) or 1 - r(k)
-    (adjoint) over k = L and, on the ring, k = C, divided on the ring by
-    1 + d*r(N).  Each r(k) with d**k > 2**CUT_BITS is dropped, so the
-    truncated ratio needs only the d**k below the cut.  The largest dropped
-    term, d*r(k) in the singlet and -r(k) in the adjoint at the least
-    dropped k, sets the sign of the error: the denominator's d*r(N) is at
-    least d times smaller, since N > k.  At most three dropped terms, each
-    below d 2**-CUT_BITS, give |eps| < 4 d 2**-CUT_BITS.
-    """
-    d = n * n - 1
-    cut = _cut(d)
-    lengths = (L,) if N is None else (N - L, L)
-    dropped = [k for k in lengths if k >= cut]
-    if not dropped:
-        return None
-    sign = 1 if min(dropped) % 2 == 0 else -1
-    kept = [k for k in lengths if k < cut]
-    return _rounded_pair(n, sign, kept) if kept else _past_cut_floats(n, sign)
-
-
 @lru_cache(maxsize=64)
-def _past_cut_floats(n: int, sign: int) -> Optional[Tuple[float, float]]:
-    """The pair when every length is past the cut, which depends on n and the sign alone."""
-    return _rounded_pair(n, sign, [])
-
-
-def _rounded_pair(n: int, sign: int, kept: List[int]) -> Optional[Tuple[float, float]]:
-    """The truncated pair over the lengths below the cut, or None if a weight is undecided."""
-    d, singlet, adjoint, denom = n * n - 1, 1, 1, n * n
-    for k in kept:
-        dk, sk = d ** k, 1 if k % 2 == 0 else -1
-        singlet, adjoint, denom = singlet * (dk + d * sk), adjoint * (dk - sk), denom * dk
+def _rounded_weights(singlet: int, adjoint: int, denom: int, sign: int, d: int) -> Optional[Tuple[float, float]]:
+    """The float pair of the truncated integers of `_weight_ints`, or None if
+    a weight is undecided.  The largest dropped term, d*r(k) in the singlet
+    and -r(k) in the adjoint at the least dropped k, sets the sign of the
+    error: the denominator's d*r(N) is at least d times smaller, since N > k.
+    At most three dropped terms, each below d 2**-CUT_BITS, give
+    |eps| < 4 d 2**-CUT_BITS.  With every length past the cut the integers
+    are (1, 1, n^2): one cache entry per n and sign serves all those rows."""
     floats = _round_truncated(singlet, denom, sign, d), _round_truncated(adjoint, denom, -sign, d)
     return None if None in floats else floats
 
 
 def _spectrum(n: int, N: Optional[int], L: int) -> BlockSpectrum:
-    floats = _truncated_floats(n, N, L)
-    if floats is not None:
-        return BlockSpectrum(n, N, L, floats)
-    ints = _exact_ints(n, N, L)
-    return BlockSpectrum(n, N, L, (ints[0] / ints[2], ints[1] / ints[2]), ints)
+    d = n * n - 1
+    singlet, adjoint, denom, sign = _weight_ints(n, N, L, _cut(d))
+    if sign:  # a length is past the cut: round the truncated ratio, else fall back to the exact one
+        floats = _rounded_weights(singlet, adjoint, denom, sign, d)
+        if floats is not None:
+            return BlockSpectrum(n, N, L, floats)
+        singlet, adjoint, denom, _ = _weight_ints(n, N, L)
+    return BlockSpectrum(n, N, L, (singlet / denom, adjoint / denom), (singlet, adjoint, denom))
 
 
 def open_spectrum(n: int, L: int) -> BlockSpectrum:

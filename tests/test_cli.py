@@ -1,13 +1,17 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vbsent import cli, closed_form, oracle, states
 from vbsent.cli import MAX_SPAN, main, parse_alpha, parse_span
@@ -322,6 +326,7 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--n", "2", "--boundary", "open", "--block", "1..100000000000"),
     ("branch-points", "--n", "2", "--block", "2", "--m", "0..100000000000"),
+    ("branch-points", "--n", "2", "--block", "2..30", "--m", "0..999999"),  # 58,000,000 rows
 ])
 def test_huge_span_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -330,6 +335,31 @@ def test_huge_span_is_a_usage_error(capsys, argv):
     assert len(parse_span(f"5..{4 + MAX_SPAN}")) == MAX_SPAN
     with pytest.raises(ValueError, match="limit"):
         parse_span(f"5..{5 + MAX_SPAN}")
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (("spectrum", *OPEN_N2, "--block", "1..4"), 4),
+    (("entropy", *OPEN_N2, "--block", "1..4"), 4),
+    (("entropy", *OPEN_N2, "--block", "1..3", "--alpha", "2,0.5+1i"), 6),
+    (("branch-points", "--n", "2", "--block", "2..3", "--m", "0..1"), 8),
+])
+def test_rows_of_a_request_are_bounded(capsys, monkeypatch, tmp_path, argv, rows):
+    monkeypatch.setattr(cli, "MAX_SPAN", rows)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(read_csv(out)) == rows
+    monkeypatch.setattr(cli, "MAX_SPAN", rows - 1)
+    target = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "") and not target.exists()
+    assert f"{rows} " in err and f"limit {rows - 1}" in err  # the count and the limit
+
+
+@pytest.mark.parametrize("L,code,rows", [(31, 0, 6), (32, 2, 0)])
+def test_branch_points_refuse_from_the_first_degenerate_length(capsys, L, code, rows):
+    # at n=2 the weights differ by 1.61e-15 at L=31 and by 5.27e-16 at L=32
+    got, out, err = run_cli(capsys, "branch-points", "--n", "2", "--block", str(L))
+    assert got == code and len(read_csv(out) if out else []) == rows
+    assert ("branch points diverge" in err) == (code == 2)
 
 
 def test_verify_single_check(capsys):
@@ -653,3 +683,105 @@ def test_uncertified_sector_exits_4(capsys, monkeypatch, tamper):
         code, out, err = run_cli(capsys, command, *argv, "--verify")
         assert (code, out) == (4, "")
         assert f"sector {sector}" in err and f"({certificate} certificate)" in err
+
+
+# ---------------------------------------------------------- argv property test
+
+BIG = 10 ** 18
+# Renyi orders: huge, tiny, complex and on a branch point; then literals refused as orders
+# (order 1, negative real part, not finite, or naming no order)
+GOOD_ORDERS = ["2", "0.5", "0.5+1i", "3-2i", "700", "800+1i", "1e300", "1e-300", "5e-324+1i",
+               "2.709511291351455+7.7481208389248684i"]
+BAD_ORDERS = ["1", "1+0i", "0", "-0.5", "-1+2i", "nan", "inf", "1e400", "2,", ",", "", "i", "1.5+", "abc"]
+# mostly valid lengths: short ones, ones about the n=2 cut (758) and ones up to 10**18
+LENGTHS = st.one_of(st.integers(1, 12), st.integers(1, 40), st.integers(-1, BIG), st.integers(740, 1530))
+
+
+def weighted(*choices):
+    """One of (weight, value) pairs, by weight."""
+    return st.sampled_from([value for weight, value in choices for _ in range(weight)])
+
+
+@st.composite
+def cli_requests(draw, out_file, out_dir):
+    """An argv of spectrum, entropy or branch-points over n, N and L up to
+    10**18, spans, orders, --log-base, --format and --out, mostly valid;
+    --verify only at n <= 3 with --budget-amps at most 2**16."""
+    command = draw(st.sampled_from(["spectrum", "entropy", "branch-points"]))
+    n = draw(draw(weighted((3, st.integers(2, 3)), (2, st.integers(4, 6)), (2, st.integers(2, BIG)),
+                           (1, st.integers(-1, 1)))))
+    verify = command != "branch-points" and n <= 3 and draw(st.booleans())  # small states only
+    lo = draw(st.integers(2, 40) if command == "branch-points" else st.integers(1, 6) if verify else LENGTHS)
+    width = draw(weighted((2, 0), (4, 2), (2, 4), (1, -1)))
+    argv = [command, "--n", str(n), "--block", str(lo) if width == 0 else f"{lo}..{lo + width}"]
+    if command == "branch-points":
+        m = draw(st.integers(0, 3))
+        argv += draw(weighted((2, []), (2, ["--m", str(m)]), (2, ["--m", f"{m}..{m + 2}"]), (1, ["--m", "2..1"]),
+                              (1, ["--m", "-1"])))
+    else:
+        boundary = draw(st.sampled_from([states.OPEN, states.PERIODIC]))
+        argv += ["--boundary", boundary]
+        if boundary == states.PERIODIC:
+            near = st.integers(lo + width, lo + width + (2 if verify else 6))
+            chain = draw(draw(weighted((3, near), (1, st.integers(-1, 6 if verify else BIG)))))
+            argv += draw(weighted((9, ["--chain", str(chain)]), (1, [])))
+        else:
+            argv += draw(weighted((9, []), (1, ["--chain", str(lo)])))
+        if verify:
+            argv += ["--verify", "--budget-amps", str(draw(weighted((6, 1 << 16), (1, -1), (1, 1 << 10))))]
+            argv += draw(weighted((6, []), (6, ["--tol", "0"]), (2, ["--tol", "1e-10"]), (1, ["--tol", "nan"]),
+                                  (1, ["--tol", "-1"]), (1, ["--tol", "inf"])))
+    if command == "entropy":
+        orders = weighted((4, []), (4, [draw(st.sampled_from(GOOD_ORDERS))]),
+                          (3, draw(st.lists(st.sampled_from(GOOD_ORDERS), min_size=2, max_size=3))),
+                          (1, [draw(st.sampled_from(BAD_ORDERS))]))
+        argv += [f"--alpha={literal}" for literal in draw(orders)]
+        argv += ["--log-base", draw(st.sampled_from(["e", "2", "n"]))]
+    argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    out = draw(weighted((3, None), (2, out_file), (1, out_dir)))
+    return argv + ([] if out is None else ["--out", str(out)])
+
+
+def _rows(text, as_json):
+    """The rows of CSV or JSON output, with CSV's empty cells as None and its booleans as bools."""
+    if as_json:
+        return json.loads(text)
+    cells = {"": None, "true": True, "false": False}
+    return [{key: cells.get(cell, cell) for key, cell in row.items()} for row in read_csv(text)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=2),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_request_answers_or_fails_as_documented(tmp_path, data):
+    target = tmp_path / "rows.out"
+    argv = data.draw(cli_requests(target, tmp_path))
+    target.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code in (2, 3):
+        assert out == "" and not target.exists() and "error: " in err and "Traceback" not in err, argv
+        return
+    text = target.read_text() if "--out" in argv else out
+    rows = _rows(text, "json" in argv)
+    if code == 1:  # a failed --verify row, printed with every other row
+        assert "--verify" in argv and any(row["verified"] is False for row in rows), argv
+    n = int(argv[argv.index("--n") + 1])
+    base = {"e": 1.0, "2": math.log(2.0), "n": math.log(n)}[argv[argv.index("--log-base") + 1]
+                                                            if "--log-base" in argv else "e"]
+    for row in rows:
+        if argv[0] == "branch-points":
+            assert float(row["residual"]) < closed_form.BRANCH_RESIDUAL_TOL, (argv, row)
+            even = int(row["L"]) % 2 == 0
+            assert (float(row["alpha_re"]) > 0) == (row["parity"] == "even") == even, (argv, row)
+            continue
+        total = float(row["lambda_singlet"]) + (n * n - 1) * float(row["lambda_adjoint"])
+        assert abs(total - 1.0) <= 1e-12, (argv, row)
+        if row["S"] is not None:
+            assert -1e-12 <= float(row["S"]) * base <= 2.0 * math.log(n) + 1e-12, (argv, row)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vbsent import closed_form
 from vbsent.closed_form import (
     CUT_BITS,
-    _past_cut_floats,
     _round_truncated,
+    _rounded_weights,
     branch_points,
     branch_residual,
     open_entropy,
@@ -259,8 +260,9 @@ def exact_weights(n, N, L):
 def test_truncated_floats_are_the_rounded_exact_weights(n):
     """Within 40 of the cut, for the open chain and for rings with only N,
     with C or L alone, or with both past it, the floats are float() of the
-    exact weights.  A block or complement past the cut forms no d**N (the
-    spectrum holds no integers)."""
+    exact weights, and so are the exact weights formed on demand, with the
+    ring's denominator n^2 f(N).  A block or complement past the cut forms no
+    d**N (the spectrum holds no integers)."""
     K = cut(n)
     for L in range(K - 40, K + 41):
         spec = open_spectrum(n, L)
@@ -276,13 +278,14 @@ def test_truncated_floats_are_the_rounded_exact_weights(n):
             singlet, adjoint = exact_weights(n, N, L)
             assert spec.floats() == (float(singlet), float(adjoint)), (N, L)
             assert (spec._ints is None) == (max(L, N - L) >= K)
+            assert (spec.singlet, spec.adjoint) == (singlet, adjoint), (N, L)  # denominator n^2 f(N)
 
 
 def test_pair_past_the_cut_is_cached_per_n_and_sign():
     """With every length past the cut the pair depends on n and the sign of
     the least dropped term alone: one cache entry each, and it is float() of
     the exact weights at every length that reads it."""
-    _past_cut_floats.cache_clear()
+    _rounded_weights.cache_clear()
     keys = set()
     for n in (2, 3, 4, 5, 6):
         K = cut(n)
@@ -295,8 +298,21 @@ def test_pair_past_the_cut_is_cached_per_n_and_sign():
             keys.add((n, 1 if least % 2 == 0 else -1))
             assert spec.floats() == tuple(map(float, exact_weights(n, N, L))), (n, N, L)
             assert spec._ints is None
-    info = _past_cut_floats.cache_info()
+    info = _rounded_weights.cache_info()
     assert len(keys) == 10 and info.currsize <= len(keys) and info.hits > 0
+
+
+def test_undecided_rounding_falls_back_to_the_exact_integers(monkeypatch):
+    """Where the rounding test decides nothing, the spectrum holds the exact
+    integers of the same formula, and its floats are unchanged."""
+    K = cut(2)
+    for N, L in [(None, K), (None, K + 1), (2 * K + 1, 3), (2 * K + 1, K), (2 * K + 1, 2 * K + 1)]:
+        spec = open_spectrum(2, L) if N is None else periodic_spectrum(2, N, L)
+        with monkeypatch.context() as patch:
+            patch.setattr(closed_form, "_rounded_weights", lambda *ints: None)
+            exact = open_spectrum(2, L) if N is None else periodic_spectrum(2, N, L)
+        assert exact._ints is not None and exact.floats() == spec.floats(), (N, L)
+        assert (exact.singlet, exact.adjoint) == exact_weights(2, N, L) == (spec.singlet, spec.adjoint)
 
 
 def test_rounding_test_decides_only_away_from_a_boundary():
