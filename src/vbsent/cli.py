@@ -105,8 +105,8 @@ def tolerance(text: str) -> float:
     return value
 
 
-def parse_span(text: str) -> List[int]:
-    """Parse '4' or '1..8' into an inclusive integer list of at most MAX_SPAN values."""
+def parse_span(text: str) -> range:
+    """Parse '4' or '1..8' into an inclusive, ascending range of at most MAX_SPAN values."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
@@ -114,8 +114,8 @@ def parse_span(text: str) -> List[int]:
             raise ValueError(f"empty span {text!r}")
         if hi - lo >= MAX_SPAN:
             raise ValueError(f"span {text!r} has {hi - lo + 1} values, more than the limit {MAX_SPAN}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+        return range(lo, hi + 1)
+    return range(int(text), int(text) + 1)
 
 
 def _check_rows(count: int) -> None:
@@ -184,7 +184,7 @@ def _blocks(args, per_block: int = 1) -> Iterator[Tuple[closed_form.BlockSpectru
     the weights checked against the oracle on an open chain per block length,
     or on one ring built on first use and reused for every block.  A block
     makes `per_block` rows."""
-    ring, blocks = None, sorted(parse_span(args.block))
+    ring, blocks = None, parse_span(args.block)
     _check_rows(len(blocks) * per_block)
     for L in blocks:
         spec = _spectrum_for(args, L)
@@ -244,7 +244,7 @@ def entropy_rows(args) -> Iterator[tuple]:
 
 
 def branch_point_rows(args) -> Iterator[tuple]:
-    ms, blocks = sorted(parse_span(args.m)), sorted(parse_span(args.block))
+    ms, blocks = parse_span(args.m), parse_span(args.block)
     _check_rows(len(blocks) * len(ms) * 2)
     for L in blocks:
         for point in closed_form.branch_points(args.n, L, ms):

@@ -241,14 +241,14 @@ def _spectrum(n: int, N: Optional[int], L: int) -> BlockSpectrum:
 
 def open_spectrum(n: int, L: int) -> BlockSpectrum:
     """Exact open-chain block weights for a block of L bulk sites."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     _check_length(L)
     return _spectrum(n, None, L)
 
 
 def periodic_spectrum(n: int, N: int, L: int) -> BlockSpectrum:
     """Exact ring block weights for a block of L out of N bulk sites."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     _check_length(L)
     if not isinstance(N, int) or N < L:
         raise ValueError(f"need 1 <= L <= N, got L={L!r}, N={N!r}")
@@ -306,6 +306,7 @@ def branch_residual(n: int, L: int, alpha: complex) -> float:
     point.  Returns its modulus; at a true branch point this sits at
     rounding level regardless of scale.
     """
+    n = _check_dimension(n)
     singlet, adjoint = open_spectrum(n, L).floats()
     return abs(cmath.exp(alpha * math.log(singlet / adjoint)) + (n * n - 1))
 
@@ -326,6 +327,7 @@ def branch_points(n: int, L: int, ms: Iterable[int] = range(3)) -> List[BranchPo
     L = 1 is rejected (the singlet weight is exactly zero there) and so are
     lengths where the two weights agree within 1e-15.
     """
+    n = _check_dimension(n)
     singlet, adjoint = open_spectrum(n, L).floats()
     if L == 1:
         raise ValueError(f"block length {L} has singlet weight exactly 0; the weight ratio is undefined")
@@ -351,7 +353,7 @@ def branch_points(n: int, L: int, ms: Iterable[int] = range(3)) -> List[BranchPo
 
 def transfer_matrix(n: int) -> np.ndarray:
     """The n^2 x n^2 hopping matrix on pair labels: all ones minus identity."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     nn = n * n
     return np.ones((nn, nn)) - np.eye(nn)
 
@@ -359,7 +361,7 @@ def transfer_matrix(n: int) -> np.ndarray:
 def transfer_diagonalizer(n: int) -> np.ndarray:
     """Unitary Fourier matrix over the n^2 labels; diagonalizes the transfer matrix
     to diag(n^2-1, -1, ..., -1)."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     nn = n * n
     zeta = np.exp(2j * np.pi / nn)
     j, k = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
@@ -373,7 +375,7 @@ def transfer_spectrum(n: int, L: int) -> BlockSpectrum:
     matrix L times in Python integer arithmetic, and normalizes by
     (n^2-1)**L.  Independent of `open_spectrum` but must agree with it.
     """
-    _check_dimension(n)
+    n = _check_dimension(n)
     _check_length(L)
     nn = n * n
     vec = [1] + [0] * (nn - 1)

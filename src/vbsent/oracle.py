@@ -41,13 +41,12 @@ the budget; and each chunk sum is short, so the Gram's rounding does not
 grow with the state.  All reductions use a fixed chunking and numpy
 contraction order, so repeated runs are bit-identical.
 
-`jacobi_eigvalsh` rotates only the live pivots, those above its skip
-threshold: a vectorized row scan finds each one, and a row dense with them
-falls back to the per-pivot loop.  A rotation computes the two new rows and
-mirrors their conjugates into the two columns, which relies on the matrix
-staying exactly Hermitian.  Skipped pivots are no-ops, and conjugation
-commutes exactly with IEEE complex products and sums, so the rotation
-sequence, and every eigenvalue, is that of the plain cyclic sweep.
+`jacobi_eigvalsh` is the plain cyclic sweep: it visits every pivot of the
+strict upper triangle in row order and rotates the live ones, those above
+its skip threshold.  A rotation computes the two new rows and mirrors their
+conjugates into the two columns, which relies on the matrix staying exactly
+Hermitian: conjugation commutes exactly with IEEE complex products and
+sums, so every eigenvalue is that of the two-column, two-row update.
 
 The invariant checks (Hermiticity and unit trace of a density matrix; no
 eigenvalue below -1e-12 and a sum within 1e-10 of one; the sector
@@ -115,16 +114,6 @@ GATHER_CHUNK = 1 << 16
 #: a matrix of dim <= 512 is one block.
 HERMITIAN_BLOCK_ENTRIES = 1 << 18
 
-#: Jacobi scans a row for its live pivots only when dim exceeds SCAN_MIN_DIM:
-#: scanning at every dim, the verify grid's Jacobi inputs (dim <= 81) took
-#: 0.040 s, not 0.028 s.
-SCAN_MIN_DIM = 32
-
-#: A row whose live pivots exceed this share of its remaining entries runs the
-#: per-pivot loop for the rest, where each rescan would cost O(dim) per rotation:
-#: with no such fallback, dense-states' Jacobi inputs took 0.24 s, not 0.20 s.
-SCAN_DENSE_SHARE = 0.25
-
 
 def hermitian_deviation(matrix: np.ndarray) -> float:
     """Frobenius norm of matrix - matrix^dagger (NaN if any entry is NaN),
@@ -163,20 +152,12 @@ class DensityMatrix:
 def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations, descending.
 
-    Sweeps the strict upper triangle in fixed row order, annihilating each
-    live pivot (one of modulus above `skip`, or NaN) with a complex plane
-    rotation, until the off-diagonal Frobenius norm falls below
-    OFF_DIAGONAL_TARGET.  Raises ConvergenceError if the target is not met
-    after DEFAULT_MAX_SWEEPS sweeps, and ValueError for input that is not
-    Hermitian within HERMITIAN_TOL.
-
-    A sweep visits only the pivots it rotates.  Above SCAN_MIN_DIM, one
-    vectorized scan of row p finds its next live pivot; after the rotation,
-    which rewrites row p, the scan resumes past it.  A row whose live pivots
-    exceed SCAN_DENSE_SHARE of what remains (row 0 of a rank-1 Gram) runs
-    the per-pivot loop for the rest.  A skipped pivot is a no-op, so the
-    rotations, their order, and so every eigenvalue are those of the plain
-    per-pivot loop, bit for bit.
+    Each sweep visits every pivot of the strict upper triangle in row order
+    and annihilates each live one (of modulus above `skip`, or NaN) with a
+    complex plane rotation, until the off-diagonal Frobenius norm falls
+    below OFF_DIAGONAL_TARGET.  Raises ConvergenceError if the target is not
+    met after DEFAULT_MAX_SWEEPS sweeps, and ValueError for input that is
+    not Hermitian within HERMITIAN_TOL.
 
     w = (a + a^dagger) / 2 is exactly Hermitian, and a rotation keeps it so:
     conjugation commutes exactly with IEEE complex products and sums (up to
@@ -235,20 +216,8 @@ def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
         if converged:
             break
         for p in range(dim - 1):
-            q = p + 1
-            while dim > SCAN_MIN_DIM and q < dim:
-                # `not <=` keeps a NaN pivot live, as the loop below does
-                live = np.flatnonzero(~(np.abs(w[p, q:]) <= skip))
-                if live.size > SCAN_DENSE_SHARE * (dim - q):
-                    break  # too dense to rescan: the loop below takes the rest
-                if not live.size:
-                    q = dim
-                    break
-                q += int(live[0])
-                rotate(p, q)  # rewrites row p: search again past q
-                q += 1
-            for q in range(q, dim):
-                if not abs(w[p, q]) <= skip:
+            for q in range(p + 1, dim):
+                if not abs(w[p, q]) <= skip:  # a NaN pivot stays live
                     rotate(p, q)
         converged = off_norm() < OFF_DIAGONAL_TARGET
     if not converged:

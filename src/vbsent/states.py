@@ -87,13 +87,14 @@ class ChainSpec:
     amp_budget: int = DEFAULT_AMP_BUDGET
 
     def __post_init__(self) -> None:
-        _check_dimension(self.n)
+        object.__setattr__(self, "n", _check_dimension(self.n))
         if self.boundary not in (OPEN, PERIODIC):
             raise ValueError(f"boundary must be {OPEN!r} or {PERIODIC!r}, got {self.boundary!r}")
         min_sites = 2 if self.boundary == PERIODIC else 1
         if not isinstance(self.N, (int, np.integer)) or self.N < min_sites:
             raise ValueError(f"{self.boundary} chain needs N >= {min_sites}, got {self.N!r}")
-        d, N = int(self.n) ** 2 - 1, int(self.N)
+        object.__setattr__(self, "N", int(self.N))  # numpy integers would wrap in d**N
+        d, N = self.n ** 2 - 1, self.N
         # d**N >= 2**((bits - 1) N): a size past 64 bits and the budget's is named
         # as a power and not formed, as it can take thousands of digits
         if (d.bit_length() - 1) * N >= max(64, int(self.amp_budget).bit_length()):

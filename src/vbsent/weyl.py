@@ -47,9 +47,11 @@ from .errors import BranchPointCondition
 MAX_EMBED_DIMENSION = 4
 
 
-def _check_dimension(n: int) -> None:
+def _check_dimension(n: int) -> int:
+    """n as a Python int: with a numpy integer, exact arithmetic would wrap in int64."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"qudit dimension must be an integer >= 2, got {n!r}")
+    return int(n)
 
 
 def _check_order(alpha: Union[float, complex]) -> Union[float, complex]:

@@ -5,8 +5,10 @@ import json
 import math
 import os
 import time
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,8 +35,8 @@ def read_csv(text):
 
 
 def test_parse_helpers():
-    assert parse_span("4") == [4]
-    assert parse_span("1..3") == [1, 2, 3]
+    assert list(parse_span("4")) == [4]
+    assert list(parse_span("1..3")) == [1, 2, 3]
     with pytest.raises(ValueError):
         parse_span("5..2")
     assert parse_alpha("2") == 2.0
@@ -335,6 +337,19 @@ def test_huge_span_is_a_usage_error(capsys, argv):
     assert len(parse_span(f"5..{4 + MAX_SPAN}")) == MAX_SPAN
     with pytest.raises(ValueError, match="limit"):
         parse_span(f"5..{5 + MAX_SPAN}")
+
+
+def test_refused_span_holds_no_list(capsys):
+    # spans are ranges: the 58,000,000-row request peaked at 48 MB as lists
+    argv = ("branch-points", "--n", "2", "--block", "2..30", "--m", "0..999999")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "") and f"58000000 rows, more than the limit {MAX_SPAN}" in err
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("argv,rows", [
@@ -785,3 +800,67 @@ def test_any_request_answers_or_fails_as_documented(tmp_path, data):
         assert abs(total - 1.0) <= 1e-12, (argv, row)
         if row["S"] is not None:
             assert -1e-12 <= float(row["S"]) * base <= 2.0 * math.log(n) + 1e-12, (argv, row)
+
+
+CHECK_NAMES = list(cli.CHECKS)
+AMP_BUDGETS = [-1, 0, 12, 100, 1000, 3000, 10 ** 4, 10 ** 5, states.DEFAULT_AMP_BUDGET]
+MATRIX_BUDGETS = [-1, 1, 4, 10, 27, 100, 300, oracle.DEFAULT_MATRIX_BUDGET]
+
+
+@st.composite
+def verify_requests(draw, out_file, out_dir):
+    """A verify argv and its budget environment: --n from 1 to 7 with repeats,
+    --only subsets that may name one unknown check, --format, --out, budget
+    options up to their defaults, and VBSENT_AMP_BUDGET / VBSENT_MATRIX_BUDGET
+    unset (None), small, empty or not a number."""
+    argv = ["verify"]
+    for n in draw(st.lists(weighted((1, 1), (4, 2), (4, 3), (2, 4), (1, 5), (1, 6), (1, 7)), max_size=3)):
+        argv += ["--n", str(n)]
+    names = draw(st.lists(st.sampled_from(CHECK_NAMES), max_size=3))
+    names += draw(weighted((6, []), (1, ["no-such-check"])))
+    for name in draw(st.permutations(names)):
+        argv += ["--only", name]
+    for option, budgets in (("--budget-amps", AMP_BUDGETS), ("--budget-matrix", MATRIX_BUDGETS)):
+        argv += draw(weighted((2, []), (1, [option, str(draw(st.sampled_from(budgets)))])))
+    argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    out = draw(weighted((3, None), (2, out_file), (1, out_dir)))
+    env = {key: draw(weighted((6, None), (3, str(draw(st.sampled_from(budgets)))), (1, ""), (1, "abc")))
+           for key, budgets in ((cli.AMP_BUDGET_ENV, AMP_BUDGETS), (cli.MATRIX_BUDGET_ENV, MATRIX_BUDGETS))}
+    return argv + ([] if out is None else ["--out", str(out)]), env
+
+
+@settings(derandomize=True, max_examples=100, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_verify_request_answers_or_fails_as_documented(tmp_path, data):
+    target = tmp_path / "report.json"
+    argv, env = data.draw(verify_requests(target, tmp_path))
+    target.unlink(missing_ok=True)
+    environ = {key: value for key, value in os.environ.items() if key not in env}
+    environ.update((key, value) for key, value in env.items() if value is not None)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, environ, clear=True), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, env, code, err)
+    if code in (2, 3):
+        causes = ["budget"] if code == 3 else ["no-such-check", "qudit dimension", "invalid int value",
+                                               "cannot write --out"]
+        assert out == "" and not target.exists() and "error: " in err and "Traceback" not in err, argv
+        assert any(cause in err for cause in causes), (argv, env, err)
+        return
+    assert err == "", (argv, env, err)
+    only = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--only"]
+    names = list(dict.fromkeys(only)) if only else CHECK_NAMES
+    if "--out" not in argv and "json" not in argv:
+        assert [line.split(":")[0] for line in out.splitlines()] == names, argv
+        return
+    report = json.loads(target.read_text() if "--out" in argv else out)
+    assert report["all_passed"] == (code == 0), (argv, report)
+    assert [check["name"] for check in report["checks"]] == names, argv
+    for check in report["checks"]:
+        assert check["evaluated"] > 0 or (check["worst_at"] is None and not check["passed"]), (argv, check)

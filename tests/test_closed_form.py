@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +208,32 @@ def test_periodic_validation():
         periodic_spectrum(2, 3, 4)
     with pytest.raises(ValueError):
         periodic_spectrum(2, 3, 0)
+
+
+NUMPY_N_SCRIPT = """
+import numpy as np
+from vbsent import closed_form as c
+for n in (np.int64(2), np.int32(3), np.uint8(4)):
+    m = int(n)
+    for found, expected in [(c.open_spectrum(n, 3), c.open_spectrum(m, 3)),
+                            (c.open_spectrum(n, 900), c.open_spectrum(m, 900)),
+                            (c.periodic_spectrum(n, 10, 4), c.periodic_spectrum(m, 10, 4))]:
+        assert type(found.n) is int and found == expected and found.floats() == expected.floats()
+    assert c.open_entropy(n, 3) == c.open_entropy(m, 3)
+    assert c.open_renyi(n, 3, 0.5 + 1j) == c.open_renyi(m, 3, 0.5 + 1j)
+    assert c.branch_points(n, 4) == c.branch_points(m, 4)
+"""
+
+
+def test_numpy_integer_n_computes_as_a_python_int():
+    # in int64 the transfer weights wrapped, and the float cut's search over
+    # d**k never ended: the hanging calls run in a child with a timeout
+    assert transfer_spectrum(np.int64(2), 50).floats() == (0.25, 0.25)
+    assert transfer_spectrum(np.uint8(4), 30) == transfer_spectrum(4, 30)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", NUMPY_N_SCRIPT], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=30)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))

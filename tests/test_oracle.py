@@ -116,8 +116,8 @@ def test_jacobi_sweep_limit(monkeypatch):
 
 def per_pivot_jacobi(matrix):
     """The cyclic sweep visiting every pivot and updating two columns and two
-    rows per rotation: the reference the row scan and the row-only update
-    must reproduce bit for bit."""
+    rows per rotation: the reference the row-only update must reproduce bit
+    for bit."""
     w = np.asarray(matrix, dtype=complex)
     w = (w + w.conj().T) / 2.0
     dim = w.shape[0]
@@ -166,12 +166,12 @@ def per_pivot_jacobi(matrix):
 
 
 @settings(max_examples=16)
-@given(st.one_of(st.integers(2, 8), st.integers(oracle.SCAN_MIN_DIM - 1, oracle.SCAN_MIN_DIM + 2)),
-       st.integers(1, oracle.SCAN_MIN_DIM + 2), st.booleans(),
+@given(st.one_of(st.integers(2, 8), st.integers(31, 34)),
+       st.integers(1, 34), st.booleans(),
        st.sampled_from([1.0, 0.3, 0.03]), st.integers(0, 2**16))
 def test_jacobi_is_bit_identical_to_the_per_pivot_loop(dim, rank, is_complex, density, seed):
     # a Gram of the drawn rank, kept on a random symmetric pattern of the
-    # drawn density: dense rows run the per-pivot loop, sparse ones the scan
+    # drawn density, so that rows hold few or many live pivots
     r = rng(seed)
     x = r.normal(size=(dim, min(rank, dim)))
     if is_complex:
@@ -182,7 +182,7 @@ def test_jacobi_is_bit_identical_to_the_per_pivot_loop(dim, rank, is_complex, de
 
 
 def test_jacobi_is_bit_identical_to_the_per_pivot_loop_on_a_rank_1_gram():
-    # the shape of dense-gram's sector Grams: row 0 is all live, the rest clean
+    # the shape of a split block's sector Grams: row 0 is all live, the rest clean
     v = rng(7).normal(size=456) + 1j * rng(8).normal(size=456)
     h = np.outer(v, v.conj()) / np.vdot(v, v).real
     assert jacobi_eigvalsh(h).tobytes() == per_pivot_jacobi(h).tobytes()
@@ -199,7 +199,7 @@ def test_jacobi_is_bit_identical_to_the_per_pivot_loop_on_the_verify_grid(monkey
 
     monkeypatch.setattr(oracle, "jacobi_eigvalsh", compared)
     assert all(result.passed for result in run_checks())
-    assert len(dims) == 109 and max(dims) > oracle.SCAN_MIN_DIM
+    assert len(dims) == 109 and max(dims) == 81
 
 
 # ------------------------------------------------------------ reduced density

@@ -75,6 +75,15 @@ def test_chain_spec_budget_names_a_huge_size_as_a_power():
         ChainSpec(3, 10 ** 18, PERIODIC)
 
 
+def test_chain_spec_takes_numpy_integers_as_python_ints():
+    # in int64, 3**40 wrapped to a negative count that passed the budget
+    with pytest.raises(BudgetError, match="state would need 12157665459056928801 amplitudes"):
+        ChainSpec(np.int64(2), np.int64(40), PERIODIC)
+    spec = ChainSpec(np.uint8(3), np.int32(2), OPEN)
+    assert (type(spec.n), type(spec.N)) == (int, int) and spec == ChainSpec(3, 2, OPEN)
+    assert open_vbs_state(spec).codes.tobytes() == open_vbs_state(ChainSpec(3, 2, OPEN)).codes.tobytes()
+
+
 def test_pure_state_norm_guard():
     one = np.array([1, 0, 0, 0], dtype=np.uint8)
     PureState(2, (4,), one, 1.0)
