@@ -67,7 +67,7 @@ MAX_SPAN = 10 ** 6
 
 #: A --verify row of a state of at most this many amplitudes also runs the
 #: float oracle as a cross-check: its Grams are at most 256 wide, so no matrix
-#: budget applies, and it costs at most ~10 ms (the n=2 ring of 10, L=5).
+#: budget applies, and it costs at most ~20 ms (the n=2 ring of 10, L=5).
 CROSS_CHECK_AMPS = 1 << 16
 
 
