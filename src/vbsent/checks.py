@@ -358,9 +358,7 @@ def run_checks(
     unknown = [x for x in names if x not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; available: {sorted(CHECKS)}")
-    use_ns = tuple(dict.fromkeys(ns or ALL_NS))
-    for n in use_ns:
-        weyl._check_dimension(n)
+    use_ns = tuple(dict.fromkeys(map(weyl._check_dimension, ns or ALL_NS)))
     run = CheckRun(amp_budget, matrix_budget)
     results = []
     for name in names:

@@ -43,7 +43,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DegenerateSpectrumError
-from .weyl import _check_dimension, _check_order, _log_power_sum
+from .weyl import _check_dimension, _check_int, _check_order, _log_power_sum
 
 Order = Union[float, complex]
 
@@ -55,11 +55,6 @@ DEGENERACY_TOL = 1e-15
 
 #: Float weights drop every decay term (-1/d)**k with d**k above 2**CUT_BITS.
 CUT_BITS = 1200
-
-
-def _check_length(L: int) -> None:
-    if not isinstance(L, int) or L < 1:
-        raise ValueError(f"block length must be an integer >= 1, got {L!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,19 +236,15 @@ def _spectrum(n: int, N: Optional[int], L: int) -> BlockSpectrum:
 
 def open_spectrum(n: int, L: int) -> BlockSpectrum:
     """Exact open-chain block weights for a block of L bulk sites."""
-    n = _check_dimension(n)
-    _check_length(L)
-    return _spectrum(n, None, L)
+    return _spectrum(_check_dimension(n), None, _check_int(L, 1, "block length must be an integer L"))
 
 
 def periodic_spectrum(n: int, N: int, L: int) -> BlockSpectrum:
     """Exact ring block weights for a block of L out of N bulk sites."""
-    n = _check_dimension(n)
-    _check_length(L)
-    if not isinstance(N, int) or N < L:
-        raise ValueError(f"need 1 <= L <= N, got L={L!r}, N={N!r}")
-    if N < 2:
-        raise ValueError(f"periodic chain needs N >= 2, got {N!r}")
+    n, L = _check_dimension(n), _check_int(L, 1, "block length must be an integer L")
+    N = _check_int(N, 2, "periodic chain length must be an integer N")
+    if N < L:
+        raise ValueError(f"need 1 <= L <= N, got L={L}, N={N}")
     return _spectrum(n, N, L)
 
 
@@ -306,9 +297,9 @@ def branch_residual(n: int, L: int, alpha: complex) -> float:
     point.  Returns its modulus; at a true branch point this sits at
     rounding level regardless of scale.
     """
-    n = _check_dimension(n)
-    singlet, adjoint = open_spectrum(n, L).floats()
-    return abs(cmath.exp(alpha * math.log(singlet / adjoint)) + (n * n - 1))
+    spectrum = open_spectrum(n, L)
+    singlet, adjoint = spectrum.floats()
+    return abs(cmath.exp(alpha * math.log(singlet / adjoint)) + spectrum.multiplicity)
 
 
 def branch_points(n: int, L: int, ms: Iterable[int] = range(3)) -> List[BranchPoint]:
@@ -321,14 +312,15 @@ def branch_points(n: int, L: int, ms: Iterable[int] = range(3)) -> List[BranchPo
     one point per (m, sign); the two signs give conjugate points.  The real
     part is positive for even L and negative for odd L, since the weight
     ratio crosses 1 with the sign of the decay factor.  Each returned point
-    is checked to annihilate the factored power sum within 1e-8
-    (`branch_residual`).
+    is checked to annihilate the factored power sum within 1e-8; its
+    residual is `branch_residual`'s, computed from the same spectrum.
 
     L = 1 is rejected (the singlet weight is exactly zero there) and so are
     lengths where the two weights agree within 1e-15.
     """
-    n = _check_dimension(n)
-    singlet, adjoint = open_spectrum(n, L).floats()
+    spectrum = open_spectrum(n, L)
+    L, d = spectrum.L, spectrum.multiplicity
+    singlet, adjoint = spectrum.floats()
     if L == 1:
         raise ValueError(f"block length {L} has singlet weight exactly 0; the weight ratio is undefined")
     if abs(singlet - adjoint) < DEGENERACY_TOL:
@@ -338,11 +330,10 @@ def branch_points(n: int, L: int, ms: Iterable[int] = range(3)) -> List[BranchPo
     denom = math.log(singlet / adjoint)
     points = []
     for m in ms:
-        if not isinstance(m, int) or m < 0:
-            raise ValueError(f"branch integer must be >= 0 (signs are enumerated), got {m!r}")
+        m = _check_int(m, 0, "branch integer must be an integer m")
         for sign in (1, -1):
-            alpha = complex(math.log(n * n - 1), sign * (2 * m + 1) * math.pi) / denom
-            residual = branch_residual(n, L, alpha)
+            alpha = complex(math.log(d), sign * (2 * m + 1) * math.pi) / denom
+            residual = abs(cmath.exp(alpha * denom) + d)
             if residual >= BRANCH_RESIDUAL_TOL:
                 raise ArithmeticError(
                     f"branch point {alpha!r} left residual {residual:.3e}; formula/arithmetic broken"
@@ -363,9 +354,8 @@ def transfer_diagonalizer(n: int) -> np.ndarray:
     to diag(n^2-1, -1, ..., -1)."""
     n = _check_dimension(n)
     nn = n * n
-    zeta = np.exp(2j * np.pi / nn)
     j, k = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
-    return zeta ** (j * k) / n
+    return np.exp(2j * np.pi * (j * k % nn) / nn) / n  # reduced first: a rounded zeta's powers drift
 
 
 def transfer_spectrum(n: int, L: int) -> BlockSpectrum:
@@ -375,8 +365,7 @@ def transfer_spectrum(n: int, L: int) -> BlockSpectrum:
     matrix L times in Python integer arithmetic, and normalizes by
     (n^2-1)**L.  Independent of `open_spectrum` but must agree with it.
     """
-    n = _check_dimension(n)
-    _check_length(L)
+    n, L = _check_dimension(n), _check_int(L, 1, "block length must be an integer L")
     nn = n * n
     vec = [1] + [0] * (nn - 1)
     for _ in range(L):

@@ -42,7 +42,8 @@ def edge_basis(n: int, L: int, amp_budget: int = DEFAULT_AMP_BUDGET) -> PureStat
     """Every |p,q> at once, row p*n + q: the closure rows of the keys
     (p, q, 0) joined to every string, closure label b written as -b with
     phase omega**(-b_l * b_m), scaled by (n^2-1)**(-L/2) to one unit vector."""
-    ChainSpec(n, L, OPEN, amp_budget)  # the open chain this block is compared with
+    spec = ChainSpec(n, L, OPEN, amp_budget)  # the open chain this block is compared with
+    n, L = spec.n, spec.N
     tail = fold_tables(n, L - 1)
     every = np.arange(n * n, dtype=tail[0].dtype)
     suml, summ, phase = _join((every // n, every % n, np.zeros_like(every)), tail, n)

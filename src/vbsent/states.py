@@ -65,7 +65,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetError, InvariantError
-from .weyl import _check_dimension, omega_powers
+from .weyl import _check_dimension, _check_int, omega_powers
 
 #: Default cap on the number of stored amplitudes per state.
 DEFAULT_AMP_BUDGET = 2 ** 26
@@ -90,10 +90,8 @@ class ChainSpec:
         object.__setattr__(self, "n", _check_dimension(self.n))
         if self.boundary not in (OPEN, PERIODIC):
             raise ValueError(f"boundary must be {OPEN!r} or {PERIODIC!r}, got {self.boundary!r}")
-        min_sites = 2 if self.boundary == PERIODIC else 1
-        if not isinstance(self.N, (int, np.integer)) or self.N < min_sites:
-            raise ValueError(f"{self.boundary} chain needs N >= {min_sites}, got {self.N!r}")
-        object.__setattr__(self, "N", int(self.N))  # numpy integers would wrap in d**N
+        object.__setattr__(self, "N", _check_int(self.N, 2 if self.boundary == PERIODIC else 1,
+                                                 f"{self.boundary} chain length must be an integer N"))
         d, N = self.n ** 2 - 1, self.N
         # d**N >= 2**((bits - 1) N): a size past 64 bits and the budget's is named
         # as a power and not formed, as it can take thousands of digits
@@ -138,7 +136,7 @@ class PureState:
     nonzeros: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_dimension(self.n)
+        object.__setattr__(self, "n", _check_dimension(self.n))
         if not self.dims or not set(self.dims) <= {self.n ** 2 - 1, self.n ** 2}:
             raise ValueError(f"slot dimensions must be n^2 - 1 or n^2 at n = {self.n}, got {self.dims}")
         if self.codes.dtype != code_dtype(self.n):

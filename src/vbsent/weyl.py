@@ -47,11 +47,17 @@ from .errors import BranchPointCondition
 MAX_EMBED_DIMENSION = 4
 
 
+def _check_int(value: int, least: int, what: str) -> int:
+    """A Python or numpy integer >= least as a Python int (exact arithmetic
+    would wrap a numpy one in int64); anything else raises ValueError
+    "{what} >= {least}, got {value!r}", `what` naming the argument."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} >= {least}, got {value!r}")
+    return int(value)
+
+
 def _check_dimension(n: int) -> int:
-    """n as a Python int: with a numpy integer, exact arithmetic would wrap in int64."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"qudit dimension must be an integer >= 2, got {n!r}")
-    return int(n)
+    return _check_int(n, 2, "qudit dimension must be an integer")
 
 
 def _check_order(alpha: Union[float, complex]) -> Union[float, complex]:
@@ -97,7 +103,7 @@ def _log_power_sum(total: Union[float, complex], alpha: Union[float, complex],
 
 def as_index(n: int, a: Tuple[int, int]) -> Tuple[int, int]:
     """The pair label a = (l, m) for dimension n, reduced mod n."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     l, m = a
     return int(l) % n, int(m) % n
 
@@ -105,7 +111,7 @@ def as_index(n: int, a: Tuple[int, int]) -> Tuple[int, int]:
 @lru_cache(maxsize=None)
 def omega_powers(n: int) -> np.ndarray:
     """omega**k for k = 0..n-1, a read-only table evaluated once per n."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     table = complex(np.exp(2j * np.pi / n)) ** np.arange(n)
     table.flags.writeable = False
     return table
@@ -113,7 +119,7 @@ def omega_powers(n: int) -> np.ndarray:
 
 def pauli_x(n: int) -> np.ndarray:
     """Cyclic shift: X|j> = |j+1 mod n>; X**n = I."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     x = np.zeros((n, n), dtype=complex)
     x[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
     return x
@@ -121,7 +127,7 @@ def pauli_x(n: int) -> np.ndarray:
 
 def pauli_z(n: int) -> np.ndarray:
     """Clock operator diag(1, omega, ..., omega**(n-1)); Z**n = I."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     return np.diag(omega_powers(n))
 
 
@@ -144,7 +150,7 @@ def phase_fold(n: int, factors: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, i
 
     The empty product is the identity, ((0, 0), 0).
     """
-    _check_dimension(n)
+    n = _check_dimension(n)
     l = m = k = 0
     for f in factors:
         fl, fm = as_index(n, f)
@@ -173,7 +179,7 @@ def conjugate_embedding(n: int, j: int) -> np.ndarray:
     Returns a unit vector of dimension n**(n-1); the n vectors are mutually
     orthonormal.  Exponential in n, hence guarded by MAX_EMBED_DIMENSION.
     """
-    _check_dimension(n)
+    n = _check_dimension(n)
     if n > MAX_EMBED_DIMENSION:
         raise ValueError(f"embedding n**(n-1) too large for n={n} (max n={MAX_EMBED_DIMENSION})")
     if not 0 <= j < n:
@@ -197,7 +203,7 @@ def swap_identity_residual(n: int) -> float:
     The identity is exact; the return value is the floating-point residual
     of assembling both sides.
     """
-    _check_dimension(n)
+    n = _check_dimension(n)
     if n > MAX_EMBED_DIMENSION:
         raise ValueError(f"four-qudit space too large for n={n} (max n={MAX_EMBED_DIMENSION})")
     pair0 = u_lm(n, (0, 0)) / math.sqrt(n)

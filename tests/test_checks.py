@@ -11,6 +11,7 @@ from vbsent.checks import (
     CHECKS,
     OPEN_GRID,
     CheckRun,
+    check_transfer_matrix,
     reduce_points,
     run_checks,
     saturation_envelope,
@@ -72,6 +73,13 @@ def test_checks_yield_located_points_on_their_grids():
             assert where["n"] == n and set(where) <= {"n", "N", "L", "start", "part", "label",
                                                        "m", "sign", "alpha"}, (name, where)
             assert dev < tol, (name, where)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_transfer_matrix_passes_past_the_verify_grid(n):
+    # zeta**(j*k) of a rounded zeta drifted with j*k up to (n^2-1)^2: 1.61e-12 at n=9
+    points = list(check_transfer_matrix(n, CheckRun(10 ** 6, 4096)))
+    assert points and all(dev < tol for dev, tol, _ in points)
 
 
 def test_saturation_and_limit_consistency_name_a_location():

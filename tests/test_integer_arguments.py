@@ -1,0 +1,128 @@
+"""The integer contract: n, N, L and m may be Python or numpy integers (or
+True, which is 1), and every entry point computes with them as the Python int
+each equals; any other value is refused with a ValueError naming the argument."""
+
+import json
+import re
+from datetime import timedelta
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vbsent import closed_form, weyl
+from vbsent.checks import run_checks
+from vbsent.edges import edge_basis
+from vbsent.states import OPEN, PERIODIC, ChainSpec, PureState, open_vbs_state
+
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+NON_INTEGERS = (4.0, np.float64(4), "4", None, np.bool_(True), Fraction(4))
+
+
+def _spectrum(spec):
+    return (spec, [type(v) for v in (spec.n, spec.N, spec.L)], spec.floats(),
+            repr(spec.entropy()), repr(spec.renyi(2.0)), repr(spec.renyi(0.5 + 1j)))
+
+
+def _state(state):
+    return type(state.n), state.n, state.dims, state.codes.dtype, state.codes.tobytes(), state.scale
+
+
+def _spec(spec):
+    return spec, type(spec.n), type(spec.N)
+
+
+def _points(points):  # BranchPoint equality would take np.True_ for True
+    return [(p, [type(v) for v in (p.alpha, p.m, p.sign, p.residual, p.even_block)]) for p in points]
+
+
+def _checks(results):
+    return [(r, json.dumps(r.worst_at)) for r in results]
+
+
+def _ring(n_max):
+    return st.tuples(st.integers(2, n_max), st.integers(2, 40)).flatmap(
+        lambda nN: st.tuples(st.just(nN[0]), st.just(nN[1]), st.integers(1, nN[1])))
+
+
+DIM, LENGTH, RING, CHAIN = "qudit dimension", "block length", "periodic chain length", "chain length"
+
+# entry point -> (facts of its result, its arguments drawn as Python ints, and
+# per argument the phrase its refusal holds, None for an argument that is no integer)
+CASES = {
+    "open_spectrum": (lambda n, L: _spectrum(closed_form.open_spectrum(n, L)),
+                      st.tuples(st.integers(2, 6), st.integers(1, 60)), (DIM, LENGTH)),
+    "periodic_spectrum": (lambda n, N, L: _spectrum(closed_form.periodic_spectrum(n, N, L)),
+                          _ring(6), (DIM, RING, LENGTH)),
+    "transfer_spectrum": (lambda n, L: _spectrum(closed_form.transfer_spectrum(n, L)),
+                          st.tuples(st.integers(2, 5), st.integers(1, 20)), (DIM, LENGTH)),
+    "open entropies": (lambda n, L: (repr(closed_form.open_entropy(n, L)),
+                                     repr(closed_form.open_renyi(n, L, 3.0))),
+                       st.tuples(st.integers(2, 6), st.integers(1, 60)), (DIM, LENGTH)),
+    "ring entropies": (lambda n, N, L: (repr(closed_form.periodic_entropy(n, N, L)),
+                                        repr(closed_form.periodic_renyi(n, N, L, 0.5))),
+                       _ring(6), (DIM, RING, LENGTH)),
+    "branch_points": (lambda n, L, ms: _points(closed_form.branch_points(n, L, ms)),
+                      st.tuples(st.integers(2, 4), st.integers(2, 8),
+                                st.lists(st.integers(0, 5), min_size=1, max_size=3)),
+                      (DIM, LENGTH, "branch integer")),
+    "branch_residual": (lambda n, L, alpha: repr(closed_form.branch_residual(n, L, alpha)),
+                        st.tuples(st.integers(2, 4), st.integers(2, 8), st.just(1.5 + 2j)),
+                        (DIM, LENGTH, None)),
+    "ChainSpec": (lambda n, N, boundary: _spec(ChainSpec(n, N, boundary)),
+                  st.tuples(st.integers(2, 4), st.integers(2, 4), st.sampled_from([OPEN, PERIODIC])),
+                  (DIM, CHAIN, None)),
+    "PureState": (lambda n, state: _state(PureState(n, state.dims, state.codes, state.scale)),
+                  st.integers(2, 3).map(lambda n: (n, open_vbs_state(ChainSpec(n, 2, OPEN)))),
+                  (DIM, None)),
+    "edge_basis": (lambda n, L: _state(edge_basis(n, L)),
+                   st.tuples(st.integers(2, 3), st.integers(1, 3)), (DIM, CHAIN)),
+    "weyl": (lambda n: (repr(weyl.phase_fold(n, [(1, -1), (2, 3)])), weyl.u_lm(n, (1, -1)).tobytes(),
+                        weyl.bell_vector(n, (2, -1)).tobytes(), repr(weyl.swap_identity_residual(min(n, 3)))),
+             st.tuples(st.integers(2, 6)), (DIM,)),
+    "run_checks": (lambda n: _checks(run_checks(only=["saturation", "transfer-matrix"], ns=[n])),
+                   st.tuples(st.integers(2, 4)), (DIM,)),
+}
+
+
+@st.composite
+def integers_equal_to(draw, value):
+    """value as a Python int, as any numpy integer type that holds it, or as True if it is 1."""
+    if isinstance(value, list):
+        return [draw(integers_equal_to(v)) for v in value]
+    kinds = [int] + [t for t in NUMPY_INTEGERS if np.iinfo(t).min <= value <= np.iinfo(t).max]
+    return draw(st.sampled_from(kinds + [bool] * (value == 1)))(value)
+
+
+def _draw_case(data):
+    name = data.draw(st.sampled_from(sorted(CASES)))
+    facts, arguments, phrases = CASES[name]
+    return name, facts, tuple(data.draw(arguments)), phrases
+
+
+@settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=2))
+@given(data=st.data())
+def test_integer_arguments_compute_as_python_ints(data):
+    name, facts, args, phrases = _draw_case(data)
+    drawn = tuple(data.draw(integers_equal_to(a)) if phrase else a for a, phrase in zip(args, phrases))
+    assert facts(*drawn) == facts(*args), (name, drawn)
+
+
+@settings(derandomize=True, max_examples=200, deadline=timedelta(seconds=2))
+@given(data=st.data())
+def test_non_integer_arguments_are_refused_by_name(data):
+    name, facts, args, phrases = _draw_case(data)
+    i = data.draw(st.sampled_from([i for i, phrase in enumerate(phrases) if phrase]))
+    bad = data.draw(st.sampled_from(NON_INTEGERS))
+    args = args[:i] + ([bad] if isinstance(args[i], list) else bad,) + args[i + 1:]
+    with pytest.raises(ValueError, match=re.escape(phrases[i])):
+        facts(*args)
+
+
+def test_saturation_check_runs_at_a_numpy_n():
+    # a numpy n reached saturation_envelope, whose int64 powers refused a negative exponent
+    (result,) = run_checks(only=["saturation"], ns=[np.int64(2)])
+    assert result.passed and result.evaluated > 0
+    assert json.loads(json.dumps(result.worst_at))["n"] == 2
