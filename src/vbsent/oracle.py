@@ -19,17 +19,19 @@ M once (to M^T if the environment is smaller) so that its smaller side is on
 the rows.  Every nonzero amplitude has Z_n x Z_n charge 0
 (`states.charges`), so a nonzero entry links only a row and a column of
 equal charge, and M is the direct sum of its n^2 charge sectors up to a
-permutation.  `_sectors` gathers them one at a time, in pieces, and
-certifies that they hold every nonzero of the state, or raises
-InvariantError.  The charges come from the slot encoding alone.
+permutation (`_split`).  Both routes certify that the sectors hold every
+nonzero of the state, or raise InvariantError.  The charges come from the
+slot encoding alone.
 
 * `block_spectrum`, the float route, diagonalizes the row Gram D D^dagger of
   the turned matrix.  When its smaller side exceeds SPLIT_MIN_SIDE and M has
   more than SPLIT_MIN_ENTRIES entries, each sector's Gram is diagonalized on
   its own (`_sector_spectra`).
-* `exact_block_spectrum`, the exact route, forms no matrix.  It certifies
-  each sector rank one in integers from its codes (`_rank_one`), so that
-  its one eigenvalue is the Fraction nnz_s / nnz(state) of two counts.
+* `exact_block_spectrum`, the exact route, forms no matrix.  It reads the
+  codes once, in chunks, handing each sector its part (`_read_sectors`),
+  and checks each sector against the codes that its rank-one law predicts
+  from one anchor row and column (`_Sector`).  A sector's one eigenvalue is
+  then the Fraction nnz_s / nnz(state) of two counts.
 
 M itself holds the state's phase codes (see `states`), reshaped and
 transposed: one byte per entry.  Every Gram, and every reduced density
@@ -58,7 +60,6 @@ deviation fails it.  Hermiticity is measured in row blocks
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,11 +105,11 @@ HERMITIAN_TOL = 1e-12
 #: dominated by its output and runs many times slower per entry.
 GRAM_CHUNK = 1 << 16
 
-#: Entries per chunk of head rows when a one-row sector's piece is gathered
-#: (`_gather_row`, 64 KiB of codes).  Head rows first, then tails: at n = 2,
-#: L = 15 a piece of 0.9M codes took 4.0 ms this way and 8.0 ms as one
-#: three-index gather, and no chunk holds the whole head.
-GATHER_CHUNK = 1 << 16
+#: Codes per chunk of the exact route's one read of a code matrix
+#: (`_read_sectors`, 256 KiB): a chunk serves every sector at once.  At 64 KiB
+#: the n = 4 ring of 6 took up to twice as long; at 512 KiB the peak of the
+#: n = 3 ring of 8 passed 1.5 MB.
+GATHER_CHUNK = 1 << 18
 
 #: Entries per row block of a Hermiticity measurement (4 MiB of complex128):
 #: a matrix of dim <= 512 is one block.
@@ -287,62 +288,42 @@ def reduced_density(
     return DensityMatrix(_gram(m, state.table))
 
 
-def _gather_row(row: np.ndarray, h: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """row[np.ix_(h, t)] of a (head, tail) view: the head rows are copied
-    GATHER_CHUNK entries at a time, then their tails picked."""
-    out = np.empty((h.size, t.size), dtype=row.dtype)
-    step = max(1, GATHER_CHUNK // row.shape[1])
-    for lo in range(0, h.size, step):
-        np.take(row[h[lo:lo + step]], t, axis=1, out=out[lo:lo + step])
-    return out
+def _split(state: PureState, short: Sequence[int], long: Sequence[int], wide: np.ndarray,
+           fit: int) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
+    """(view, sides, heads, tails): the charge split of `wide`, the code
+    matrix with the slots `short` on its rows and `long` on its columns.
 
-
-def _sectors(state: PureState, short: Sequence[int], long: Sequence[int],
-             wide: np.ndarray) -> Iterator[Tuple[int, Iterator[Tuple[np.ndarray, int]]]]:
-    """The charge sectors of `wide`, the state's code matrix with the slots
-    `short` on its rows and `long` on its columns, gathered in pieces.
-
-    The columns are a head, their longest leading run of slots with product
-    H <= min(length / side, sqrt(length)), times a tail.  Sector c gathers,
-    per head charge a, the head and tail rows of charges a and -(c + a)
-    (`states.charges`): one piece of shape (rows, head rows x tail rows).  A
-    square `wide` has H = 1: one piece, wide[np.ix_(rows, cols)].
-
-    Yields (c, pieces) for each sector with rows and columns.  `pieces`
-    gathers each piece, with its nonzero count, only when it is reached and
-    holds none after, so a sector is never held whole; it must be exhausted
-    before the next sector.  After the last sector, raises InvariantError if
-    the sectors hold fewer nonzeros than the state, naming a sector whose
-    rows hold the rest.
+    The columns are a head, the longest leading run of slots with product
+    H <= min(length / side, sqrt(length)), lengthened until side x tail fits
+    `fit` codes, times a tail; `view` is `wide` as (side, H, tail), a view.
+    `sides`, `heads` and `tails` list the rows, head rows and tail rows of
+    each charge c = l*n + m; sector c meets, under head charge a, the tails
+    of charge -(c + a) (`_tail`).
     """
     n, dims = state.n, state.dims
     side, length = wide.shape
     runs = np.cumprod([1] + [dims[i] for i in long])  # products of the leading runs
-    k = int(np.count_nonzero((side * runs <= length) & (runs * runs <= length))) - 1
-    view = wide.reshape(side, int(runs[k]), -1)  # a view, never a copy
+    k = max(int(np.count_nonzero((side * runs <= length) & (runs * runs <= length))) - 1,
+            int(np.count_nonzero(side * length > fit * runs)))
     groups = [charges(n, dims, slots) for slots in (short, long[:k], long[k:])]
     sides, heads, tails = ([np.flatnonzero(q == c) for c in range(n * n)] for q in groups)
-    held = [0] * (n * n)
+    return wide.reshape(side, int(runs[k]), -1), sides, heads, tails
 
-    def gather(c: int, rows: np.ndarray, cols: list) -> Iterator[Tuple[np.ndarray, int]]:
-        for h, t in cols:
-            if rows.size == 1:
-                piece = _gather_row(view[rows[0]], h, t).reshape(1, -1)
-            else:
-                piece = view[rows[:, None, None], h[:, None], t].reshape(rows.size, -1)
-            count = int(np.count_nonzero(piece))
-            held[c] += count
-            yield piece, count
-            del piece  # not held while the next piece is gathered
 
-    for c, rows in enumerate(sides):
-        cols = [(h, t) for a, h in enumerate(heads)
-                for t in [tails[-(c // n + a // n) % n * n + -(c + a) % n]] if h.size and t.size]
-        if rows.size and cols:
-            yield c, gather(c, rows, cols)
-    total = state.nonzeros
+def _tail(n: int, c: int, a: int) -> int:
+    """The tail charge -(c + a) that meets row charge c under head charge a."""
+    return -(c // n + a // n) % n * n + -(c + a) % n
+
+
+def _count_certificate(state: PureState, short: Sequence[int], wide: np.ndarray,
+                       held: List[int]) -> None:
+    """Raises InvariantError if the charge sectors of `wide`, its rows over
+    the slots `short`, hold held[c] nonzeros, fewer than the state, naming
+    a sector whose rows hold the rest."""
+    n, total = state.n, state.nonzeros
     if sum(held) != total:
-        c = next(c for c, rows in enumerate(sides) if np.count_nonzero(wide[rows]) != held[c])
+        row_charges = charges(n, state.dims, short)
+        c = next(c for c in range(n * n) if np.count_nonzero(wide[row_charges == c]) != held[c])
         raise InvariantError(f"{total - sum(held)} of {total} nonzero amplitudes cross "
                              f"the Z_n x Z_n charge sectors; the rows of sector "
                              f"{(c // n, c % n)} hold some (count certificate)")
@@ -350,69 +331,177 @@ def _sectors(state: PureState, short: Sequence[int], long: Sequence[int],
 
 def _sector_spectra(state: PureState, short: Sequence[int], long: Sequence[int],
                     wide: np.ndarray) -> Iterator[np.ndarray]:
-    """Eigenvalues of the row Gram of each charge sector of `wide` (`_sectors`),
-    one Gram held at a time: the sum of its pieces' row Grams, in order."""
-    for _, pieces in _sectors(state, short, long, wide):
-        # no name holds the Gram, so it is freed before the next one is formed
-        yield jacobi_eigvalsh(functools.reduce(np.add, (_gram(p, state.table) for p, _ in pieces)))
+    """Eigenvalues of the row Gram of each charge sector of `wide` (`_split`,
+    no tail shorter than the side), one Gram held at a time: the sum, in
+    order, of its pieces' row Grams, a piece per head charge a (its rows
+    over the head rows of charge a times the tails that meet them), each
+    freed before the next is gathered.  Then the count certificate."""
+    n = state.n
+    view, sides, heads, tails = _split(state, short, long, wide, wide.size)
+    held = [0] * (n * n)
+    for c, rows in enumerate(sides):
+        gram = None
+        for a, h in enumerate(heads):
+            t = tails[_tail(n, c, a)]
+            if rows.size and h.size and t.size:
+                piece = view[rows[:, None, None], h[:, None], t].reshape(rows.size, -1)
+                held[c] += int(np.count_nonzero(piece))
+                part = _gram(piece, state.table)
+                del piece  # not held while the next piece is gathered
+                gram = part if gram is None else gram + part
+        if gram is not None:
+            yield jacobi_eigvalsh(gram)
+            del gram  # freed before the next sector's Gram is formed
+    _count_certificate(state, short, wide, held)
 
 
-def _rank_one(n: int, c: int, pieces: Iterator[Tuple[np.ndarray, int]]) -> int:
-    """The nonzero count of one charge sector, certified rank one in integers.
+def _read_sectors(n: int, view: np.ndarray, sides: List[np.ndarray], heads: List[np.ndarray],
+                  tails: List[np.ndarray], sectors: List[_Sector]) -> None:
+    """Hands each sector of `view` (`_split`) its codes, read once.
 
-    Its entries are scale * omega**k_ij on their support.  The sector is
-    rank one iff the support is a full rectangle R x C and
-    k_ij = a_i + b_j (mod n) on it; a single row always is.  The phase law is
-    checked against one reference row i0 and column j0, found in the first
-    piece with a nonzero: k_ij - k_i0j - k_ij0 + k_i0j0 = 0 (mod n) wherever
-    the entry and both references are nonzero, which on a full rectangle is
-    everywhere.  The support is a full rectangle iff the count equals |R| |C|.
-    Raises InvariantError naming the charge and the certificate that failed.
+    Per head charge a, the codes under GATHER_CHUNK codes' worth of its head
+    rows are copied into one reused buffer, in memory order: (head, tail,
+    side) if `view` is transposed, else (head, side, tail).  One take into
+    another then picks, under each head row, every sector's rows at the
+    tails that meet them.  A one-row sector counts its span's nonzeros.  Any
+    other gets its spans as (rows, head rows x tails) pieces of at least
+    GATHER_CHUNK / n^2 codes, short ones joined (`_Sector.add`).
     """
-    nonzeros, width, live = 0, 0, None
-    for piece, count in pieces:
-        nonzeros += count
-        if piece.shape[0] > 1 and count:  # a single row needs only its count
-            support = piece != 0
-            rows = support.any(axis=1)
-            width += np.count_nonzero(support.any(axis=0))
-            if live is None:
-                live, i0 = rows, int(np.argmax(rows))
-                j0 = int(np.argmax(support[i0]))
-                anchored = support[:, j0].copy()  # support changes below
-                ref = np.subtract(piece[:, j0], piece[i0, j0], dtype=np.int16)  # k_ij0 - k_i0j0
-            else:
-                live |= rows
-            phase = np.subtract(piece, piece[i0], dtype=np.int16)  # k_ij - k_i0j
-            phase -= ref[:, None]
-            phase %= n
-            support &= anchored[:, None]
-            support &= piece[i0] != 0
-            if np.any(phase, where=support):
-                raise InvariantError(f"sector {(c // n, c % n)} is not rank one: a phase breaks "
-                                     f"k_ij = a_i + b_j (mod n) (phase certificate)")
-            del support, phase
-        del piece  # no piece is held while the next one is gathered
-    if live is not None and nonzeros != np.count_nonzero(live) * width:
-        raise InvariantError(f"sector {(c // n, c % n)} is not rank one: its {nonzeros} nonzeros "
-                             f"do not fill the {np.count_nonzero(live)} x {width} rectangle of "
-                             f"their rows and columns (rectangle certificate)")
-    return nonzeros
+    side, H, T = view.shape
+    step = max(1, min(GATHER_CHUNK // (side * T), max(h.size for h in heads)))
+    if view.strides[0] < view.strides[2]:  # a line of memory per head row
+        lines, down, along, per = view.transpose(1, 2, 0).reshape(H, -1), 1, side, 1
+    else:  # a line per row and head row
+        lines, down, along, per = view.reshape(-1, T), T, 1, side
+    meets = [[(c, rows, t) for c, rows in enumerate(sides)
+              for t in [tails[_tail(n, c, a)]] if rows.size and t.size and h.size]
+             for a, h in enumerate(heads)]
+    copied = np.empty((step, side * T), dtype=view.dtype)
+    taken = np.empty(step * max(sum(rows.size * t.size for _, rows, t in m) for m in meets),
+                     dtype=view.dtype)
+    parts: List[List[np.ndarray]] = [[] for _ in sides]
+    held = [0] * len(sides)
+    for h, meet in zip(heads, meets):
+        bounds = np.cumsum([0] + [rows.size * t.size for _, rows, t in meet])
+        index = np.empty(bounds[-1], dtype=np.intp)
+        for (_, rows, t), start, stop in zip(meet, bounds, bounds[1:]):
+            np.add.outer(rows * down, t * along, out=index[start:stop].reshape(rows.size, -1))
+        for lo in range(0, h.size if meet else 0, step):
+            hs = h[lo:lo + step]
+            # mode="clip" writes into the buffers directly; the default mode buffers a copy
+            np.take(lines, (hs[:, None] + np.arange(per) * H).ravel(), axis=0, mode="clip",
+                    out=copied[:hs.size].reshape(-1, lines.shape[1]))
+            out = np.take(copied[:hs.size], index, axis=1, mode="clip",
+                          out=taken[:hs.size * index.size].reshape(hs.size, -1))
+            for (c, rows, t), start, stop in zip(meet, bounds, bounds[1:]):
+                if rows.size == 1:
+                    sectors[c].nonzeros += int(np.count_nonzero(out[:, start:stop]))
+                    continue
+                part = out[:, start:stop].reshape(hs.size, rows.size, t.size).transpose(1, 0, 2)
+                parts[c].append(part.copy().reshape(rows.size, -1))  # no part holds `taken`
+                held[c] += part.size
+                if held[c] >= GATHER_CHUNK // (n * n):
+                    sectors[c].add(np.concatenate(parts[c], axis=1))
+                    parts[c], held[c] = [], 0
+    for sector, joined in zip(sectors, parts):
+        if joined:
+            sector.add(np.concatenate(joined, axis=1))
+
+
+def _phase_table(n: int, anchor: int, dtype: np.dtype) -> np.ndarray:
+    """The (n + 1) x (n + 1) codes that the rank-one law predicts from a
+    column code x and a row code y when their shared anchor has code
+    `anchor`: 0 if x or y is, else the code of phase x + y - anchor - 1."""
+    k = np.arange(n + 1)
+    table = (k[:, None] + k - anchor - 1) % n + 1
+    table[0] = table[:, 0] = 0
+    return table.astype(dtype)
+
+
+class _Sector:
+    """The nonzero count of one charge sector, certified rank one.
+
+    Its entries are scale * omega**k_ij on their support, and it is rank one
+    iff the support is a full rectangle R x C with k_ij = a_i + b_j (mod n)
+    on it.  A single row always is: it only counts (`nonzeros`).  Otherwise
+    each piece holds every row (`add`).  The first largest code of the first
+    piece with a nonzero is the anchor, at row i0 and column j0.  Its column
+    u and a piece's row i0 predict every code of the piece
+    (`_phase_table`): zero off u's rows and row i0's columns, else phase
+    u_i + k_i0j - k_i0j0.  The sector is rank one iff every piece is its
+    prediction, and then holds |R| |C| nonzeros; else it has `failed`.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n, self.nonzeros, self.table, self.failed = n, 0, None, False
+
+    def add(self, piece: np.ndarray) -> None:
+        if self.table is None:
+            i0, j0 = divmod(int(piece.argmax()), piece.shape[1])
+            if not piece[i0, j0]:
+                return  # no nonzero to anchor on yet
+            self.i0, self.column = i0, piece[:, j0].copy()  # no view holds the piece
+            self.table = _phase_table(self.n, int(piece[i0, j0]), piece.dtype)
+            self.height = int(np.count_nonzero(self.column))
+        row = piece[self.i0]
+        predicted = np.take(np.take(self.table, row, axis=1), self.column, axis=0)
+        self.failed |= not np.array_equal(predicted, piece)
+        self.nonzeros += self.height * int(np.count_nonzero(row))
+
+
+def _refute(state: PureState, short: Sequence[int], long: Sequence[int], wide: np.ndarray,
+            c: int) -> None:
+    """Raises the InvariantError of sector c of `wide` (its rows over the
+    slots `short`, its columns over `long`), which is not rank one: the
+    phase certificate if a nonzero has another nonzero code than its
+    anchor predicts (`_Sector`), else the rectangle certificate, with the
+    sector's nonzeros, nonzero rows and nonzero columns."""
+    n = state.n
+    sector = wide[np.ix_(charges(n, state.dims, short) == c,
+                         charges(n, state.dims, long) == _tail(n, c, 0))]
+    i0, j0 = divmod(int(sector.argmax()), sector.shape[1])
+    table = _phase_table(n, int(sector[i0, j0]), sector.dtype)
+    predicted, support = table[np.ix_(sector[:, j0], sector[i0])], sector != 0
+    if np.any((predicted != sector) & (predicted != 0) & support):
+        raise InvariantError(f"sector {(c // n, c % n)} is not rank one: a phase breaks "
+                             f"k_ij = a_i + b_j (mod n) (phase certificate)")
+    rows, columns = (np.count_nonzero(support.any(axis=k)) for k in (1, 0))
+    raise InvariantError(f"sector {(c // n, c % n)} is not rank one: its "
+                         f"{np.count_nonzero(support)} nonzeros do not fill the {rows} x "
+                         f"{columns} rectangle of their rows and columns (rectangle certificate)")
 
 
 def exact_block_spectrum(state: PureState, block: Sequence[int]) -> List[Fraction]:
     """The nonzero eigenvalues of the block reduction, exact, descending.
 
-    Every charge sector of the turned code matrix (`_sectors`, split at any
-    size) is certified rank one (`_rank_one`), with eigenvalue
+    Every charge sector of the code matrix, split at any size with
+    side x tail fitting GATHER_CHUNK, is read once (`_read_sectors`) from
+    the turned matrix, or a square one's transpose, whose head rows' codes
+    are runs of memory, and certified rank one (`_Sector`), with eigenvalue
     scale^2 * |R| * |C|.  Every nonzero amplitude has modulus scale, so
-    scale^2 = 1 / nnz(state), and a sector's eigenvalue is the Fraction
-    nnz_s / nnz(state) of two integer counts.  No matrix is formed, so no
-    matrix budget applies.  Raises InvariantError if a certificate fails.
+    scale^2 = 1 / nnz(state), and the eigenvalue is the Fraction
+    nnz_s / nnz(state) of two counts.  The count certificate then checks
+    that the sectors hold every nonzero.  No matrix is formed, so no matrix
+    budget applies.  Raises InvariantError if a certificate fails, naming
+    the sector by the charge of the turned matrix's rows, the first such
+    sector that is not rank one (`_refute`) before the count.
     """
-    short, long, wide = _turned(state, block, _block_environment(state, block))
-    found = [_rank_one(state.n, c, pieces) for c, pieces in _sectors(state, short, long, wide)]
-    return sorted((Fraction(count, state.nonzeros) for count in found if count), reverse=True)
+    n = state.n
+    m = _block_environment(state, block)
+    short, long, wide = _turned(state, block, m)
+    flip = m.shape[0] == m.shape[1]  # `_turned` keeps a square matrix
+    read = (long, short, m.T) if flip else (short, long, wide)
+    view, sides, heads, tails = _split(state, *read, GATHER_CHUNK)
+    sectors = [_Sector(n) for _ in sides]
+    _read_sectors(n, view, sides, heads, tails, sectors)
+    held = []
+    for c in range(n * n):  # a flipped sector's rows carry the charge of wide's columns
+        sector = sectors[_tail(n, c, 0) if flip else c]
+        if sector.failed:
+            _refute(state, short, long, wide, c)
+        held.append(sector.nonzeros)
+    _count_certificate(state, short, wide, held)
+    return sorted((Fraction(count, state.nonzeros) for count in held if count), reverse=True)
 
 
 def _gram(codes: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -631,11 +631,11 @@ def test_exact_spectrum_of_an_edge_basis_and_the_full_chain():
 
 
 def test_exact_spectrum_memory_is_the_float_route_plus_one_piece():
-    # n = 2, open L = 15: four one-row sectors, gathered in 16 pieces of 0.9 MB,
-    # where the float route decodes its 4 x 4 Gram in chunks
+    # n = 2, open L = 15: four one-row sectors, which the sector split would
+    # gather in 16 pieces of 0.9 MB, where the float route decodes its 4 x 4
+    # Gram in chunks; the bound is that piece, pinned
     psi = open_vbs_state(ChainSpec(2, 15, OPEN))
-    short, long, wide = oracle._turned(psi, range(15), oracle._block_environment(psi, range(15)))
-    piece = max(p.nbytes for _, pieces in oracle._sectors(psi, short, long, wide) for p, _ in pieces)
+    piece = 0.9e6
     peaks = []
     for route in (block_spectrum, oracle.exact_block_spectrum):
         tracemalloc.start()
@@ -644,7 +644,24 @@ def test_exact_spectrum_memory_is_the_float_route_plus_one_piece():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert piece > 0.8e6 and peaks[1] <= peaks[0] + piece
+    assert peaks[1] <= peaks[0] + piece
+
+
+@pytest.mark.parametrize("boundary,n,N,L", [
+    (OPEN, 2, 15, 15), (OPEN, 4, 5, 5), (PERIODIC, 4, 6, 2), (PERIODIC, 4, 6, 4),
+    (PERIODIC, 4, 6, 5), (PERIODIC, 3, 8, 4), (PERIODIC, 2, 13, 7)])
+def test_exact_spectrum_peak_memory_is_bounded(boundary, n, N, L):
+    # the exact route reads each code once, in chunks: its peak stays under
+    # 1.5 MB for states of 1.6-57 MB of codes
+    build = open_vbs_state if boundary == OPEN else periodic_vbs_state
+    psi = build(ChainSpec(n, N, boundary))
+    tracemalloc.start()
+    try:
+        oracle.exact_block_spectrum(psi, range(L))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, peak
 
 
 def tampered(psi, position, code):
@@ -695,6 +712,113 @@ def test_exact_spectrum_rejects_a_nonzero_moved_across_sectors():
                        + re.escape(f"charge sectors; the rows of sector {(c // 2, c % 2)} hold")
                        + ".*(count certificate)"):
         oracle.exact_block_spectrum(bad, range(3))
+
+
+def moved_along(psi, width, row, column, to):
+    """psi with the code at (row, column) of its codes as a (., width) matrix
+    moved to (row, to)."""
+    code = psi.codes[row * width + column]
+    return tampered(tampered(psi, row * width + to, code), row * width + column, 0)
+
+
+def count_crossing(total, n, c):
+    """The count certificate's message when one code of `total` crosses the
+    sectors and the rows of sector c hold it."""
+    return (f"1 of {total} nonzero amplitudes cross the Z_n x Z_n "
+            + re.escape(f"charge sectors; the rows of sector {(c // n, c % n)} hold")
+            + ".*(count certificate)")
+
+
+@pytest.mark.parametrize("chunk", [oracle.GATHER_CHUNK, 1 << 12])
+def test_exact_spectrum_counts_one_row_sectors_in_one_pass(monkeypatch, chunk):
+    # n = 2, open N = 9: the turned 4 x 3^9 matrix has one row per boundary
+    # label.  At the default chunk one take serves each head charge; at 4 KiB
+    # the pass reads each head charge's rows in five chunks.  A code moved to
+    # another label of its string crosses the sectors wherever it sits
+    monkeypatch.setattr(oracle, "GATHER_CHUNK", chunk)
+    psi = open_vbs_state(ChainSpec(2, 9, OPEN))
+    assert oracle.exact_block_spectrum(psi, range(9)) == closed_form_nonzero(psi, range(9))
+    boundary = charges(2, psi.dims, [9])
+    for string in (0, 9000, 3 ** 9 - 1):
+        label = int(np.flatnonzero(psi.codes.reshape(-1, 4)[string])[0])
+        bad = moved_along(psi, 4, string, label, (label + 1) % 4)
+        with pytest.raises(InvariantError, match=count_crossing(psi.nonzeros, 2,
+                                                                int(boundary[(label + 1) % 4]))):
+            oracle.exact_block_spectrum(bad, range(9))
+
+
+def test_exact_spectrum_counts_one_row_sectors_at_n4():
+    # n = 4, ring N = 4, L = 1: the 15 x 15^3 matrix has one row per label of
+    # the block's site, each its own charge: a code moved along its row to a
+    # column of another charge crosses the sectors
+    psi = periodic_vbs_state(ChainSpec(4, 4, PERIODIC))
+    assert oracle.exact_block_spectrum(psi, range(1)) == closed_form_nonzero(psi, range(1))
+    m = psi.codes.reshape(15, -1)
+    columns = charges(4, psi.dims, range(1, 4))
+    for row in (0, 7, 14):
+        column = int(np.flatnonzero(m[row])[-1])
+        to = int(np.flatnonzero((m[row] == 0) & (columns != columns[column]))[0])
+        bad = moved_along(psi, m.shape[1], row, column, to)
+        c = int(charges(4, psi.dims, [0])[row])
+        with pytest.raises(InvariantError, match=count_crossing(psi.nonzeros, 4, c)):
+            oracle.exact_block_spectrum(bad, range(1))
+
+
+@pytest.mark.parametrize("chunk", [oracle.GATHER_CHUNK, 1 << 10])
+def test_exact_spectrum_certifies_sectors_piece_by_piece(monkeypatch, chunk):
+    # n = 2, ring N = 9, L = 4: the 81 x 243 matrix has about 20 rows per
+    # sector.  At 1 KiB each sector comes in pieces of 256 codes or more, so a
+    # broken code sits in the anchor's piece or in a later one; the messages
+    # name the sector and count its nonzeros, rows and columns
+    monkeypatch.setattr(oracle, "GATHER_CHUNK", chunk)
+    psi = periodic_vbs_state(ChainSpec(2, 9, PERIODIC))
+    assert oracle.exact_block_spectrum(psi, range(4)) == closed_form_nonzero(psi, range(4))
+    rows, columns = charges(2, psi.dims, range(4)), charges(2, psi.dims, range(4, 9))
+    for position in np.flatnonzero(psi.codes)[[0, 1000, -1]]:
+        c = int(rows[position // 243])  # -c = c at n = 2: its columns have charge c too
+        name = re.escape(f"sector {(c // 2, c % 2)} is not rank one: ")
+        with pytest.raises(InvariantError, match=name + re.escape(
+                "a phase breaks k_ij = a_i + b_j (mod n) (phase certificate)")):
+            oracle.exact_block_spectrum(tampered(psi, position, 3 - psi.codes[position]), range(4))
+        bad = tampered(psi, position, 0)
+        sector = bad.codes.reshape(81, 243)[np.ix_(rows == c, columns == c)] != 0
+        shape = (np.count_nonzero(sector.any(axis=1)), np.count_nonzero(sector.any(axis=0)))
+        with pytest.raises(InvariantError, match=name + re.escape(
+                f"its {np.count_nonzero(sector)} nonzeros do not fill the {shape[0]} x {shape[1]} "
+                "rectangle of their rows and columns (rectangle certificate)")):
+            oracle.exact_block_spectrum(bad, range(4))
+
+
+def every_block_expected(n, boundary, N):
+    """(block, closed-form nonzero weights) for every contiguous block of the
+    chain (n, N): a block of bulk sites has the weights of its length, one
+    holding an open chain's boundary pair those of the bulk sites it leaves,
+    and a block of every slot the pure state's one eigenvalue."""
+    slots = N + (boundary == OPEN)
+    for start, stop in itertools.combinations(range(slots + 1), 2):
+        L = stop - start if stop <= N else start
+        if boundary == PERIODIC and L < N:
+            yield range(start, stop), closed_form.periodic_spectrum(n, N, L).nonzero()
+        elif boundary == OPEN and L:
+            yield range(start, stop), closed_form.open_spectrum(n, L).nonzero()
+        else:
+            yield range(start, stop), [1]
+
+
+def test_exact_spectrum_is_the_closed_form_on_every_block():
+    # every contiguous block of every open chain and ring of n = 2-5 with at
+    # most 2^18 amplitudes, Fraction for Fraction
+    count = 0
+    for n in range(2, 6):
+        for boundary, build in ((OPEN, open_vbs_state), (PERIODIC, periodic_vbs_state)):
+            N = 1 if boundary == OPEN else 2
+            while ChainSpec(n, N, boundary).amplitudes <= 1 << 18:
+                psi = build(ChainSpec(n, N, boundary))
+                for block, expected in every_block_expected(n, boundary, N):
+                    assert oracle.exact_block_spectrum(psi, block) == expected, (n, boundary, N, block)
+                    count += 1
+                N += 1
+    assert count == 715
 
 
 # ------------------------------------------------- chunked real-view Gram
