@@ -67,7 +67,8 @@ MAX_SPAN = 10 ** 6
 
 #: A --verify row of a state of at most this many amplitudes also runs the
 #: float oracle as a cross-check: its Grams are at most 256 wide, so no matrix
-#: budget applies, and it costs at most ~20 ms (the n=2 ring of 10, L=5).
+#: budget applies, and it costs about 15 ms a block at most, 25 ms in a slow
+#: process (the n=2 ring of 10, L=5; 2 ms without it).
 CROSS_CHECK_AMPS = 1 << 16
 
 
@@ -253,9 +254,7 @@ def branch_point_rows(args) -> Iterator[tuple]:
 
 
 def cmd_verify(args) -> int:
-    only = args.only or None
-    ns = tuple(args.n) if args.n else None
-    results = run_checks(only=only, ns=ns,
+    results = run_checks(only=args.only, ns=args.n,
                          amp_budget=args.budget_amps, matrix_budget=args.budget_matrix)
     lines = [f"{r.name}: {r.status}  max_dev={r.max_dev:.3e}  tol={r.tolerance:g}"
              + (f"  ({r.detail})" if r.detail else "") for r in results]
@@ -290,35 +289,32 @@ def _add_common(parser: argparse.ArgumentParser, amps: bool = True, matrix: bool
                             help="maximum materialized matrix dimension")
 
 
+def _add_block_request(sub, name: str, func, text: str) -> argparse.ArgumentParser:
+    """A subcommand that reads a block request: the options spectrum and entropy share."""
+    block = sub.add_parser(name, help=text)
+    block.add_argument("--n", type=int, required=True)
+    block.add_argument("--boundary", choices=(states.OPEN, states.PERIODIC), required=True)
+    block.add_argument("--block", required=True, help="block length L or span lo..hi")
+    block.add_argument("--chain", type=int, help="ring length N (periodic only)")
+    block.add_argument("--verify", action="store_true", help="cross-check against the brute-force route")
+    block.add_argument("--tol", type=tolerance, default=1e-10)
+    _add_common(block)
+    block.set_defaults(func=func, header=CSV_HEADER)
+    return block
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vbsent",
                                      description="Valence-bond-solid chain spectra and entropies")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="block weights for a chain or ring")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--boundary", choices=(states.OPEN, states.PERIODIC), required=True)
-    sp.add_argument("--block", required=True, help="block length L or span lo..hi")
-    sp.add_argument("--chain", type=int, help="ring length N (periodic only)")
-    sp.add_argument("--verify", action="store_true", help="cross-check against the brute-force route")
-    sp.add_argument("--tol", type=tolerance, default=1e-10)
-    _add_common(sp)
-    sp.set_defaults(func=spectrum_rows, header=CSV_HEADER)
-
-    en = sub.add_parser("entropy", help="block entropies, optionally at Renyi orders")
-    en.add_argument("--n", type=int, required=True)
-    en.add_argument("--boundary", choices=(states.OPEN, states.PERIODIC), required=True)
-    en.add_argument("--block", required=True)
-    en.add_argument("--chain", type=int)
+    _add_block_request(sub, "spectrum", spectrum_rows, "block weights for a chain or ring")
+    en = _add_block_request(sub, "entropy", entropy_rows, "block entropies, optionally at Renyi orders")
     en.add_argument("--alpha", action="append",
                     help="Renyi order(s): real or a+bi literals with positive real part, "
                          "comma separated or repeated")
     en.add_argument("--log-base", choices=("e", "2", "n"), default="e",
                     help="display base for entropies (computation stays in nats)")
-    en.add_argument("--verify", action="store_true")
-    en.add_argument("--tol", type=tolerance, default=1e-10)
-    _add_common(en)
-    en.set_defaults(func=entropy_rows, header=CSV_HEADER)
 
     bp = sub.add_parser("branch-points", help="complex orders where the Renyi power sum vanishes")
     bp.add_argument("--n", type=int, required=True)

@@ -195,10 +195,7 @@ def jacobi_eigvalsh(matrix: np.ndarray) -> np.ndarray:
         app = w[p, p].real
         aqq = w[q, q].real
         tau = (aqq - app) / (2.0 * absb)
-        if tau == 0.0:
-            t = 1.0
-        else:
-            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+        t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))  # 1 at tau = +-0
         c = 1.0 / math.sqrt(1.0 + t * t)
         s = t * c
         rowp = w[p].copy()

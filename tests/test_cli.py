@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -655,6 +657,46 @@ def test_small_verify_rows_also_take_the_float_route(capsys, monkeypatch):
     assert code == 0 and routes == [1, 2, 3, 4, 5]
     assert all(row["verified"] == "true" and float(row["max_dev"]) < 1e-15
                for row in read_csv(out))
+
+
+def cross_checked_blocks():
+    # every --verify block whose state the CLI also sends down the float
+    # route: open --block L and ring --chain N --block L (L = 1..N), n = 2-16
+    for n in range(2, 17):
+        for L in itertools.takewhile(
+                lambda L: states.ChainSpec(n, L, states.OPEN).amplitudes <= cli.CROSS_CHECK_AMPS,
+                itertools.count(1)):
+            yield states.open_vbs_state(states.ChainSpec(n, L, states.OPEN)), L
+        for N in itertools.takewhile(
+                lambda N: states.ChainSpec(n, N, states.PERIODIC).amplitudes <= cli.CROSS_CHECK_AMPS,
+                itertools.count(2)):
+            ring = states.periodic_vbs_state(states.ChainSpec(n, N, states.PERIODIC))
+            yield from ((ring, L) for L in range(1, N + 1))
+
+
+def test_float_cross_check_agrees_on_every_block_it_runs_on():
+    # as many eigenvalues on both routes, within 1e-14 (the worst, 5.1e-15, is
+    # the whole n=2 ring of 10)
+    count = 0
+    for state, L in cross_checked_blocks():
+        exact = oracle.exact_block_spectrum(state, range(L))
+        found = oracle.block_spectrum(state, range(L))
+        assert len(found) == len(exact), (state.n, state.dims, L)
+        assert np.abs(found - np.array(exact, dtype=float)).max() <= 1e-14, (state.n, state.dims, L)
+        count += 1
+    assert count == 136
+
+
+def test_spectrum_and_entropy_share_their_block_options():
+    def options(command):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return {a.option_strings[-1]: (type(a), a.type, a.choices, a.default, a.required, a.help)
+                for a in sub.choices[command]._actions if a.option_strings}
+
+    spectrum, entropy = options("spectrum"), options("entropy")
+    assert set(entropy) - set(spectrum) == {"--alpha", "--log-base"}
+    for name in spectrum:  # type, choices, default, required flag and help
+        assert entropy.get(name) == spectrum[name], name
 
 
 def test_verify_ring_past_the_matrix_budget(capsys):
