@@ -38,9 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import closed_form, edges, oracle, states, weyl
+from ._numpy import np
 
 #: Grids per check; n -> per-n parameters.
 OPEN_GRID: Dict[int, dict] = {

@@ -40,8 +40,7 @@ from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DegenerateSpectrumError
 from .weyl import _check_dimension, _check_int, _check_order, _log_power_sum
 

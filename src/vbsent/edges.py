@@ -30,7 +30,7 @@ the (0,0) row is zero and the block matrix has rank n^2 - 1.
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 # unused here; perfbench/tests/test_perfbench.py::test_traced_rebinds_importers_and_restores reads it
 from .closed_form import open_spectrum  # noqa: F401

@@ -65,8 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BudgetError, ConvergenceError, InvariantError
 from .states import PureState, charges
 from .weyl import _check_order, _log_power_sum

@@ -62,8 +62,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BudgetError, InvariantError
 from .weyl import _check_dimension, _check_int, omega_powers
 
@@ -71,7 +70,7 @@ from .weyl import _check_dimension, _check_int, omega_powers
 DEFAULT_AMP_BUDGET = 2 ** 26
 
 #: (sum_l, sum_m, phase) per bulk label string; see `fold_tables`.
-Tables = Tuple[np.ndarray, np.ndarray, np.ndarray]
+Tables = Tuple["np.ndarray", "np.ndarray", "np.ndarray"]
 
 OPEN = "open"
 PERIODIC = "periodic"

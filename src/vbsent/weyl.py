@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Iterable, Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BranchPointCondition
 
 #: Largest n for which the exponentially sized self-tests (antisymmetric
@@ -48,12 +48,16 @@ MAX_EMBED_DIMENSION = 4
 
 
 def _check_int(value: int, least: int, what: str) -> int:
-    """A Python or numpy integer >= least as a Python int (exact arithmetic
-    would wrap a numpy one in int64); anything else raises ValueError
-    "{what} >= {least}, got {value!r}", `what` naming the argument."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Any integer (a type with `__index__`) >= least as a Python int (exact
+    arithmetic would wrap a numpy one in int64); anything else raises
+    ValueError "{what} >= {least}, got {value!r}", `what` naming the argument."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or index < least:
         raise ValueError(f"{what} >= {least}, got {value!r}")
-    return int(value)
+    return int(index)
 
 
 def _check_dimension(n: int) -> int:
@@ -81,20 +85,20 @@ BRANCH_SUM_TOL = 1e-14
 
 
 def _log_power_sum(total: Union[float, complex], alpha: Union[float, complex],
-                   weights: Iterable[float], counts: Iterable[int] = (1,)) -> Union[float, complex]:
+                   weights: Iterable[float], counts: Iterable[int] = repeat(1)) -> Union[float, complex]:
     """log of the power sum sum_i counts_i * weights_i**alpha over nonzero
     weights, given its plain value `total`: log(total), unless `total`
     underflowed (a real one below the smallest normal float, a complex one
     below BRANCH_SUM_TOL).  There the largest term is factored out, with the
     imaginary part kept in (-pi, pi], and a complex order whose scaled sum is
-    below BRANCH_SUM_TOL raises BranchPointCondition."""
+    below BRANCH_SUM_TOL raises BranchPointCondition.  Scalar math: no numpy."""
     complex_order = isinstance(alpha, complex)
     if (BRANCH_SUM_TOL if complex_order else sys.float_info.min) <= abs(total) < math.inf:
         return cmath.log(total) if complex_order else math.log(total)
-    weights, counts = np.broadcast_arrays(np.asarray(weights, dtype=float), counts)
-    logs = np.log(weights[weights > 0.0])
-    top = float(logs.max())
-    scaled = (counts[weights > 0.0] * np.exp(alpha * (logs - top))).sum()
+    logs = [(math.log(w), count) for w, count in zip(weights, counts) if w > 0.0]
+    top = max(log for log, _ in logs)
+    exp = cmath.exp if complex_order else math.exp
+    scaled = sum(count * exp(alpha * (log - top)) for log, count in logs)
     if complex_order and abs(scaled) < BRANCH_SUM_TOL:
         raise BranchPointCondition(f"power sum vanished at order {alpha!r}")
     log = cmath.log(scaled) + alpha * top

@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from datetime import timedelta
@@ -615,19 +617,74 @@ def test_failed_verify_row_exits_1_after_every_row(capsys, monkeypatch, tmp_path
     assert all(failed == (L == "2") for L, failed in rows)
 
 
-def test_module_entry_point():
-    import pathlib
-    import subprocess
-    import sys
+SRC = Path(__file__).resolve().parents[1] / "src"
 
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "vbsent", "spectrum", "--n", "2", "--boundary", "open", "--block", "2"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "0.33333333333333331" in proc.stdout
+
+
+# Runs each argv of the JSON list argv[1] through `cli.main` in a fresh
+# interpreter, which has not imported numpy, and prints per request the exit
+# code, stdout, stderr and whether numpy is loaded after it.
+FRESH_SCRIPT = """
+import contextlib, io, json, sys
+import vbsent.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = vbsent.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue(), "numpy._core" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def run_fresh(requests):
+    proc = subprocess.run([sys.executable, "-c", FRESH_SCRIPT, json.dumps(requests)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(result) for result in json.loads(proc.stdout)]
+
+
+def test_closed_form_requests_never_load_numpy(tmp_path, capsys):
+    # the third and fourth requests take the underflow branch of
+    # `weyl._log_power_sum`: large real and complex orders, and an order on
+    # the branch point of L=2
+    requests = [
+        ["entropy", *OPEN_N2, "--block", "1..30", "--alpha", "2,0.5+1i"],
+        ["entropy", "--n", "3", "--boundary", "periodic", "--chain", "12", "--block", "1..11",
+         "--alpha", "3,1.5-0.5i", "--log-base", "n", "--format", "json"],
+        ["entropy", *OPEN_N2, "--block", "40", "--alpha", "600,800+1i"],
+        ["entropy", *OPEN_N2, "--block", "1..3", "--alpha", "2.709511291351455+7.7481208389248684i"],
+        ["branch-points", "--n", "3", "--block", "2..7", "--m", "0..2"],
+        ["spectrum", "--n", "3", "--boundary", "open", "--block", "1..8"],
+        ["spectrum", *OPEN_N2, "--block", "0"],
+        ["spectrum", "--n", "2", "--boundary", "ring", "--block", "2"],
+    ]
+    target = tmp_path / "rows.json"
+    fresh = run_fresh(requests + [requests[1] + ["--out", str(target)]])
+    assert [loaded for *_, loaded in fresh] == [False] * len(fresh)
+    # the bytes are those of a process that imported numpy first
+    assert [result[:3] for result in fresh[:-1]] == [run_cli(capsys, *argv) for argv in requests]
+    assert [code for code, *_ in fresh] == [0] * 6 + [2, 2, 0]
+    assert fresh[-1][1:3] == ("", "") and target.read_text() == fresh[1][1]
+
+
+def test_verify_loads_numpy_on_first_use():
+    (code, out, err, loaded), = run_fresh([["spectrum", "--n", "3", "--boundary", "open",
+                                            "--block", "5..6", "--verify"]])
+    golden = Path(__file__).parent / "golden" / "spectrum_open_n3_verify.csv"
+    assert (code, out, err, loaded) == (0, golden.read_text(), "", True)
 
 
 def test_verify_rows_take_the_exact_route(capsys, monkeypatch):

@@ -1,6 +1,7 @@
-"""The integer contract: n, N, L and m may be Python or numpy integers (or
-True, which is 1), and every entry point computes with them as the Python int
-each equals; any other value is refused with a ValueError naming the argument."""
+"""The integer contract: n, N, L and m may be Python or numpy integers, any
+other type with `__index__`, or True, which is 1, and every entry point
+computes with them as the Python int each equals; any other value is refused
+with a ValueError naming the argument."""
 
 import json
 import re
@@ -19,6 +20,19 @@ from vbsent.states import OPEN, PERIODIC, ChainSpec, PureState, open_vbs_state
 
 NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 NON_INTEGERS = (4.0, np.float64(4), "4", None, np.bool_(True), Fraction(4))
+
+
+class Index:
+    """An integer type that is neither int nor numpy: it has only `__index__`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
 
 
 def _spectrum(spec):
@@ -89,10 +103,11 @@ CASES = {
 
 @st.composite
 def integers_equal_to(draw, value):
-    """value as a Python int, as any numpy integer type that holds it, or as True if it is 1."""
+    """value as a Python int, an `Index`, any numpy integer type that holds
+    it, or True if it is 1."""
     if isinstance(value, list):
         return [draw(integers_equal_to(v)) for v in value]
-    kinds = [int] + [t for t in NUMPY_INTEGERS if np.iinfo(t).min <= value <= np.iinfo(t).max]
+    kinds = [int, Index] + [t for t in NUMPY_INTEGERS if np.iinfo(t).min <= value <= np.iinfo(t).max]
     return draw(st.sampled_from(kinds + [bool] * (value == 1)))(value)
 
 
@@ -126,3 +141,21 @@ def test_saturation_check_runs_at_a_numpy_n():
     (result,) = run_checks(only=["saturation"], ns=[np.int64(2)])
     assert result.passed and result.evaluated > 0
     assert json.loads(json.dumps(result.worst_at))["n"] == 2
+
+
+@pytest.mark.parametrize("value,want", [(Index(3), 3), (np.uint8(3), 3), (True, 1)], ids=repr)
+def test_index_types_come_back_as_python_ints(value, want):
+    got = weyl._check_int(value, 1, "block length must be an integer L")
+    assert type(got) is int and got == want
+    spec = closed_form.open_spectrum(2, value)
+    assert type(spec.L) is int and spec == closed_form.open_spectrum(2, want)
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_non_integers_are_refused_with_the_same_message(bad):
+    with pytest.raises(ValueError) as refused:
+        closed_form.open_spectrum(2, bad)
+    assert str(refused.value) == f"block length must be an integer L >= 1, got {bad!r}"
+    with pytest.raises(ValueError) as refused:
+        weyl._check_dimension(bad)
+    assert str(refused.value) == f"qudit dimension must be an integer >= 2, got {bad!r}"

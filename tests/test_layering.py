@@ -3,8 +3,9 @@
 `states`, `oracle` and `weyl` must not import `closed_form`, nor `checks`,
 `edges` or `cli`, which are built on it; otherwise the oracle could not serve
 as an independent check of the closed forms.  Also: every function the
-benchmark's traced run wraps (`perfbench/tracing.LAYERS`) still exists, and
-only `oracle` decides which eigenvalues are zero.
+benchmark's traced run wraps (`perfbench/tracing.LAYERS`) still exists,
+only `oracle` decides which eigenvalues are zero, and numpy comes only from
+`vbsent._numpy`.
 """
 
 import ast
@@ -82,3 +83,16 @@ def test_only_the_oracle_decides_which_eigenvalues_are_zero():
         names = names_used(path.read_text())
         assert "SpectrumReport" not in names, path.name
         assert ("RANK_CUTOFF" in names) == (path.stem == "oracle"), path.name
+
+
+def test_numpy_comes_only_from_the_lazy_module():
+    # an `import numpy` anywhere in the package would load numpy on `import vbsent`
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            assert all(module.split(".")[0] != "numpy" for module in modules), path.name
