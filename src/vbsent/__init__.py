@@ -10,7 +10,6 @@ from .closed_form import (
     BlockSpectrum,
     BranchPoint,
     branch_points,
-    branch_residual,
     open_entropy,
     open_renyi,
     open_spectrum,

@@ -1,11 +1,16 @@
 """Named verification checks pairing every closed form with its brute-force route.
 
-Each check is a generator: `check_<name>(n, run)` yields one point
-`(deviation, tolerance, where)` per comparison it makes at one n.  `where`
-is a dict of keyword fields that locates the point: n, N, L, start, plus
-`part` where a check compares several quantities, and the label, branch
-integer or order a check runs over.  `CHECKS` maps each name
-to its grid of n values, its generator and the tolerance a SKIP reports.
+Each check is a generator: `check_<name>(n, run, tolerance, **params)`
+yields one point `(deviation, tolerance, where)` per comparison it makes at
+one n.  `where` is a dict of keyword fields that locates the point: n, N, L,
+start, plus `part` where a check compares several quantities, and the
+label, branch integer or order a check runs over.
+
+`CHECKS` says where and how tightly each check runs: per name, its
+generator, the tolerance of its main points (the one a SKIP reports) and its
+grid, n -> the generator's keyword arguments at that n, so adding an n is a
+data edit.  A generator keeps a literal only for a tolerance that differs:
+the saturation envelope, the edge-state Gram diagonal, the ring reduction.
 
 `run_checks` is the only place where points become a `CheckResult`, through
 `reduce_points`:
@@ -36,26 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import closed_form, edges, oracle, states, weyl
 from ._numpy import np
 
-#: Grids per check; n -> per-n parameters.
-OPEN_GRID: Dict[int, dict] = {
-    2: {"lengths": range(1, 6), "chains": range(1, 7)},
-    3: {"lengths": range(1, 4), "chains": range(1, 5)},
-}
-PERIODIC_GRID: Dict[int, Sequence[int]] = {2: range(3, 9), 3: range(3, 5)}
-EDGE_GRID: Dict[int, Sequence[int]] = {2: range(1, 6), 3: range(1, 4)}
-SATURATION_NS = (2, 3, 4)
-FLATNESS_NS = (2, 3)
 FLATNESS_ORDERS = (0.5, 0.9, 1.1, 2.0, 5.0, 10.0)
-BRANCH_GRID: Dict[int, Sequence[int]] = {2: range(2, 7), 3: range(2, 7)}
-SWAP_NS = (2, 3, 4)
-INVARIANCE_NS = (2, 3, 4, 5)
-TRANSFER_NS = (2, 3, 4)
-LIMIT_NS = (2, 3, 4)
 NEAR_ONE = (1.0 + 1e-6, 1.0 - 1e-6)
 
 Where = Dict[str, object]
@@ -93,6 +84,11 @@ def _worst(devs: Iterable[float]) -> float:
     return max(devs, key=lambda dev: (math.isnan(dev), dev))
 
 
+def _weight_gap(a: closed_form.BlockSpectrum, b: closed_form.BlockSpectrum) -> float:
+    """Worst gap between two exact weight pairs, each difference rounded once."""
+    return _worst((abs(float(a.singlet - b.singlet)), abs(float(a.adjoint - b.adjoint))))
+
+
 class CheckRun:
     """One run's budgets and the open chains and spectra its checks share."""
 
@@ -128,28 +124,29 @@ def spectrum_deviation(eigenvalues: Sequence[float], expected: Iterable[float]) 
     return _worst(abs(float(a) - b) for a, b in zip(eigenvalues, want))
 
 
-def check_open_spectrum(n: int, run: CheckRun) -> Iterator[Point]:
+def check_open_spectrum(n: int, run: CheckRun, tolerance: float,
+                        chains: Sequence[int], lengths: Sequence[int]) -> Iterator[Point]:
     """Oracle block spectra of open chains against the exact weight pair,
     across every chain length and block start the grid allows."""
-    grid = OPEN_GRID[n]
-    for N in grid["chains"]:
-        for L in grid["lengths"]:
+    for N in chains:
+        for L in lengths:
             if L > N:
                 continue
             expected = closed_form.open_spectrum(n, L).nonzero()
             for start in range(N - L + 1):
                 yield (spectrum_deviation(run.open_eigenvalues(n, N, L, start), expected),
-                       1e-10, dict(n=n, N=N, L=L, start=start + 1))
+                       tolerance, dict(n=n, N=N, L=L, start=start + 1))
 
 
-def check_periodic_spectrum(n: int, run: CheckRun) -> Iterator[Point]:
+def check_periodic_spectrum(n: int, run: CheckRun, tolerance: float,
+                            rings: Sequence[int]) -> Iterator[Point]:
     """Oracle block spectra of rings against the exact ring weights."""
-    for N in PERIODIC_GRID[n]:
+    for N in rings:
         psi = states.periodic_vbs_state(states.ChainSpec(n, N, states.PERIODIC, run.amp_budget))
         for L in range(1, N):
             expected = closed_form.periodic_spectrum(n, N, L).nonzero()
             found = oracle.block_spectrum(psi, range(L), matrix_budget=run.matrix_budget)
-            yield spectrum_deviation(found, expected), 1e-10, dict(n=n, N=N, L=L)
+            yield spectrum_deviation(found, expected), tolerance, dict(n=n, N=N, L=L)
 
 
 def saturation_envelope(n: int, L: int) -> float:
@@ -179,41 +176,44 @@ def saturation_gap(n: int, L: int) -> float:
     return (_h(float(nn * spec.singlet - 1)) + (nn - 1) * _h(float(nn * spec.adjoint - 1))) / nn
 
 
-def check_saturation(n: int, run: CheckRun) -> Iterator[Point]:
-    """Entropy saturates at 2 log n: gap below 1e-12 at L=30, and inside the
-    exponential envelope for every L in 2..40."""
-    yield saturation_gap(n, 30), 1e-12, dict(n=n, L=30, part="gap")
+def check_saturation(n: int, run: CheckRun, tolerance: float) -> Iterator[Point]:
+    """Entropy saturates at 2 log n: gap below tolerance at L=30, and inside
+    the exponential envelope for every L in 2..40."""
+    yield saturation_gap(n, 30), tolerance, dict(n=n, L=30, part="gap")
     for L in range(2, 41):
         yield saturation_gap(n, L), saturation_envelope(n, L), dict(n=n, L=L, part="envelope")
 
 
-def check_renyi_flatness(n: int, run: CheckRun) -> Iterator[Point]:
+def check_renyi_flatness(n: int, run: CheckRun, tolerance: float) -> Iterator[Point]:
     """At L=40 the Renyi entropy is order-independent and equals 2 log n."""
     target = 2.0 * math.log(n)
     for a in FLATNESS_ORDERS:
-        yield abs(closed_form.open_renyi(n, 40, a) - target), 1e-10, dict(n=n, L=40, alpha=a)
+        yield abs(closed_form.open_renyi(n, 40, a) - target), tolerance, dict(n=n, L=40, alpha=a)
 
 
-def check_branch_points(n: int, run: CheckRun) -> Iterator[Point]:
+def check_branch_points(n: int, run: CheckRun, tolerance: float,
+                        lengths: Sequence[int]) -> Iterator[Point]:
     """Every branch point annihilates the power sum and obeys the even/odd
     sign rule for its real part (a broken rule is an infinite deviation)."""
-    for L in BRANCH_GRID[n]:
+    for L in lengths:
         for point in closed_form.branch_points(n, L, range(3)):
             sign_ok = (point.alpha.real > 0) == (L % 2 == 0)
-            yield (point.residual if sign_ok else math.inf, 1e-8,
+            yield (point.residual if sign_ok else math.inf, tolerance,
                    dict(n=n, L=L, m=point.m, sign=point.sign))
 
 
-def check_edge_states(n: int, run: CheckRun) -> Iterator[Point]:
-    """Boundary-state orthonormality, Gram diagonal, and block reconstruction."""
+def check_edge_states(n: int, run: CheckRun, tolerance: float,
+                      lengths: Sequence[int]) -> Iterator[Point]:
+    """Boundary-state orthonormality, Gram diagonal (to 1e-9 relative), and
+    block reconstruction."""
     d = n * n - 1
-    for L in EDGE_GRID[n]:
+    for L in lengths:
         basis = edges.edge_basis(n, L, run.amp_budget)
         gram = edges.edge_gram(basis)
         norms = np.sqrt(np.diagonal(gram).real)
         keep = np.flatnonzero(norms > 0)  # the singlet's state is zero at L = 1
         overlaps = gram[np.ix_(keep, keep)] / np.outer(norms[keep], norms[keep])
-        yield (float(np.abs(overlaps - np.eye(keep.size)).max()), 1e-10,
+        yield (float(np.abs(overlaps - np.eye(keep.size)).max()), tolerance,
                dict(n=n, L=L, part="orthonormality"))
 
         spec = closed_form.open_spectrum(n, L)
@@ -223,102 +223,106 @@ def check_edge_states(n: int, run: CheckRun) -> Iterator[Point]:
             dev = abs(gram[k, k].real - want)
             yield (dev / want if want else dev), 1e-9, dict(n=n, L=L, part="gram-diagonal", label=k)
         off = gram - np.diag(np.diagonal(gram))
-        yield float(np.abs(off).max()), 1e-10, dict(n=n, L=L, part="gram-off-diagonal")
+        yield float(np.abs(off).max()), tolerance, dict(n=n, L=L, part="gram-off-diagonal")
 
         rho = edges.reconstruct_rho(basis, run.matrix_budget)
         rho_oracle = oracle.reduced_density(run.open_chain(n, L), range(L), run.matrix_budget)
-        yield (float(np.linalg.norm(rho.matrix - rho_oracle.matrix)), 1e-10,
+        yield (float(np.linalg.norm(rho.matrix - rho_oracle.matrix)), tolerance,
                dict(n=n, L=L, part="reconstruction"))
 
 
-def check_swap_identity(n: int, run: CheckRun) -> Iterator[Point]:
+def check_swap_identity(n: int, run: CheckRun, tolerance: float) -> Iterator[Point]:
     """Four-qudit pair-swap identity holds to assembly precision."""
-    yield weyl.swap_identity_residual(n), 1e-12, dict(n=n)
+    yield weyl.swap_identity_residual(n), tolerance, dict(n=n)
 
 
-def check_bell_invariance(n: int, run: CheckRun) -> Iterator[Point]:
+def check_bell_invariance(n: int, run: CheckRun, tolerance: float) -> Iterator[Point]:
     """(U[l,m] tensor U[l,-m]) leaves the singlet pair invariant."""
     phi = weyl.bell_vector(n, (0, 0))
     for l in range(n):
         for m in range(n):
             op = np.kron(weyl.u_lm(n, (l, m)), weyl.u_lm(n, (l, -m)))
-            yield float(np.linalg.norm(op @ phi - phi)), 1e-13, dict(n=n, label=l * n + m)
+            yield float(np.linalg.norm(op @ phi - phi)), tolerance, dict(n=n, label=l * n + m)
 
 
-def check_transfer_matrix(n: int, run: CheckRun) -> Iterator[Point]:
+def check_transfer_matrix(n: int, run: CheckRun, tolerance: float) -> Iterator[Point]:
     """Integer transfer-matrix route equals the exact weights; the hopping
     matrix has spectrum {n^2-1, -1 x (n^2-1)} and is diagonalized by the
     label Fourier matrix."""
     for L in range(1, 21):
-        via_transfer = closed_form.transfer_spectrum(n, L)
-        direct = closed_form.open_spectrum(n, L)
-        yield (_worst((abs(float(via_transfer.singlet - direct.singlet)),
-                       abs(float(via_transfer.adjoint - direct.adjoint)))),
-               1e-12, dict(n=n, L=L, part="weights"))
+        yield (_weight_gap(closed_form.transfer_spectrum(n, L), closed_form.open_spectrum(n, L)),
+               tolerance, dict(n=n, L=L, part="weights"))
     t = closed_form.transfer_matrix(n)
     want = np.array([n * n - 1.0] + [-1.0] * (n * n - 1))
-    yield (float(np.abs(oracle.jacobi_eigvalsh(t) - want).max()), 1e-12,
+    yield (float(np.abs(oracle.jacobi_eigvalsh(t) - want).max()), tolerance,
            dict(n=n, part="hopping-spectrum"))
     uc = closed_form.transfer_diagonalizer(n)
-    yield (float(np.linalg.norm(uc @ np.diag(want) @ uc.conj().T - t)), 1e-12,
+    yield (float(np.linalg.norm(uc @ np.diag(want) @ uc.conj().T - t)), tolerance,
            dict(n=n, part="fourier-diagonalization"))
 
 
-def check_independence(n: int, run: CheckRun) -> Iterator[Point]:
+def check_independence(n: int, run: CheckRun, tolerance: float,
+                       chains: Sequence[int], lengths: Sequence[int]) -> Iterator[Point]:
     """Open-chain block spectra do not depend on the block start or the chain
     length; all grid combinations agree with the shortest chain (a changed
     rank is an infinite deviation)."""
-    grid = OPEN_GRID[n]
-    for L in grid["lengths"]:
+    for L in lengths:
         reference = None
-        for N in grid["chains"]:
+        for N in chains:
             if L > N:
                 continue
             for start in range(N - L + 1):
                 eigenvalues = run.open_eigenvalues(n, N, L, start)
                 if reference is None:
                     reference = eigenvalues
-                yield (spectrum_deviation(eigenvalues, reference), 1e-11,
+                yield (spectrum_deviation(eigenvalues, reference), tolerance,
                        dict(n=n, N=N, L=L, start=start + 1))
 
 
-def check_limit_consistency(n: int, run: CheckRun) -> Iterator[Point]:
-    """Ring weights at N=40 reduce to the open-chain weights (n=2), and Renyi
-    entropies at order 1 +/- 1e-6 track the von Neumann value."""
+def check_limit_consistency(n: int, run: CheckRun, tolerance: float,
+                            rings: Sequence[int]) -> Iterator[Point]:
+    """Ring weights at N=40 reduce to the open-chain weights (n=2, to 1e-10),
+    and Renyi entropies at order 1 +/- 1e-6 track the von Neumann value."""
     if n == 2:
-        ring = closed_form.periodic_spectrum(2, 40, 2)
-        open_ = closed_form.open_spectrum(2, 2)
-        yield (_worst((abs(float(ring.singlet - open_.singlet)),
-                       abs(float(ring.adjoint - open_.adjoint)))),
-               1e-10, dict(n=n, N=40, L=2, part="ring-reduction"))
+        ring, open_ = closed_form.periodic_spectrum(2, 40, 2), closed_form.open_spectrum(2, 2)
+        yield _weight_gap(ring, open_), 1e-10, dict(n=n, N=40, L=2, part="ring-reduction")
     for L in range(1, 11):
         s = closed_form.open_entropy(n, L)
         yield (_worst(abs(closed_form.open_renyi(n, L, a) - s) for a in NEAR_ONE),
-               1e-5, dict(n=n, L=L, part="order-limit"))
-    for N in PERIODIC_GRID.get(n, ()):
+               tolerance, dict(n=n, L=L, part="order-limit"))
+    for N in rings:
         for L in range(1, N + 1):
             s = closed_form.periodic_entropy(n, N, L)
             yield (_worst(abs(closed_form.periodic_renyi(n, N, L, a) - s) for a in NEAR_ONE),
-                   1e-5, dict(n=n, N=N, L=L, part="order-limit"))
+                   tolerance, dict(n=n, N=N, L=L, part="order-limit"))
 
 
-Check = Callable[[int, CheckRun], Iterator[Point]]
+Check = Callable[..., Iterator[Point]]
 
-#: name -> (n values of its grid, generator, tolerance a SKIP reports)
-CHECKS: Dict[str, Tuple[Collection[int], Check, float]] = {
-    "open-spectrum": (OPEN_GRID, check_open_spectrum, 1e-10),
-    "periodic-spectrum": (PERIODIC_GRID, check_periodic_spectrum, 1e-10),
-    "saturation": (SATURATION_NS, check_saturation, 1e-12),
-    "renyi-flatness": (FLATNESS_NS, check_renyi_flatness, 1e-10),
-    "branch-points": (BRANCH_GRID, check_branch_points, 1e-8),
-    "edge-states": (EDGE_GRID, check_edge_states, 1e-10),
-    "swap-identity": (SWAP_NS, check_swap_identity, 1e-12),
-    "bell-invariance": (INVARIANCE_NS, check_bell_invariance, 1e-13),
-    "transfer-matrix": (TRANSFER_NS, check_transfer_matrix, 1e-12),
-    "independence": (OPEN_GRID, check_independence, 1e-11),
-    "limit-consistency": (LIMIT_NS, check_limit_consistency, 1e-5),
+#: name -> (generator, main tolerance, n -> keyword arguments).  `independence`
+#: reads the grid object of `open-spectrum`, so both compare the same cached
+#: block spectra, and `limit-consistency` reads the `periodic-spectrum` rings.
+CHECKS: Dict[str, Tuple[Check, float, Dict[int, dict]]] = {
+    "open-spectrum": (check_open_spectrum, 1e-10, (_open_blocks := {
+        2: dict(chains=range(1, 7), lengths=range(1, 6)),
+        3: dict(chains=range(1, 5), lengths=range(1, 4))})),
+    "periodic-spectrum": (check_periodic_spectrum, 1e-10, (_rings := {
+        2: dict(rings=range(3, 9)),
+        3: dict(rings=range(3, 5))})),
+    "saturation": (check_saturation, 1e-12, dict.fromkeys((2, 3, 4), {})),
+    "renyi-flatness": (check_renyi_flatness, 1e-10, dict.fromkeys((2, 3), {})),
+    "branch-points": (check_branch_points, 1e-8, dict.fromkeys((2, 3), dict(lengths=range(2, 7)))),
+    "edge-states": (check_edge_states, 1e-10,
+                    {2: dict(lengths=range(1, 6)), 3: dict(lengths=range(1, 4))}),
+    "swap-identity": (check_swap_identity, 1e-12, dict.fromkeys((2, 3, 4), {})),
+    "bell-invariance": (check_bell_invariance, 1e-13, dict.fromkeys((2, 3, 4, 5), {})),
+    "transfer-matrix": (check_transfer_matrix, 1e-12, dict.fromkeys((2, 3, 4), {})),
+    "independence": (check_independence, 1e-11, _open_blocks),
+    "limit-consistency": (check_limit_consistency, 1e-5,
+                          {n: _rings.get(n, dict(rings=())) for n in (2, 3, 4)}),
 }
 
+#: The n of a default run, kept apart from CHECKS: it sets a default run's work.
 ALL_NS = (2, 3, 4, 5)
 
 
@@ -361,7 +365,7 @@ def run_checks(
     run = CheckRun(amp_budget, matrix_budget)
     results = []
     for name in names:
-        grid, check, tolerance = CHECKS[name]
-        points = (p for n in use_ns if n in grid for p in check(n, run))
+        check, tolerance, grid = CHECKS[name]
+        points = (p for n in use_ns if n in grid for p in check(n, run, tolerance, **grid[n]))
         results.append(reduce_points(name, tolerance, points))
     return results

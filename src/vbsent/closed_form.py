@@ -275,8 +275,13 @@ def periodic_renyi(n: int, N: int, L: int, alpha: Order) -> Order:
 class BranchPoint:
     """A complex order where the Renyi power sum vanishes.
 
-    `residual` is the power-sum residual with the adjoint branch factored
-    out, |(singlet/adjoint)**alpha + (n^2-1)|; see `branch_residual`.
+    `residual` measures, free of scale, how well alpha annihilates the power
+    sum.  That sum factors as adjoint**alpha * ((singlet/adjoint)**alpha +
+    (n^2-1)), and the prefactor is astronomically large at the negative real
+    parts odd lengths produce (|adjoint**alpha| ~ 1e40 already at n=2,
+    L=5), so only the bracket can meaningfully vanish in floating point:
+    `residual` is its modulus, at rounding level at a true branch point
+    whatever the scale.
     """
 
     alpha: complex
@@ -284,21 +289,6 @@ class BranchPoint:
     sign: int
     residual: float
     even_block: bool
-
-
-def branch_residual(n: int, L: int, alpha: complex) -> float:
-    """Scale-free measure of how well alpha annihilates the power sum.
-
-    The power sum factors as adjoint**alpha * ((singlet/adjoint)**alpha +
-    (n^2-1)); the prefactor is astronomically large at the negative real
-    parts odd lengths produce (|adjoint**alpha| ~ 1e40 already at n=2,
-    L=5), so only the bracketed factor can meaningfully vanish in floating
-    point.  Returns its modulus; at a true branch point this sits at
-    rounding level regardless of scale.
-    """
-    spectrum = open_spectrum(n, L)
-    singlet, adjoint = spectrum.floats()
-    return abs(cmath.exp(alpha * math.log(singlet / adjoint)) + spectrum.multiplicity)
 
 
 def branch_points(n: int, L: int, ms: Iterable[int] = range(3)) -> List[BranchPoint]:
@@ -311,8 +301,8 @@ def branch_points(n: int, L: int, ms: Iterable[int] = range(3)) -> List[BranchPo
     one point per (m, sign); the two signs give conjugate points.  The real
     part is positive for even L and negative for odd L, since the weight
     ratio crosses 1 with the sign of the decay factor.  Each returned point
-    is checked to annihilate the factored power sum within 1e-8; its
-    residual is `branch_residual`'s, computed from the same spectrum.
+    is checked to annihilate the factored power sum within 1e-8 (see
+    `BranchPoint.residual`).
 
     L = 1 is rejected (the singlet weight is exactly zero there) and so are
     lengths where the two weights agree within 1e-15.

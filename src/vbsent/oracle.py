@@ -61,6 +61,7 @@ deviation fails it.  Hermiticity is measured in row blocks
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple, Union
@@ -68,7 +69,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 from ._numpy import np
 from .errors import BudgetError, ConvergenceError, InvariantError
 from .states import PureState, charges
-from .weyl import _check_order, _log_power_sum
+from .weyl import _check_int, _check_order, _log_power_sum
 
 #: Default cap on the dimension of any materialized density/Gram matrix.
 DEFAULT_MATRIX_BUDGET = 4096
@@ -242,8 +243,11 @@ def spectrum_report(eigenvalues: Union[np.ndarray, Sequence[float]]) -> np.ndarr
 
 
 def _block_environment(state: PureState, block: Sequence[int]) -> np.ndarray:
-    """Reshape the phase codes to a (block, environment) matrix for a contiguous block."""
+    """Reshape the phase codes to a (block, environment) matrix for a contiguous
+    block of integer positions."""
     positions = list(block)
+    what = f"block positions {positions} must be integers"
+    positions = [_check_int(p, 0, what) for p in positions]
     if not positions:
         raise ValueError("block must contain at least one site")
     if positions != list(range(positions[0], positions[-1] + 1)):
@@ -261,6 +265,7 @@ def _turned(state: PureState, block: Sequence[int],
     """(short, long, wide): the (block, environment) code matrix m, turned to
     m^T if the environment is smaller, with the slots of its rows (its
     smaller side) and of its columns."""
+    block = [operator.index(p) for p in block]  # positions `_block_environment` accepted
     env = [i for i in range(len(state.dims)) if i not in block]
     if m.shape[0] > m.shape[1]:
         return env, list(block), m.T

@@ -9,7 +9,7 @@ import pytest
 from vbsent import closed_form, edges, oracle, states
 from vbsent.checks import (
     CHECKS,
-    OPEN_GRID,
+    FLATNESS_ORDERS,
     CheckRun,
     check_transfer_matrix,
     reduce_points,
@@ -65,20 +65,28 @@ def test_reducer_picks_worst_by_ratio_across_tolerances():
 
 
 def test_checks_yield_located_points_on_their_grids():
-    for name, (grid, check, _) in CHECKS.items():
-        n = min(grid)
-        points = list(check(n, CheckRun(10 ** 6, 4096)))
-        assert points, name
-        for dev, tol, where in points:
-            assert where["n"] == n and set(where) <= {"n", "N", "L", "start", "part", "label",
-                                                       "m", "sign", "alpha"}, (name, where)
-            assert dev < tol, (name, where)
+    for name, (check, tolerance, grid) in CHECKS.items():
+        for n, params in grid.items():
+            points = list(check(n, CheckRun(10 ** 6, 4096), tolerance, **params))
+            assert points, (name, n)
+            for dev, tol, where in points:
+                assert where["n"] == n and set(where) <= {"n", "N", "L", "start", "part", "label",
+                                                           "m", "sign", "alpha"}, (name, where)
+                assert dev < tol, (name, where)
+
+
+def test_adding_an_n_to_a_grid_is_a_data_edit(monkeypatch):
+    (skipped,) = run_checks(only=["renyi-flatness"], ns=[4])
+    assert skipped.status == "SKIP"
+    monkeypatch.setitem(CHECKS["renyi-flatness"][2], 4, {})
+    (result,) = run_checks(only=["renyi-flatness"], ns=[4])
+    assert (result.status, result.evaluated, result.worst_at["n"]) == ("PASS", len(FLATNESS_ORDERS), 4)
 
 
 @pytest.mark.parametrize("n", [9, 12])
 def test_transfer_matrix_passes_past_the_verify_grid(n):
     # zeta**(j*k) of a rounded zeta drifted with j*k up to (n^2-1)^2: 1.61e-12 at n=9
-    points = list(check_transfer_matrix(n, CheckRun(10 ** 6, 4096)))
+    points = list(check_transfer_matrix(n, CheckRun(10 ** 6, 4096), CHECKS["transfer-matrix"][1]))
     assert points and all(dev < tol for dev, tol, _ in points)
 
 
@@ -166,7 +174,7 @@ def test_full_run_computes_each_open_block_spectrum_once(monkeypatch):
     assert set(seen.values()) == {1}
     open_blocks = {(n, len(dims) - 1, len(block), block[0])
                    for (n, dims), block in seen if dims[-1] == n * n}
-    want = {(n, N, L, start) for n, grid in OPEN_GRID.items() for N in grid["chains"]
+    want = {(n, N, L, start) for n, grid in CHECKS["open-spectrum"][2].items() for N in grid["chains"]
             for L in grid["lengths"] if L <= N for start in range(N - L + 1)}
     assert open_blocks == want and len(want) == 74
 

@@ -18,7 +18,6 @@ from vbsent.closed_form import (
     _round_truncated,
     _rounded_weights,
     branch_points,
-    branch_residual,
     open_entropy,
     open_renyi,
     open_spectrum,
@@ -415,7 +414,9 @@ def test_branch_point_grid(n, L):
     assert len(points) == 6
     for point in points:
         assert point.residual < 1e-8
-        assert point.residual == branch_residual(n, L, point.alpha)
+        # the residual is the factored modulus |(singlet/adjoint)**alpha + (n^2-1)|
+        singlet, adjoint = open_spectrum(n, L).floats()
+        assert point.residual == abs(cmath.exp(point.alpha * math.log(singlet / adjoint)) + (n * n - 1))
         if L % 2 == 0:
             # small positive real part: the raw power sum itself cancels
             assert point.alpha.real > 0

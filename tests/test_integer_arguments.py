@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbsent import closed_form, weyl
+from vbsent import closed_form, oracle, weyl
 from vbsent.checks import run_checks
 from vbsent.edges import edge_basis
 from vbsent.states import OPEN, PERIODIC, ChainSpec, PureState, open_vbs_state
@@ -82,9 +82,6 @@ CASES = {
                       st.tuples(st.integers(2, 4), st.integers(2, 8),
                                 st.lists(st.integers(0, 5), min_size=1, max_size=3)),
                       (DIM, LENGTH, "branch integer")),
-    "branch_residual": (lambda n, L, alpha: repr(closed_form.branch_residual(n, L, alpha)),
-                        st.tuples(st.integers(2, 4), st.integers(2, 8), st.just(1.5 + 2j)),
-                        (DIM, LENGTH, None)),
     "ChainSpec": (lambda n, N, boundary: _spec(ChainSpec(n, N, boundary)),
                   st.tuples(st.integers(2, 4), st.integers(2, 4), st.sampled_from([OPEN, PERIODIC])),
                   (DIM, CHAIN, None)),
@@ -94,8 +91,12 @@ CASES = {
     "edge_basis": (lambda n, L: _state(edge_basis(n, L)),
                    st.tuples(st.integers(2, 3), st.integers(1, 3)), (DIM, CHAIN)),
     "weyl": (lambda n: (repr(weyl.phase_fold(n, [(1, -1), (2, 3)])), weyl.u_lm(n, (1, -1)).tobytes(),
-                        weyl.bell_vector(n, (2, -1)).tobytes(), repr(weyl.swap_identity_residual(min(n, 3)))),
+                        weyl.bell_vector(n, (2, -1)).tobytes()),
              st.tuples(st.integers(2, 6)), (DIM,)),
+    # n is drawn small here rather than capped in the lambda: arithmetic on
+    # the drawn argument would not take every integer type
+    "swap_identity_residual": (lambda n: repr(weyl.swap_identity_residual(n)),
+                               st.tuples(st.integers(2, 3)), (DIM,)),
     "run_checks": (lambda n: _checks(run_checks(only=["saturation", "transfer-matrix"], ns=[n])),
                    st.tuples(st.integers(2, 4)), (DIM,)),
 }
@@ -159,3 +160,23 @@ def test_non_integers_are_refused_with_the_same_message(bad):
     with pytest.raises(ValueError) as refused:
         weyl._check_dimension(bad)
     assert str(refused.value) == f"qudit dimension must be an integer >= 2, got {bad!r}"
+
+
+BLOCK_ROUTES = (oracle.exact_block_spectrum, oracle.block_spectrum, oracle.reduced_density)
+
+
+@pytest.mark.parametrize("route", BLOCK_ROUTES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [1.0, np.float64(1), "0", None], ids=repr)
+def test_block_positions_pass_the_integer_contract(route, bad):
+    state = open_vbs_state(ChainSpec(2, 3, OPEN))
+    with pytest.raises(ValueError, match=re.escape(f"block positions [0, {bad!r}] must be integers")):
+        route(state, [0, bad])
+
+
+@pytest.mark.parametrize("route", BLOCK_ROUTES, ids=lambda f: f.__name__)
+def test_integer_block_positions_of_any_type_compute_alike(route):
+    state = open_vbs_state(ChainSpec(2, 3, OPEN))
+    got, want = route(state, [np.int64(1), Index(2)]), route(state, range(1, 3))
+    if route is oracle.reduced_density:
+        got, want = got.matrix, want.matrix
+    assert np.array_equal(got, want)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbsent import closed_form, oracle
-from vbsent.checks import OPEN_GRID, PERIODIC_GRID, run_checks
+from vbsent.checks import CHECKS, run_checks
 from vbsent.edges import edge_basis
 from vbsent.errors import BranchPointCondition, BudgetError, ConvergenceError, InvariantError
 from vbsent.oracle import (
@@ -307,14 +307,14 @@ def split_every_block(monkeypatch):
 
 def verify_grid_blocks():
     """(state, block) for every block of the open and periodic verify grids."""
-    for n, grid in OPEN_GRID.items():
+    for n, grid in CHECKS["open-spectrum"][2].items():
         for N in grid["chains"]:
             psi = open_vbs_state(ChainSpec(n, N, OPEN))
             for L in grid["lengths"]:
                 for start in range(N - L + 1):
                     yield psi, range(start, start + L)
-    for n, chains in PERIODIC_GRID.items():
-        for N in chains:
+    for n, grid in CHECKS["periodic-spectrum"][2].items():
+        for N in grid["rings"]:
             psi = periodic_vbs_state(ChainSpec(n, N, PERIODIC))
             for L in range(1, N):
                 yield psi, range(L)
@@ -827,7 +827,7 @@ def test_exact_spectrum_is_the_closed_form_on_every_block():
 def tall_open_blocks():
     """(n, N, L, start, psi, M) for every open-grid block whose code matrix M
     has more rows than columns."""
-    for n, grid in OPEN_GRID.items():
+    for n, grid in CHECKS["open-spectrum"][2].items():
         for N in grid["chains"]:
             psi = open_vbs_state(ChainSpec(n, N, OPEN))
             for L in grid["lengths"]:
