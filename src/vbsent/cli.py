@@ -13,13 +13,20 @@ points use their own schema:
 
 CSV numbers carry 17 significant digits and JSON numbers are Python's shortest
 round-trip repr, so doubles round-trip in both formats.  A command yields
-its rows as tuples in header order, and one emitter turns each into its
-text as it is made: a CSV line, or the row's object as `json.dumps(indent=2)`
-prints it inside the list.  A cell reuses the text above it when its value
-is the same object or an equal nonzero float, so 0.0 and -0.0, or 1, 1.0 and
-True, never share text.  Only that text is held, and nothing is written
-before the last row is made, so a request that fails part-way prints no row
-and makes no --out file.
+one block per block length L, its cells in header order in three parts: the
+cells its rows share before the per-row ones (n to S), one tuple of per-row
+cells per row (alpha, S_alpha_re, S_alpha_im; a branch point's m to
+parity), and the cells its rows share after them (verified, max_dev).  One
+emitter turns each block into text as it is made: CSV lines, or each row's
+object as `json.dumps(indent=2)` prints it inside the list.  It joins a
+block's shared parts once, joins a per-row tuple only when it is a new
+object (`entropy` keeps its per-row tuples from block to block while the
+weights repeat), and writes each row as a concatenation of the three.  A
+cell reuses the text of the same column in the block above (for a per-row
+cell, of the row at the same position) when its value is the same object or
+an equal nonzero float, so 0.0 and -0.0, or 1, 1.0 and True, never share
+text.  Only that text is held, and nothing is written before the last row is
+made, so a request that fails part-way prints no row and makes no --out file.
 A --verify row compares the closed-form weights with the exact oracle route
 (`oracle.exact_block_spectrum`), whose eigenvalues are exact Fractions from
 counts of phase codes; it forms no matrix, so only `verify` takes
@@ -48,7 +55,7 @@ import os
 import sys
 from itertools import compress
 from operator import is_not
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import closed_form, oracle, states
 from .checks import CHECKS, _worst, run_checks, spectrum_deviation
@@ -61,6 +68,10 @@ BRANCH_HEADER = ["n", "L", "m", "sign", "alpha_re", "alpha_im", "residual", "par
 
 AMP_BUDGET_ENV = "VBSENT_AMP_BUDGET"
 MATRIX_BUDGET_ENV = "VBSENT_MATRIX_BUDGET"
+
+#: A block of rows: the cells they share before the per-row ones, one tuple of
+#: per-row cells per row, and the cells they share after them.
+Block = Tuple[tuple, Sequence[tuple], tuple]
 
 #: Most values a --block or --m span may hold, and most rows a request may make.
 MAX_SPAN = 10 ** 6
@@ -133,25 +144,53 @@ _CELL_TEXT = {**dict.fromkeys(["lambda_singlet", "lambda_adjoint", "S", "S_alpha
               "verified": {None: "", True: "true", False: "false"}.get}
 
 
-def _emit(header: List[str], args, rows: Iterable[tuple]) -> int:
-    """Write a command's rows, each its values in header order, as the module
-    docstring says, and return the exit code: 1 if a row has `verified`
-    false, else 0.  Nothing is written before the last row is made."""
+def _joiner(formats: Sequence[Callable], sep: str) -> Callable[[tuple], str]:
+    """A function from one part of a row (its values in header order) to the
+    part's text: the cell texts joined by `sep`.  A cell reuses the text of
+    the same column in the previous call when its value is the same object or
+    an equal nonzero float, and the same tuple as in the previous call reuses
+    the whole text."""
+    last, cells, text = (object(),) * len(formats), [""] * len(formats), ""
+    columns = range(len(formats))
+
+    def joined(values: tuple) -> str:
+        nonlocal last, text
+        if values is not last:
+            for i in compress(columns, map(is_not, values, last)):  # each cell whose value is a new object
+                if not (type(values[i]) is type(last[i]) is float and values[i] == last[i] != 0.0):
+                    cells[i] = formats[i](values[i])
+            last, text = values, sep.join(cells)
+        return text
+    return joined
+
+
+def _emit(header: List[str], args, blocks: Iterable[Block]) -> int:
+    """Write a command's blocks (see `Block`), their cells in header order,
+    as the module docstring says, and return the exit code: 1 if a row has
+    `verified` false, else 0.  Nothing is written before the last row is
+    made."""
     as_json, failed = args.format == "json", False
+    sep, opener, closer = (",\n    ", "\n  {\n    ", "\n  },") if as_json else (",", "", "\n")
     formats = [(lambda value, key=json.dumps(column) + ": ": key + json.dumps(value)) if as_json
                else _CELL_TEXT.get(column, str) for column in header]
-    verified = header.index("verified") if "verified" in header else None
-    texts = [] if as_json else [",".join(header) + "\n"]
-    columns, last, cells = range(len(header)), (object(),) * len(header), [""] * len(header)
-    for row in rows:  # the first row's values are new objects next to `last`
-        failed |= verified is not None and row[verified] is False
-        for i in compress(columns, map(is_not, row, last)):  # each cell whose value is a new object
-            if not (type(row[i]) is type(last[i]) is float and row[i] == last[i] != 0.0):
-                cells[i] = formats[i](row[i])
-        last = row
-        texts.append((",\n  {\n    " if texts else "[\n  {\n    ") + ",\n    ".join(cells) + "\n  }"
-                     if as_json else ",".join(cells) + "\n")
-    if as_json:
+    verified = header.index("verified") - len(header) if "verified" in header else None  # in the tail
+    texts = ["[" if as_json else ",".join(header) + "\n"]
+    head_text = tail_text = last_rows = None
+    row_joiners: List[Callable[[tuple], str]] = []
+    for head, rows, tail in blocks:
+        if head_text is None:
+            split = len(header) - len(tail)
+            head_text, tail_text = _joiner(formats[:len(head)], sep), _joiner(formats[split:], sep)
+            row_formats = formats[len(head):split]
+        failed |= verified is not None and tail[verified] is False
+        if rows is not last_rows:  # a row's cells are compared with the last row at its position
+            row_joiners += [_joiner(row_formats, sep) for _ in range(len(rows) - len(row_joiners))]
+            row_texts, last_rows = [joined(row) for joined, row in zip(row_joiners, rows)], rows
+        prefix = opener + head_text(head) + sep
+        suffix = (sep + tail_text(tail) if tail else "") + closer
+        texts += [prefix + text + suffix for text in row_texts]
+    if as_json:  # the last object takes no comma
+        texts[-1] = texts[-1][:-1]
         texts.append("\n]\n")
     if args.out:
         _write(args.out, texts)
@@ -180,16 +219,16 @@ def _spectrum_for(args, L: int) -> closed_form.BlockSpectrum:
 
 
 def _blocks(args, per_block: int = 1) -> Iterator[Tuple[closed_form.BlockSpectrum, tuple, tuple]]:
-    """Each requested block's spectrum, by length, with the values of its rows
-    in columns n to lambda_adjoint and in verified and max_dev: on --verify,
-    the weights checked against the oracle on an open chain per block length,
-    or on one ring built on first use and reused for every block.  A block
-    makes `per_block` rows."""
-    ring, blocks = None, parse_span(args.block)
+    """Each requested block's spectrum, by length, with the values its rows
+    share in columns n to lambda_adjoint and in verified and max_dev: on
+    --verify, the weights checked against the oracle on an open chain per
+    block length, or on one ring built on first use and reused for every
+    block.  A block makes `per_block` rows."""
+    ring, blocks, unchecked = None, parse_span(args.block), (None, None)
     _check_rows(len(blocks) * per_block)
     for L in blocks:
         spec = _spectrum_for(args, L)
-        verified = dev = None
+        tail = unchecked
         if args.verify:
             if spec.N is None:
                 state = states.open_vbs_state(states.ChainSpec(args.n, L, states.OPEN, args.budget_amps))
@@ -202,14 +241,15 @@ def _blocks(args, per_block: int = 1) -> Iterator[Tuple[closed_form.BlockSpectru
             dev = spectrum_deviation(oracle.exact_block_spectrum(state, range(L)), expected)
             if state.codes.size <= CROSS_CHECK_AMPS:
                 dev = _worst([dev, spectrum_deviation(oracle.block_spectrum(state, range(L)), expected)])
-            verified = dev <= args.tol
+            tail = (dev <= args.tol, dev)
             del state  # an open chain's state is freed before the next block's is built
-        yield spec, (args.n, -1 if spec.N is None else spec.N, L, args.boundary, *spec.floats()), (verified, dev)
+        yield spec, (args.n, -1 if spec.N is None else spec.N, L, args.boundary, *spec.floats()), tail
 
 
-def spectrum_rows(args) -> Iterator[tuple]:
+def spectrum_rows(args) -> Iterator[Block]:
+    rows = ((None, None, None, None),)  # S and the order cells are empty
     for _, head, tail in _blocks(args):
-        yield (*head, None, None, None, None, *tail)
+        yield head, rows, tail
 
 
 def _renyi_cells(spec: closed_form.BlockSpectrum, alpha, base_scale: float) -> tuple:
@@ -221,7 +261,7 @@ def _renyi_cells(spec: closed_form.BlockSpectrum, alpha, base_scale: float) -> t
     return s_alpha.real, s_alpha.imag
 
 
-def entropy_rows(args) -> Iterator[tuple]:
+def entropy_rows(args) -> Iterator[Block]:
     pieces = [piece for chunk in args.alpha or [] for piece in chunk.split(",") if piece]
     if args.alpha and not pieces:
         raise ValueError(f"--alpha {','.join(args.alpha)!r} names no order")
@@ -231,26 +271,24 @@ def entropy_rows(args) -> Iterator[tuple]:
     if args.log_base == "n":
         _check_dimension(args.n)  # before log(n), which fails for n < 2 without naming n
     base_scale = 1.0 if args.log_base == "e" else 1.0 / math.log(2.0 if args.log_base == "2" else args.n)
-    pair = cells = None
+    pair, rows, branch = None, ((None, None, None),), []
     for spec, head, tail in _blocks(args, max(1, len(orders))):  # one spectrum per block serves every order
-        entropy = spec.entropy() * base_scale
-        if not orders:
-            yield (*head, entropy, None, None, None, *tail)
-        if spec.floats() != pair:  # renyi reads only the floats: equal pairs share their values
-            pair, cells = spec.floats(), [_renyi_cells(spec, alpha, base_scale) for alpha, _ in orders]
-        for (_, literal), (s_re, s_im) in zip(orders, cells):
-            if s_re is None:  # flagged: order sits on a branch point
-                print(f"note: order {literal} is a branch point at L={spec.L}", file=sys.stderr)
-            yield (*head, entropy, literal, s_re, s_im, *tail)
+        if orders and spec.floats() != pair:  # renyi reads only the floats: equal pairs share their rows
+            pair = spec.floats()
+            rows = tuple((literal, *_renyi_cells(spec, alpha, base_scale)) for alpha, literal in orders)
+            branch = [literal for literal, s_re, _ in rows if s_re is None]
+        for literal in branch:  # flagged: order sits on a branch point
+            print(f"note: order {literal} is a branch point at L={spec.L}", file=sys.stderr)
+        yield (*head, spec.entropy() * base_scale), rows, tail
 
 
-def branch_point_rows(args) -> Iterator[tuple]:
+def branch_point_rows(args) -> Iterator[Block]:
     ms, blocks = parse_span(args.m), parse_span(args.block)
     _check_rows(len(blocks) * len(ms) * 2)
     for L in blocks:
-        for point in closed_form.branch_points(args.n, L, ms):
-            yield (args.n, L, point.m, point.sign, point.alpha.real, point.alpha.imag,
-                   point.residual, "even" if point.even_block else "odd")
+        yield (args.n, L), [(point.m, point.sign, point.alpha.real, point.alpha.imag, point.residual,
+                             "even" if point.even_block else "odd")
+                            for point in closed_form.branch_points(args.n, L, ms)], ()
 
 
 def cmd_verify(args) -> int:

@@ -5,7 +5,8 @@ Conventions, fixed package-wide:
 * Computational basis |0>, ..., |n-1>; omega = exp(2*pi*i/n).
 * Shift X|j> = |j+1 mod n>, clock Z|j> = omega**j |j>, so Z X = omega X Z.
 * The unitary family U[l,m] = X**l Z**m with (l, m) in Z_n x Z_n.  A pair
-  label is a plain (l, m) tuple of ints, read mod n (`as_index` reduces it).
+  label is a plain (l, m) pair of integers of any integer type, read mod n
+  (`as_index` reduces it).
   Products stay inside the family up to an integer power of omega, and that
   exponent is tracked exactly in integer arithmetic: `compose` and
   `phase_fold` return ((l, m), k) for the product omega**k U[l,m], with l, m
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 import sys
 from functools import lru_cache
@@ -66,7 +68,16 @@ def _check_dimension(n: int) -> int:
 
 def _check_order(alpha: Union[float, complex]) -> Union[float, complex]:
     """A Renyi order, validated: finite, not 1, with positive (real) part.
-    A complex order with zero imaginary part comes back real."""
+    It comes back as a Python float, or complex if its imaginary part is
+    nonzero, at its exact value: a numpy float32 order 0.1 is
+    0.100000001490116..., so the arithmetic is float64 at the caller's value."""
+    if type(alpha) is not float and type(alpha) is not complex:  # numpy scalars, ints, Fractions
+        if not isinstance(alpha, numbers.Number):
+            raise ValueError(f"order must be a number, got {alpha!r}")
+        try:
+            alpha = float(alpha) if isinstance(alpha, numbers.Real) else complex(alpha)
+        except OverflowError:
+            raise ValueError(f"order must be finite, got {alpha!r}") from None
     if not cmath.isfinite(alpha):
         raise ValueError(f"order must be finite, got {alpha!r}")
     if isinstance(alpha, complex) and alpha.imag == 0.0:
@@ -106,10 +117,15 @@ def _log_power_sum(total: Union[float, complex], alpha: Union[float, complex],
 
 
 def as_index(n: int, a: Tuple[int, int]) -> Tuple[int, int]:
-    """The pair label a = (l, m) for dimension n, reduced mod n."""
+    """The pair label a = (l, m) for dimension n, reduced mod n.  Each part is
+    any integer (a type with `__index__`), negative ones included; anything
+    else raises ValueError naming the label."""
     n = _check_dimension(n)
-    l, m = a
-    return int(l) % n, int(m) % n
+    try:
+        l, m = a
+        return operator.index(l) % n, operator.index(m) % n
+    except (TypeError, ValueError):
+        raise ValueError(f"pair label must be two integers (l, m), got {a!r}") from None
 
 
 @lru_cache(maxsize=None)

@@ -452,6 +452,28 @@ def test_non_finite_orders_rejected(alpha):
             entropy()
 
 
+NUMPY_ORDERS = [kind(alpha) for kind in (np.float16, np.float32, np.float64, np.complex64)
+                for alpha in (3.0, 0.5, 0.1)] + [np.complex64(2.0 + 0.5j), np.complex64(0.25 - 1.5j)]
+
+
+@pytest.mark.parametrize("order", NUMPY_ORDERS, ids=repr)
+def test_numpy_orders_compute_as_python_numbers(order):
+    # a numpy order is taken at its exact value, widened to a Python number:
+    # float16(0.1) is 0.0999755859375, and that order gives float64 results
+    want = complex(order) if isinstance(order, np.complexfloating) else float(order)
+    report = spectrum_report([0.6, 0.4])
+    for entropy in (lambda a: open_renyi(2, 5, a), lambda a: periodic_renyi(3, 6, 2, a),
+                    lambda a: renyi(report, a)):
+        got = entropy(order)
+        assert type(got) is type(entropy(want)) in (float, complex) and got == entropy(want)
+
+
+@pytest.mark.parametrize("alpha", ["2", None, [2.0], 10 ** 400], ids=["str", "None", "list", "10**400"])
+def test_non_numeric_orders_rejected(alpha):
+    with pytest.raises(ValueError, match="order must be"):
+        open_renyi(2, 2, alpha)
+
+
 def test_closed_form_branch_condition():
     point = branch_points(2, 2, [0])[0]
     with pytest.raises(BranchPointCondition):

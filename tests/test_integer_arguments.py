@@ -4,6 +4,7 @@ computes with them as the Python int each equals; any other value is refused
 with a ValueError naming the argument."""
 
 import json
+import operator
 import re
 from datetime import timedelta
 from fractions import Fraction
@@ -102,14 +103,13 @@ CASES = {
 }
 
 
-@st.composite
-def integers_equal_to(draw, value):
-    """value as a Python int, an `Index`, any numpy integer type that holds
-    it, or True if it is 1."""
+def _as(kind, value):
+    """value as `kind`, element by element for a list; bool takes only 1."""
     if isinstance(value, list):
-        return [draw(integers_equal_to(v)) for v in value]
-    kinds = [int, Index] + [t for t in NUMPY_INTEGERS if np.iinfo(t).min <= value <= np.iinfo(t).max]
-    return draw(st.sampled_from(kinds + [bool] * (value == 1)))(value)
+        return [_as(kind, v) for v in value]
+    if kind is bool:
+        return True if value == 1 else value
+    return kind(value)
 
 
 def _draw_case(data):
@@ -118,11 +118,24 @@ def _draw_case(data):
     return name, facts, tuple(data.draw(arguments)), phrases
 
 
-@settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=2))
+# The cases with an integer argument that may be 1, by its position: there
+# it is set to 1 (a branch integer list to [1]) and passed as True.
+TRUE_CASES = {"branch_points": 2, "edge_basis": 1, "open entropies": 1, "open_spectrum": 1,
+              "periodic_spectrum": 2, "ring entropies": 2, "transfer_spectrum": 1}
+KINDS = (Index, *NUMPY_INTEGERS)  # every drawn value fits each of them
+PAIRS = [(name, kind) for name in sorted(CASES) for kind in KINDS] + [(name, bool) for name in TRUE_CASES]
+
+
+@pytest.mark.parametrize("name,kind", PAIRS, ids=[f"{name}-{kind.__name__}" for name, kind in PAIRS])
+@settings(derandomize=True, max_examples=3, deadline=timedelta(seconds=2))
 @given(data=st.data())
-def test_integer_arguments_compute_as_python_ints(data):
-    name, facts, args, phrases = _draw_case(data)
-    drawn = tuple(data.draw(integers_equal_to(a)) if phrase else a for a, phrase in zip(args, phrases))
+def test_integer_arguments_compute_as_python_ints(name, kind, data):
+    facts, arguments, phrases = CASES[name]
+    args = tuple(data.draw(arguments))
+    if kind is bool:
+        i = TRUE_CASES[name]
+        args = args[:i] + ([1] if isinstance(args[i], list) else 1,) + args[i + 1:]
+    drawn = tuple(_as(kind, a) if phrase else a for a, phrase in zip(args, phrases))
     assert facts(*drawn) == facts(*args), (name, drawn)
 
 
@@ -180,3 +193,38 @@ def test_integer_block_positions_of_any_type_compute_alike(route):
     if route is oracle.reduced_density:
         got, want = got.matrix, want.matrix
     assert np.array_equal(got, want)
+
+
+# every function that takes a pair label, as a function of n and one label
+LABEL_ROUTES = {
+    "as_index": weyl.as_index,
+    "u_lm": lambda n, a: weyl.u_lm(n, a).tobytes(),
+    "bell_vector": lambda n, a: weyl.bell_vector(n, a).tobytes(),
+    "compose": lambda n, a: weyl.compose(n, a, (1, 2)),
+    "phase_fold": lambda n, a: weyl.phase_fold(n, [(2, 1), a]),
+}
+
+
+@pytest.mark.parametrize("route", sorted(LABEL_ROUTES))
+@pytest.mark.parametrize("label", [(0.5, 0), (1.7, 0), (0, 0.9), (np.float64(1), 0), (0, "1"), (None, 0),
+                                   (1,), (1, 2, 3), 3, None], ids=repr)
+def test_non_integer_labels_are_refused_by_name(route, label):
+    # int() truncated a float part: u_lm(2, (0.5, 0)) was the identity, (1.7, 0) was X
+    with pytest.raises(ValueError, match=re.escape(f"pair label must be two integers (l, m), got {label!r}")):
+        LABEL_ROUTES[route](3, label)
+
+
+def _label(kind):
+    """A pair label of two integers of `kind`, one negative where it holds one."""
+    if kind is bool:
+        return True, False
+    signed = kind is Index or np.issubdtype(kind, np.signedinteger)
+    return kind(-1 if signed else 4), kind(5)
+
+
+@pytest.mark.parametrize("route", sorted(LABEL_ROUTES))
+@pytest.mark.parametrize("kind", [Index, bool, *NUMPY_INTEGERS], ids=lambda t: t.__name__)
+def test_integer_labels_of_any_type_compute_alike(route, kind):
+    label = _label(kind)
+    assert LABEL_ROUTES[route](3, label) == LABEL_ROUTES[route](3, tuple(map(operator.index, label)))
+    assert [type(part) for part in weyl.as_index(3, label)] == [int, int]

@@ -129,28 +129,40 @@ def test_verify_report_matches_golden(name, argv, exit_code):
 
 
 # The closed-form-sweep benchmark requests at seed 1 (about 1.2 MB of text)
-# and their JSON twins (about 4 MB): the sha256 of each one's stdout.
+# and their JSON twins (about 4 MB), a three-order sweep across the n=2 float
+# cut (L=758) with a branch-point order at L=2, and a ring spectrum --verify
+# span on the exact route: the sha256 of each one's stdout, and its stderr.
+CUT_ORDERS = ("--alpha", f"2,{BRANCH_ORDER},0.5+1i")
 SWEEP_DIGESTS = [
     (("entropy", "--n", "2", *OPEN, "--block", "1..4000", "--alpha", "2,0.25,1.5-0.5i"),
-     "9b267b0859b82b376395165dce811ebae7a49cd439cd8b7d4e1bdfc710887645"),
+     "9b267b0859b82b376395165dce811ebae7a49cd439cd8b7d4e1bdfc710887645", ""),
     (("entropy", "--n", "3", *RING, "--chain", "2000", "--block", "1..2000", "--alpha", "3"),
-     "a79babee21db166ae03db3d5eb233dc5d02b401803c1b6402776a2c73f1a5a25"),
+     "a79babee21db166ae03db3d5eb233dc5d02b401803c1b6402776a2c73f1a5a25", ""),
     (("branch-points", "--n", "2", "--block", "2..30"),
-     "157e95a2f368e0a3d596184bbdafd5bfe5d78fc84ca099c09909e86036ca5cf1"),
+     "157e95a2f368e0a3d596184bbdafd5bfe5d78fc84ca099c09909e86036ca5cf1", ""),
     (("entropy", "--n", "2", *OPEN, "--block", "1..4000", "--alpha", "2,0.25,1.5-0.5i", "--format", "json"),
-     "d90051f20cdfe12e1d227e2be06140f24aad4a35bfcc56305c4cdf993f6cde75"),
+     "d90051f20cdfe12e1d227e2be06140f24aad4a35bfcc56305c4cdf993f6cde75", ""),
     (("entropy", "--n", "3", *RING, "--chain", "2000", "--block", "1..2000", "--alpha", "3", "--format", "json"),
-     "247607f830d790f0adeb649ab4678adc429c35ab6b29c97affb0665de0866fe5"),
+     "247607f830d790f0adeb649ab4678adc429c35ab6b29c97affb0665de0866fe5", ""),
     (("branch-points", "--n", "2", "--block", "2..30", "--format", "json"),
-     "e0c8413e9b548857bea3074b4c7a9a35f8588eea4aa5a48a2f2c62cc45c40369"),
+     "e0c8413e9b548857bea3074b4c7a9a35f8588eea4aa5a48a2f2c62cc45c40369", ""),
+    (("entropy", "--n", "2", *OPEN, "--block", "1..800", *CUT_ORDERS),
+     "d1e8fac4da293ec967f936b2935696898b594283c2384fc7985b1c51dd23072b", BRANCH_NOTE),
+    (("entropy", "--n", "2", *OPEN, "--block", "1..800", *CUT_ORDERS, "--format", "json"),
+     "03d66ea0dceea9eca5e99f8e14458281d799e55cabf5e5e6a591e9e219e71da6", BRANCH_NOTE),
+    (("spectrum", "--n", "3", *RING, "--chain", "6", "--block", "1..6", "--verify"),
+     "e617543a5abb9dac8c709b06e926f8cbf799e7173084922b568f2c0e591a1ed1", ""),
+    (("spectrum", "--n", "3", *RING, "--chain", "6", "--block", "1..6", "--verify", "--format", "json"),
+     "7b5d0d40f3e223eac0e3e6c9c5a6f615e51d4fc3810a420ea147e00e07912a71", ""),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", SWEEP_DIGESTS,
-                         ids=["open", "ring", "branch-points", "open-json", "ring-json", "branch-points-json"])
-def test_sweep_output_digest(argv, digest):
-    code, out, err = run(argv)
-    assert (code, err) == (0, "")
+@pytest.mark.parametrize("argv,digest,err", SWEEP_DIGESTS,
+                         ids=["open", "ring", "branch-points", "open-json", "ring-json", "branch-points-json",
+                              "orders-across-cut", "orders-across-cut-json", "ring-verify", "ring-verify-json"])
+def test_sweep_output_digest(argv, digest, err):
+    code, out, got_err = run(argv)
+    assert (code, got_err) == (0, err)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -168,12 +180,23 @@ def test_budget_error_mid_sweep_prints_no_row(tmp_path):
         assert not target.exists()
 
 
-def _emitted(rows, fmt):
-    """(exit code, stdout) of the emitter on crafted rows of the CSV_HEADER schema."""
+def _emitted(blocks, fmt):
+    """(exit code, stdout) of the emitter on crafted blocks of the CSV_HEADER
+    schema: (cells n to S, tuples of alpha to S_alpha_im, verified and max_dev)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = _emit(CSV_HEADER, argparse.Namespace(format=fmt, out=None), iter(rows))
+        code = _emit(CSV_HEADER, argparse.Namespace(format=fmt, out=None), iter(blocks))
     return code, out.getvalue()
+
+
+def _flat(blocks):
+    """The rows of `blocks`, each its values in header order."""
+    return [(*head, *row, *tail) for head, rows, tail in blocks for row in rows]
+
+
+def _block(row):
+    """A flat row as a block of one row."""
+    return row[:7], (row[7:10],), row[10:]
 
 
 def _every_cell_formatted(rows, fmt):
@@ -200,7 +223,45 @@ def test_emitter_reuses_a_cell_text_only_where_it_prints_alike(fmt):
         (1, -1, 0.1, "ring", nan, -math.inf, -0.0, None, 0.5, 0.1, False, None),
         (1.0, -1, True, "ring", 0.0, 0.0, 0.0, None, float("0.5"), 0.1, False, 0.0),
     ]
-    assert _emitted(rows, fmt) == (1, _every_cell_formatted(rows, fmt))
+    assert _emitted(map(_block, rows), fmt) == (1, _every_cell_formatted(rows, fmt))
+
+
+def _head(L, S=0.25):
+    return (2, -1, L, "open", 0.5, 0.125, S)
+
+
+UNCHECKED = (None, None)
+
+# Crafted sweeps of several rows a block.  Each holds a per-row part that
+# is reused or changes in a way the emitter must not mistake for reuse.
+BLOCKS = {
+    # the per-row tuples are the same objects while the shared cells change
+    "rows-kept": lambda rows=(("2", 0.5, 0.0), ("0.5+1i", 0.25, -0.0)): [
+        (_head(L, 0.25 * L), rows, UNCHECKED) for L in range(1, 5)],
+    # an order's cells are None at a branch point between numeric blocks
+    "branch-point": lambda: [
+        (_head(L), (("2", 0.5, 0.0), ("3+1i", None, None) if L == 2 else ("3+1i", 0.5 * L, 0.1)),
+         UNCHECKED) for L in range(1, 4)],
+    # 0.0 and -0.0 alternate in S across blocks, beside per-row zeros of both signs
+    "signed-zero": lambda: [
+        (_head(L, -0.0 if L % 2 else 0.0), (("2", 0.0 if L % 2 else -0.0, 0.0),), UNCHECKED)
+        for L in range(1, 6)],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+def test_emitter_blocks_print_as_their_rows_alone(name, fmt):
+    blocks = BLOCKS[name]()
+    assert _emitted(blocks, fmt) == (0, _every_cell_formatted(_flat(blocks), fmt))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_block_unverified_mid_sweep_exits_1(fmt):
+    rows = (("2", 0.5, 0.0), ("0.5", 0.75, 0.0))
+    blocks = [(_head(L), rows, (L != 3, 1e-16 * L)) for L in range(1, 6)]
+    assert _emitted(blocks, fmt) == (1, _every_cell_formatted(_flat(blocks), fmt))
+    assert _emitted(blocks[:2] + blocks[3:], fmt)[0] == 0
 
 
 class _Sink(io.TextIOBase):
