@@ -30,11 +30,12 @@ compare and `edge-states` takes its N = L chains from.  `edge-states` builds
 one boundary basis per (n, L).  Nothing persists between runs.
 
 The checks never weaken a comparison to pass: the closed forms and the
-oracle must meet in the middle.  `ChainSpec`, the oracle and `edges` raise
-BudgetError for a state or matrix over its budget; `run_checks` returns only
-once every check has finished, so a budget failure never yields partial
-output.  The CLI `verify` command and the acceptance tests both drive this
-registry.
+oracle must meet in the middle.  `ChainSpec`, the oracle, `edges` and the
+transfer builders raise BudgetError for a state or matrix over its budget
+(a budget that is not an integer >= 1 is a ValueError); `run_checks`
+returns only once every check has finished, so a budget failure never
+yields partial output.  The CLI `verify` command and the acceptance tests
+both drive this registry.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ class CheckRun:
     """One run's budgets and the open chains and spectra its checks share."""
 
     def __init__(self, amp_budget: int, matrix_budget: int) -> None:
-        self.amp_budget = amp_budget
-        self.matrix_budget = matrix_budget
+        self.amp_budget = weyl._check_budget(amp_budget, "amplitude")
+        self.matrix_budget = weyl._check_budget(matrix_budget, "matrix")
         self._chains: Dict[Tuple[int, int], states.PureState] = {}
         self._spectra: Dict[Tuple[int, int, int, int], np.ndarray] = {}
 
@@ -252,11 +253,11 @@ def check_transfer_matrix(n: int, run: CheckRun, tolerance: float) -> Iterator[P
     for L in range(1, 21):
         yield (_weight_gap(closed_form.transfer_spectrum(n, L), closed_form.open_spectrum(n, L)),
                tolerance, dict(n=n, L=L, part="weights"))
-    t = closed_form.transfer_matrix(n)
+    t = closed_form.transfer_matrix(n, run.matrix_budget)
     want = np.array([n * n - 1.0] + [-1.0] * (n * n - 1))
     yield (float(np.abs(oracle.jacobi_eigvalsh(t) - want).max()), tolerance,
            dict(n=n, part="hopping-spectrum"))
-    uc = closed_form.transfer_diagonalizer(n)
+    uc = closed_form.transfer_diagonalizer(n, run.matrix_budget)
     yield (float(np.linalg.norm(uc @ np.diag(want) @ uc.conj().T - t)), tolerance,
            dict(n=n, part="fourier-diagonalization"))
 
@@ -354,8 +355,8 @@ def run_checks(
 ) -> List[CheckResult]:
     """Run the selected checks (all by default) at the selected n values in
     each check's grid, one result per check; a repeated name or n counts once,
-    in the order it first appears.  An unknown check name or an n
-    below 2 raises ValueError, and a BudgetError raised by any check
+    in the order it first appears.  An unknown check name, an n below 2 or
+    a budget below 1 raises ValueError, and a BudgetError raised by any check
     propagates, before any result is returned."""
     names = list(dict.fromkeys(only or CHECKS))  # repeats dropped, first order kept
     unknown = [x for x in names if x not in CHECKS]

@@ -21,7 +21,11 @@ emitter turns each block into text as it is made: CSV lines, or each row's
 object as `json.dumps(indent=2)` prints it inside the list.  It joins a
 block's shared parts once, joins a per-row tuple only when it is a new
 object (`entropy` keeps its per-row tuples from block to block while the
-weights repeat), and writes each row as a concatenation of the three.  A
+weights repeat), and writes each row as a concatenation of the three.  Past
+the float cut, a block whose truncated weight integers an earlier block of
+the request had takes that block's floats, S and per-row tuples, the same
+objects, so it computes no spectrum or entropy and only its L is formatted;
+its --verify cells and branch-point notes are still its own.  A
 cell reuses the text of the same column in the block above (for a per-row
 cell, of the row at the same position) when its value is the same object or
 an equal nonzero float, so 0.0 and -0.0, or 1, 1.0 and True, never share
@@ -218,24 +222,46 @@ def _spectrum_for(args, L: int) -> closed_form.BlockSpectrum:
     return closed_form.periodic_spectrum(args.n, args.chain, L)
 
 
-def _blocks(args, per_block: int = 1) -> Iterator[Tuple[closed_form.BlockSpectrum, tuple, tuple]]:
-    """Each requested block's spectrum, by length, with the values its rows
-    share in columns n to lambda_adjoint and in verified and max_dev: on
-    --verify, the weights checked against the oracle on an open chain per
-    block length, or on one ring built on first use and reused for every
-    block.  A block makes `per_block` rows."""
+def _shared_key(n: int, N: Optional[int], L: int, cut: int) -> Optional[tuple]:
+    """The truncated weight integers of a valid block with a length past the
+    cut (`closed_form._weight_ints`), else None."""
+    if L >= cut and (N is None or L <= N) or N is not None and N - L >= cut:
+        return closed_form._weight_ints(n, N, L, cut)
+    return None
+
+
+def _blocks(args, per_block: int = 1,
+            derive: Callable = lambda spec: ()) -> Iterator[Tuple[int, tuple, object, tuple]]:
+    """Each requested block, by length: L, the values its rows share in
+    columns n to lambda_adjoint, `derive` of its spectrum, and the values in
+    verified and max_dev.  Blocks with the same `_shared_key` share the
+    floats and `derive` value of the first of them whose floats were rounded
+    from those integers (not from the exact ones, on an undecided rounding),
+    as both are functions of the key.  On --verify, each block's own exact
+    weights are checked against the oracle on an open chain per block
+    length, or on one ring built on first use and reused for every block.
+    A block makes `per_block` rows."""
     ring, blocks, unchecked = None, parse_span(args.block), (None, None)
     _check_rows(len(blocks) * per_block)
+    spec = _spectrum_for(args, blocks[0])  # a bad n, chain or least L raises before any key is formed
+    n, N, cut, shared = spec.n, spec.N, closed_form._cut(spec.multiplicity), {}
     for L in blocks:
-        spec = _spectrum_for(args, L)
+        key = _shared_key(n, N, L, cut)
+        hit = shared.get(key)
+        if hit is None:
+            spec = spec if spec.L == L else _spectrum_for(args, L)
+            hit = spec.floats(), derive(spec)
+            if key is not None and spec._ints is None:  # rounded from the key, not from exact integers
+                shared[key] = hit
+        floats, derived = hit
         tail = unchecked
         if args.verify:
-            if spec.N is None:
-                state = states.open_vbs_state(states.ChainSpec(args.n, L, states.OPEN, args.budget_amps))
+            spec = spec if spec.L == L else _spectrum_for(args, L)  # exact weights are never shared
+            if N is None:
+                state = states.open_vbs_state(states.ChainSpec(n, L, states.OPEN, args.budget_amps))
             else:
                 if ring is None:
-                    ring = states.periodic_vbs_state(
-                        states.ChainSpec(args.n, spec.N, states.PERIODIC, args.budget_amps))
+                    ring = states.periodic_vbs_state(states.ChainSpec(n, N, states.PERIODIC, args.budget_amps))
                 state = ring
             expected = spec.nonzero()
             dev = spectrum_deviation(oracle.exact_block_spectrum(state, range(L)), expected)
@@ -243,12 +269,12 @@ def _blocks(args, per_block: int = 1) -> Iterator[Tuple[closed_form.BlockSpectru
                 dev = _worst([dev, spectrum_deviation(oracle.block_spectrum(state, range(L)), expected)])
             tail = (dev <= args.tol, dev)
             del state  # an open chain's state is freed before the next block's is built
-        yield spec, (args.n, -1 if spec.N is None else spec.N, L, args.boundary, *spec.floats()), tail
+        yield L, (n, -1 if N is None else N, L, args.boundary, *floats), derived, tail
 
 
 def spectrum_rows(args) -> Iterator[Block]:
     rows = ((None, None, None, None),)  # S and the order cells are empty
-    for _, head, tail in _blocks(args):
+    for _, head, _, tail in _blocks(args):
         yield head, rows, tail
 
 
@@ -272,14 +298,20 @@ def entropy_rows(args) -> Iterator[Block]:
         _check_dimension(args.n)  # before log(n), which fails for n < 2 without naming n
     base_scale = 1.0 if args.log_base == "e" else 1.0 / math.log(2.0 if args.log_base == "2" else args.n)
     pair, rows, branch = None, ((None, None, None),), []
-    for spec, head, tail in _blocks(args, max(1, len(orders))):  # one spectrum per block serves every order
+
+    def derive(spec: closed_form.BlockSpectrum) -> tuple:
+        """S, the per-row tuples and the branch-point literals of a spectrum."""
+        nonlocal pair, rows, branch
         if orders and spec.floats() != pair:  # renyi reads only the floats: equal pairs share their rows
             pair = spec.floats()
             rows = tuple((literal, *_renyi_cells(spec, alpha, base_scale)) for alpha, literal in orders)
             branch = [literal for literal, s_re, _ in rows if s_re is None]
-        for literal in branch:  # flagged: order sits on a branch point
-            print(f"note: order {literal} is a branch point at L={spec.L}", file=sys.stderr)
-        yield (*head, spec.entropy() * base_scale), rows, tail
+        return spec.entropy() * base_scale, rows, branch
+
+    for L, head, (s, order_rows, notes), tail in _blocks(args, max(1, len(orders)), derive):
+        for literal in notes:  # flagged: order sits on a branch point
+            print(f"note: order {literal} is a branch point at L={L}", file=sys.stderr)
+        yield (*head, s), order_rows, tail
 
 
 def branch_point_rows(args) -> Iterator[Block]:

@@ -41,8 +41,9 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple, Union
 
 from ._numpy import np
-from .errors import DegenerateSpectrumError
-from .weyl import _check_dimension, _check_int, _check_order, _log_power_sum
+from .errors import BudgetError, DegenerateSpectrumError
+from .oracle import DEFAULT_MATRIX_BUDGET
+from .weyl import _check_budget, _check_dimension, _check_int, _check_order, _log_power_sum
 
 Order = Union[float, complex]
 
@@ -162,16 +163,18 @@ def _weight_ints(n: int, N: Optional[int], L: int, cut: float = math.inf) -> Tup
     ring with none dropped, d**C d**L = d**N and the denominator is n^2 f(N);
     once one is dropped, so is r(N).  `sign` is (-1)**k at the least dropped
     k, or 0 if none is: with no cut these are the exact weights."""
-    d, singlet, adjoint, denom = n * n - 1, 1, 1, n * n
-    lengths = (L,) if N is None else (N - L, L)
-    for k in lengths:
+    d, singlet, adjoint, denom, least = n * n - 1, 1, 1, n * n, None
+    for k in (L,) if N is None else (N - L, L):
         if k < cut:
             dk, sk = d ** k, (-1) ** (k % 2)
             singlet, adjoint, denom = singlet * (dk + d * sk), adjoint * (dk - sk), denom * dk
-    dropped = [k for k in lengths if k >= cut]
-    if N is not None and not dropped:
-        denom += n * n * d * (-1) ** (N % 2)
-    return singlet, adjoint, denom, (-1) ** (min(dropped) % 2) if dropped else 0
+        elif least is None or k < least:
+            least = k
+    if least is None:
+        if N is not None:
+            denom += n * n * d * (-1) ** (N % 2)
+        return singlet, adjoint, denom, 0
+    return singlet, adjoint, denom, (-1) ** (least % 2)
 
 
 @lru_cache(maxsize=None)
@@ -331,17 +334,26 @@ def branch_points(n: int, L: int, ms: Iterable[int] = range(3)) -> List[BranchPo
     return points
 
 
-def transfer_matrix(n: int) -> np.ndarray:
-    """The n^2 x n^2 hopping matrix on pair labels: all ones minus identity."""
+def _check_transfer(n: int, matrix_budget: int) -> int:
+    """n, if the matrix budget admits the n^2 x n^2 transfer matrices; else
+    BudgetError, before anything is allocated."""
     n = _check_dimension(n)
-    nn = n * n
+    matrix_budget = _check_budget(matrix_budget, "matrix")
+    if n * n > matrix_budget:
+        raise BudgetError(f"transfer matrix dimension {n * n} exceeds matrix budget {matrix_budget}")
+    return n
+
+
+def transfer_matrix(n: int, matrix_budget: int = DEFAULT_MATRIX_BUDGET) -> np.ndarray:
+    """The n^2 x n^2 hopping matrix on pair labels: all ones minus identity."""
+    nn = _check_transfer(n, matrix_budget) ** 2
     return np.ones((nn, nn)) - np.eye(nn)
 
 
-def transfer_diagonalizer(n: int) -> np.ndarray:
+def transfer_diagonalizer(n: int, matrix_budget: int = DEFAULT_MATRIX_BUDGET) -> np.ndarray:
     """Unitary Fourier matrix over the n^2 labels; diagonalizes the transfer matrix
     to diag(n^2-1, -1, ..., -1)."""
-    n = _check_dimension(n)
+    n = _check_transfer(n, matrix_budget)
     nn = n * n
     j, k = np.meshgrid(np.arange(nn), np.arange(nn), indexing="ij")
     return np.exp(2j * np.pi * (j * k % nn) / nn) / n  # reduced first: a rounded zeta's powers drift

@@ -69,7 +69,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 from ._numpy import np
 from .errors import BudgetError, ConvergenceError, InvariantError
 from .states import PureState, charges
-from .weyl import _check_int, _check_order, _log_power_sum
+from .weyl import _check_budget, _check_int, _check_order, _log_power_sum
 
 #: Default cap on the dimension of any materialized density/Gram matrix.
 DEFAULT_MATRIX_BUDGET = 4096
@@ -283,6 +283,7 @@ def reduced_density(
     chain) is allowed and returns the pure projector.  An n = 2 state gives
     a real matrix.
     """
+    matrix_budget = _check_budget(matrix_budget, "matrix")
     m = _block_environment(state, block)
     if m.shape[0] > matrix_budget:
         raise BudgetError(f"block dimension {m.shape[0]} exceeds matrix budget {matrix_budget}")
@@ -558,6 +559,7 @@ def block_spectrum(
     has more than SPLIT_MIN_ENTRIES entries, each charge sector
     (`_sector_spectra`) is diagonalized on its own.
     """
+    matrix_budget = _check_budget(matrix_budget, "matrix")
     m = _block_environment(state, block)
     short, long, wide = _turned(state, block, m)
     side = wide.shape[0]

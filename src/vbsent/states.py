@@ -64,7 +64,7 @@ from typing import Iterable, Sequence, Tuple
 
 from ._numpy import np
 from .errors import BudgetError, InvariantError
-from .weyl import _check_dimension, _check_int, omega_powers
+from .weyl import _check_budget, _check_dimension, _check_int, omega_powers
 
 #: Default cap on the number of stored amplitudes per state.
 DEFAULT_AMP_BUDGET = 2 ** 26
@@ -91,10 +91,11 @@ class ChainSpec:
             raise ValueError(f"boundary must be {OPEN!r} or {PERIODIC!r}, got {self.boundary!r}")
         object.__setattr__(self, "N", _check_int(self.N, 2 if self.boundary == PERIODIC else 1,
                                                  f"{self.boundary} chain length must be an integer N"))
+        object.__setattr__(self, "amp_budget", _check_budget(self.amp_budget, "amplitude"))
         d, N = self.n ** 2 - 1, self.N
         # d**N >= 2**((bits - 1) N): a size past 64 bits and the budget's is named
         # as a power and not formed, as it can take thousands of digits
-        if (d.bit_length() - 1) * N >= max(64, int(self.amp_budget).bit_length()):
+        if (d.bit_length() - 1) * N >= max(64, self.amp_budget.bit_length()):
             size = f"{d}^{N}" + (f"*{d + 1}" if self.boundary == OPEN else "")
         elif self.amplitudes > self.amp_budget:
             size = str(self.amplitudes)

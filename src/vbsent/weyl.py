@@ -66,6 +66,11 @@ def _check_dimension(n: int) -> int:
     return _check_int(n, 2, "qudit dimension must be an integer")
 
 
+def _check_budget(value: int, kind: str) -> int:
+    """An amplitude or matrix budget (`kind`): an integer >= 1."""
+    return _check_int(value, 1, f"{kind} budget must be an integer")
+
+
 def _check_order(alpha: Union[float, complex]) -> Union[float, complex]:
     """A Renyi order, validated: finite, not 1, with positive (real) part.
     It comes back as a Python float, or complex if its imaginary part is

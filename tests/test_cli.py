@@ -479,6 +479,18 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--n", "2", "--boundary", "open", "--block", "2", "--verify", "--budget-amps", "0"],
+     "amplitude budget must be an integer >= 1, got 0"),
+    (["entropy", "--n", "2", "--boundary", "periodic", "--chain", "4", "--block", "1..4", "--verify",
+      "--budget-amps", "-1"], "amplitude budget must be an integer >= 1, got -1"),
+    (["verify", "--only", "saturation", "--budget-matrix", "0"], "matrix budget must be an integer >= 1, got 0"),
+    (["verify", "--only", "saturation", "--budget-amps", "-1"], "amplitude budget must be an integer >= 1, got -1"),
+])
+def test_a_budget_below_one_is_a_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("env", ["VBSENT_AMP_BUDGET", "VBSENT_MATRIX_BUDGET"])
 def test_bad_budget_env_is_a_usage_error(capsys, monkeypatch, env):
     # each variable is read by a command that takes its option
@@ -948,7 +960,7 @@ def test_any_verify_request_answers_or_fails_as_documented(tmp_path, data):
     assert code in (0, 1, 2, 3), (argv, env, code, err)
     if code in (2, 3):
         causes = ["budget"] if code == 3 else ["no-such-check", "qudit dimension", "invalid int value",
-                                               "cannot write --out"]
+                                               "cannot write --out", "budget must be an integer >= 1"]
         assert out == "" and not target.exists() and "error: " in err and "Traceback" not in err, argv
         assert any(cause in err for cause in causes), (argv, env, err)
         return

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from vbsent.closed_form import (
     transfer_matrix,
     transfer_spectrum,
 )
-from vbsent.errors import BranchPointCondition, DegenerateSpectrumError
+from vbsent.errors import BranchPointCondition, BudgetError, DegenerateSpectrumError
 from vbsent.oracle import jacobi_eigvalsh, renyi, spectrum_report, von_neumann
 
 
@@ -500,6 +501,23 @@ def test_transfer_route_agrees_everywhere(n):
 def test_transfer_matrix_spectrum():
     eigs = jacobi_eigvalsh(transfer_matrix(2))
     assert np.abs(eigs - np.array([3.0, -1.0, -1.0, -1.0])).max() < 1e-12
+
+
+@pytest.mark.parametrize("build", [transfer_matrix, transfer_diagonalizer], ids=lambda f: f.__name__)
+def test_transfer_builders_refuse_a_side_over_the_matrix_budget_before_allocating(build):
+    # at n = 100 the side is 10^4 > 4096: 800 MB for the hopping matrix and
+    # about 3.2 GB for the Fourier matrix and its index grids
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="transfer matrix dimension 10000 exceeds matrix budget 4096$"):
+            build(100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    with pytest.raises(BudgetError, match="dimension 9 exceeds matrix budget 8$"):
+        build(3, matrix_budget=8)
+    assert build(3, matrix_budget=9).shape == (9, 9)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

@@ -1,7 +1,7 @@
-"""The integer contract: n, N, L and m may be Python or numpy integers, any
-other type with `__index__`, or True, which is 1, and every entry point
-computes with them as the Python int each equals; any other value is refused
-with a ValueError naming the argument."""
+"""The integer contract: n, N, L, m and the amplitude and matrix budgets may
+be Python or numpy integers, any other type with `__index__`, or True, which
+is 1, and every entry point computes with them as the Python int each
+equals; any other value is refused with a ValueError naming the argument."""
 
 import json
 import operator
@@ -46,7 +46,13 @@ def _state(state):
 
 
 def _spec(spec):
-    return spec, type(spec.n), type(spec.N)
+    return spec, type(spec.n), type(spec.N), type(spec.amp_budget)
+
+
+def _block_routes(matrix_budget):
+    state = open_vbs_state(ChainSpec(2, 3, OPEN))
+    return (oracle.block_spectrum(state, range(2), matrix_budget).tobytes(),
+            oracle.reduced_density(state, range(2), matrix_budget).matrix.tobytes())
 
 
 def _points(points):  # BranchPoint equality would take np.True_ for True
@@ -63,6 +69,7 @@ def _ring(n_max):
 
 
 DIM, LENGTH, RING, CHAIN = "qudit dimension", "block length", "periodic chain length", "chain length"
+AMPS, MATRIX = "amplitude budget", "matrix budget"
 
 # entry point -> (facts of its result, its arguments drawn as Python ints, and
 # per argument the phrase its refusal holds, None for an argument that is no integer)
@@ -100,6 +107,15 @@ CASES = {
                                st.tuples(st.integers(2, 3)), (DIM,)),
     "run_checks": (lambda n: _checks(run_checks(only=["saturation", "transfer-matrix"], ns=[n])),
                    st.tuples(st.integers(2, 4)), (DIM,)),
+    # budgets are drawn up to 127, so that every numpy integer type holds them
+    "ChainSpec budget": (lambda budget: _spec(ChainSpec(2, 2, OPEN, budget)),
+                         st.tuples(st.integers(36, 127)), (AMPS,)),
+    "block route budgets": (_block_routes, st.tuples(st.integers(9, 127)), (MATRIX,)),
+    "transfer builders": (lambda n, budget: (closed_form.transfer_matrix(n, budget).tobytes(),
+                                             closed_form.transfer_diagonalizer(n, budget).tobytes()),
+                          st.tuples(st.integers(2, 3), st.integers(9, 127)), (DIM, MATRIX)),
+    "run_checks budgets": (lambda amps, matrix: _checks(run_checks(["transfer-matrix"], [2], amps, matrix)),
+                           st.tuples(st.integers(1, 127), st.integers(4, 127)), (AMPS, MATRIX)),
 }
 
 
@@ -228,3 +244,25 @@ def test_integer_labels_of_any_type_compute_alike(route, kind):
     label = _label(kind)
     assert LABEL_ROUTES[route](3, label) == LABEL_ROUTES[route](3, tuple(map(operator.index, label)))
     assert [type(part) for part in weyl.as_index(3, label)] == [int, int]
+
+
+BUDGET_ROUTES = {
+    "ChainSpec": lambda budget: ChainSpec(2, 2, OPEN, budget),
+    "edge_basis": lambda budget: edge_basis(2, 2, budget),
+    "block_spectrum": lambda budget: oracle.block_spectrum(open_vbs_state(ChainSpec(2, 2, OPEN)), [0], budget),
+    "reduced_density": lambda budget: oracle.reduced_density(open_vbs_state(ChainSpec(2, 2, OPEN)), [0], budget),
+    "transfer_matrix": lambda budget: closed_form.transfer_matrix(2, budget),
+    "transfer_diagonalizer": lambda budget: closed_form.transfer_diagonalizer(2, budget),
+    "run_checks amplitudes": lambda budget: run_checks(["saturation"], [2], amp_budget=budget),
+    "run_checks matrices": lambda budget: run_checks(["saturation"], [2], matrix_budget=budget),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BUDGET_ROUTES))
+@pytest.mark.parametrize("bad", [0, -1, np.int64(0), 1e9, None], ids=repr)
+def test_a_budget_below_one_or_not_an_integer_is_refused_by_name(route, bad):
+    # not a BudgetError "budget is -1": the budget itself is refused
+    kind = AMPS if route in ("ChainSpec", "edge_basis", "run_checks amplitudes") else MATRIX
+    with pytest.raises(ValueError) as refused:
+        BUDGET_ROUTES[route](bad)
+    assert str(refused.value) == f"{kind} must be an integer >= 1, got {bad!r}"

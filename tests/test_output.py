@@ -18,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vbsent.cli import _CELL_TEXT, CSV_HEADER, _emit, alpha_literal, main
+from vbsent import closed_form
+from vbsent.cli import _CELL_TEXT, CSV_HEADER, _emit, alpha_literal, main, parse_alpha
+from vbsent.errors import BranchPointCondition
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,8 +132,10 @@ def test_verify_report_matches_golden(name, argv, exit_code):
 
 # The closed-form-sweep benchmark requests at seed 1 (about 1.2 MB of text)
 # and their JSON twins (about 4 MB), a three-order sweep across the n=2 float
-# cut (L=758) with a branch-point order at L=2, and a ring spectrum --verify
-# span on the exact route: the sha256 of each one's stdout, and its stderr.
+# cut (L=758) with a branch-point order at L=2, a ring spectrum --verify
+# span on the exact route, an n=3 ring sweep past both cuts (L and N - L
+# from 401) and an n=2 spectrum sweep across the cut: the sha256 of each
+# one's stdout, and its stderr.
 CUT_ORDERS = ("--alpha", f"2,{BRANCH_ORDER},0.5+1i")
 SWEEP_DIGESTS = [
     (("entropy", "--n", "2", *OPEN, "--block", "1..4000", "--alpha", "2,0.25,1.5-0.5i"),
@@ -154,12 +158,18 @@ SWEEP_DIGESTS = [
      "e617543a5abb9dac8c709b06e926f8cbf799e7173084922b568f2c0e591a1ed1", ""),
     (("spectrum", "--n", "3", *RING, "--chain", "6", "--block", "1..6", "--verify", "--format", "json"),
      "7b5d0d40f3e223eac0e3e6c9c5a6f615e51d4fc3810a420ea147e00e07912a71", ""),
+    (("entropy", "--n", "3", *RING, "--chain", "1000", "--block", "1..1000", "--alpha", "3,0.5+1i",
+      "--log-base", "2"),
+     "1cfe5b172e3afb288f9a8f09a0c58c77c70b9af86cb5a1c7cc701cb3d3849149", ""),
+    (("spectrum", "--n", "2", *OPEN, "--block", "700..1600"),
+     "99fca606f96ba93aa7f89cba1b79c983c03c4a7c95056a7c60b551e8f0fe34e3", ""),
 ]
 
 
 @pytest.mark.parametrize("argv,digest,err", SWEEP_DIGESTS,
                          ids=["open", "ring", "branch-points", "open-json", "ring-json", "branch-points-json",
-                              "orders-across-cut", "orders-across-cut-json", "ring-verify", "ring-verify-json"])
+                              "orders-across-cut", "orders-across-cut-json", "ring-verify", "ring-verify-json",
+                              "ring-past-both-cuts", "spectrum-across-cut"])
 def test_sweep_output_digest(argv, digest, err):
     code, out, got_err = run(argv)
     assert (code, got_err) == (0, err)
@@ -356,3 +366,126 @@ def test_csv_json_and_out_encode_the_same_rows(tmp_path, argv):
         target = tmp_path / "rows.out"
         assert run(argv + extra + ("--out", str(target))) == (0, "", err)
         assert target.read_text() == text
+
+
+# ---------------------------------------------------- blocks past the cut
+# Past the float cut, a block takes the floats, S and Renyi cells of the
+# first block with the same truncated weight integers.  Each row must still
+# be, bit for bit, what the library gives for its own L.
+
+def _cut(n):
+    return closed_form._cut(n * n - 1)
+
+
+SHARED_ORDERS = ("2", "0.5+1i", BRANCH_ORDER)  # real, complex, and the n=2 branch point at L=2
+
+# (n, N or None, block span) of sweeps that cross the cut: open chains from
+# five below it to twice it, and whole rings with N - L and L both past it
+# in the middle.
+CUT_SWEEPS = ([(n, None, range(_cut(n) - 5, 2 * _cut(n) + 1)) for n in (2, 3, 4)]
+              + [(n, 2 * _cut(n) + extra, range(1, 2 * _cut(n) + extra + 1)) for n in (2, 3) for extra in (6, 7)])
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+def _library_rows(n, N, lengths, base):
+    """The rows (numbers as float.hex) and stderr notes of per-L library calls."""
+    scale = {"e": 1.0, "2": 1.0 / math.log(2.0), "n": 1.0 / math.log(n)}[base]
+    rows, notes = [], []
+    for L in lengths:
+        spec = closed_form.open_spectrum(n, L) if N is None else closed_form.periodic_spectrum(n, N, L)
+        head = (n, -1 if N is None else N, L, *map(_bits, spec.floats()), _bits(spec.entropy() * scale))
+        for literal in SHARED_ORDERS:
+            try:
+                value = complex(spec.renyi(parse_alpha(literal)) * scale)
+            except BranchPointCondition:
+                rows.append((*head, literal, None, None))
+                notes.append(f"note: order {literal} is a branch point at L={L}\n")
+                continue
+            rows.append((*head, literal, _bits(value.real), _bits(value.imag)))
+    return rows, "".join(notes)
+
+
+def _cli_rows(text, as_json):
+    """The rows of CSV or JSON entropy output in the form of `_library_rows`."""
+    if as_json:
+        objs = json.loads(text)
+    else:
+        table = list(csv.reader(io.StringIO(text)))
+        objs = [dict(zip(table[0], (cell or None for cell in cells))) for cells in table[1:]]
+    return [(int(obj["n"]), int(obj["N"]), int(obj["L"]), _bits(obj["lambda_singlet"]),
+             _bits(obj["lambda_adjoint"]), _bits(obj["S"]), obj["alpha"], _bits(obj["S_alpha_re"]),
+             _bits(obj["S_alpha_im"])) for obj in objs]
+
+
+@pytest.mark.parametrize("base", ["e", "2", "n"])
+@pytest.mark.parametrize("n,N,lengths", CUT_SWEEPS,
+                         ids=[f"n{n}-{'open' if N is None else f'N{N}'}" for n, N, _ in CUT_SWEEPS])
+def test_rows_past_the_cut_equal_per_block_library_values(n, N, lengths, base):
+    want, notes = _library_rows(n, N, lengths, base)
+    argv = ("entropy", "--n", str(n), *(OPEN if N is None else RING + ("--chain", str(N))),
+            "--block", f"{lengths[0]}..{lengths[-1]}", "--alpha", ",".join(SHARED_ORDERS), "--log-base", base)
+    for as_json in (False, True):
+        code, out, err = run(argv + (("--format", "json") if as_json else ()))
+        assert (code, err) == (0, notes)
+        assert _cli_rows(out, as_json) == want
+    if n == 2 and N is not None:  # the branch point at L=2 and at its mirror, whose values are reused
+        assert notes == "".join(f"note: order {BRANCH_ORDER} is a branch point at L={L}\n" for L in (2, N - 2))
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of owner.name; returns the list the calls append to."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_block_past_the_cut_computes_nothing_its_key_has_computed(monkeypatch):
+    # n=2 open L=760..800 has two keys past the cut, one per parity of L
+    spectra = _counting(monkeypatch, closed_form, "_spectrum")
+    entropies = _counting(monkeypatch, closed_form.BlockSpectrum, "entropy")
+    code, out, _ = run(("entropy", "--n", "2", *OPEN, "--block", "760..800", "--alpha", "2"))
+    assert code == 0 and len(out.splitlines()) == 42
+    assert [args[2] for args in spectra] == [760, 761] and len(entropies) == 2
+
+
+def test_an_undecided_rounding_is_not_shared(monkeypatch):
+    # where Ziv's test is undecided the floats come from the exact integers of
+    # their own L, so every block computes its own spectrum
+    monkeypatch.setattr(closed_form, "_rounded_weights", lambda *key: None)
+    spectra = _counting(monkeypatch, closed_form, "_spectrum")
+    lengths = range(_cut(2) - 2, _cut(2) + 40)
+    code, out, err = run(("entropy", "--n", "2", *OPEN, "--block", f"{lengths[0]}..{lengths[-1]}",
+                          "--alpha", ",".join(SHARED_ORDERS)))
+    assert [args[2] for args in spectra] == list(lengths)
+    assert (code, err) == (0, "") and _cli_rows(out, False) == _library_rows(2, None, lengths, "e")[0]
+
+
+def test_verify_compares_each_blocks_own_exact_weights(monkeypatch):
+    # with the cut moved to L=4 the blocks 4..9 share two truncated float
+    # pairs, while --verify compares each block's own exact weights with the
+    # oracle: a shared exact spectrum would miss by about 1e-2
+    monkeypatch.setattr(closed_form, "_cut", lambda d: 4)
+    entropies = _counting(monkeypatch, closed_form.BlockSpectrum, "entropy")
+    code, out, err = run(("entropy", "--n", "2", *OPEN, "--block", "4..9", "--alpha", "2", "--verify"))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert (code, err, len(entropies)) == (0, "", 2)
+    assert [row["lambda_singlet"] for row in rows] == ["0.25"] * 6
+    assert all(row["verified"] == "true" and float(row["max_dev"]) < 1e-12 for row in rows), rows
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((*OPEN, "--chain", "1600", "--block", "700..1600"), "--chain only applies to periodic boundaries"),
+    ((*OPEN, "--block", "0..1600"), "block length must be an integer L >= 1, got 0"),
+    ((*RING, "--block", "700..1600"), "--chain is required for periodic boundaries"),
+    ((*RING, "--chain", "1522", "--block", "700..1523"), "need 1 <= L <= N, got L=1523, N=1522"),
+])
+def test_a_sweep_across_the_cut_fails_before_any_row(argv, message):
+    for command in ("spectrum", "entropy"):
+        assert run((command, "--n", "2", *argv)) == (2, "", f"error: {message}\n")
